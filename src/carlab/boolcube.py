@@ -87,13 +87,12 @@ class BooleanAction:
         if (self.table is None) == (self.exprs is None):
             raise CarlabError("exactly one of table/exprs must be given")
         if self.table is not None:
-            if self.n > MAX_EXACT_N:
-                raise CarlabError(f"table actions capped at n={MAX_EXACT_N}")
-            if len(self.table) != 2 ** self.n:
-                raise CarlabError(
-                    f"table must cover all {2 ** self.n} inputs, "
-                    f"got {len(self.table)}"
-                )
+            words = set(all_vertices(self.n))
+            if set(self.table) != words:
+                raise CarlabError(f"table keys must cover all {self.n}-bit words")
+            for out in self.table.values():
+                if not (isinstance(out, str) and out in words):
+                    raise CarlabError(f"bad table output {out!r} for n={self.n}")
         if self.exprs is not None:
             if len(self.exprs) != self.n:
                 raise CarlabError("rule must give one expression per coordinate")

@@ -12,7 +12,6 @@ fixes the randomized dataset-generation helpers in carlab.synth.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -24,6 +23,8 @@ from .core import (
     DataFormatError,
     load_learning_set,
     load_trace_log,
+    load_vectors,
+    save_dataset,
     save_trace_log,
 )
 from .lcpr import MiningConfig
@@ -67,33 +68,6 @@ def _require(args: argparse.Namespace, name: str) -> str:
     return value
 
 
-def _load_vectors(path: str) -> tuple[int, list[tuple[str, tuple[float, ...]]]]:
-    """Read id,f1..fn[,class] rows; a trailing class column is ignored."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "id":
-        raise DataFormatError(f"{path}: bad header")
-    header = rows[0][1:]
-    if header and header[-1] == "class":
-        header = header[:-1]
-        drop_class = True
-    else:
-        drop_class = False
-    n = len(header)
-    if [f"f{j}" for j in range(1, n + 1)] != header:
-        raise DataFormatError(f"{path}: bad feature columns")
-    out = []
-    for lineno, row in enumerate(rows[1:], 2):
-        if not row:
-            continue
-        expected = n + (2 if drop_class else 1)
-        if len(row) != expected:
-            raise DataFormatError(f"{path}:{lineno}: malformed row")
-        values = row[1 : n + 1]
-        out.append((row[0], tuple(float(v) for v in values)))
-    return n, out
-
-
 def _cmd_mine(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode=args.mode or "real")
     config = MiningConfig(violation_budget=int(args.budget or 0))
@@ -106,9 +80,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     lds = lcpr.load_ldset(_require(args, "lds"))
-    _, vectors = _load_vectors(_require(args, "data"))
     results = []
-    for object_id, x in vectors:
+    for object_id, x in load_vectors(_require(args, "data")):
         outcome = lcpr.classify(x, lds)
         results.append(
             {
@@ -200,18 +173,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             save_trace_log(flat, args.trace_out)
     if args.emit_dataset:
         # Raw emission: validation happens when the file is re-ingested.
-        with Path(args.emit_dataset).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["id"] + [f"f{j}" for j in range(1, learning_set.n + 1)] + ["class"]
-            )
-            for object_id in sorted(report.traces):
-                for e in report.traces[object_id]:
-                    writer.writerow(
-                        [f"{object_id}.{e.step}"]
-                        + [repr(v) for v in e.state]
-                        + [e.assigned_class]
-                    )
+        rows = (
+            (f"{object_id}.{e.step}", e.state, e.assigned_class)
+            for object_id in sorted(report.traces)
+            for e in report.traces[object_id]
+        )
+        save_dataset(rows, learning_set.n, args.emit_dataset)
     return 0
 
 

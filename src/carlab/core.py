@@ -13,6 +13,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -70,7 +71,7 @@ class LearningSet:
         """Validate samples and derive the feature and class counts.
 
         Raises DataFormatError on inconsistent feature counts, empty class
-        shares, or non-Boolean values in boolean mode.
+        shares, non-finite values, or non-Boolean values in boolean mode.
         """
         mode = mode.lower()
         if mode not in ("real", "boolean"):
@@ -87,6 +88,8 @@ class LearningSet:
                     f"inconsistent feature count for {s.object_id!r}: "
                     f"expected {n}, got {len(s.features)}"
                 )
+            if not all(math.isfinite(v) for v in s.features):
+                raise DataFormatError(f"non-finite value for {s.object_id!r}")
             if mode == "boolean":
                 for v in s.features:
                     if v not in (0.0, 1.0):
@@ -185,38 +188,54 @@ def _check_feature_header(fields: Sequence[str]) -> int:
     return n
 
 
-def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
-    """Read a dataset CSV into a validated LearningSet."""
+def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
+    """Rows of a dataset CSV as (id, features, label); the trailing class
+    column is required and parsed if ``labelled``, else optional and ignored."""
     path = Path(source)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
-    if len(header) < 3 or header[0] != "id" or header[-1] != "class":
+    has_class = header[-1:] == ["class"]
+    if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
         raise DataFormatError(f"{path}: bad header {header!r}")
-    n = _check_feature_header(header[1:-1])
-    samples = []
+    n = _check_feature_header(header[1 : len(header) - has_class])
+    out = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         where = f"{path}:{lineno}"
-        if len(row) != n + 2:
-            raise DataFormatError(f"{where}: malformed row, expected {n + 2} fields")
-        feats = tuple(_parse_float(v, where) for v in row[1:-1])
-        label = _parse_int(row[-1], where)
-        samples.append(LearningSample(object_id=row[0], features=feats, label=label))
-    return LearningSet.build(samples, mode=mode)
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: malformed row, expected {len(header)} fields")
+        feats = tuple(_parse_float(v, where) for v in row[1 : n + 1])
+        out.append((row[0], feats, _parse_int(row[-1], where) if labelled else None))
+    return out
+
+
+def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
+    """Read a dataset CSV into a validated LearningSet."""
+    rows = _read_dataset(source, labelled=True)
+    return LearningSet.build([LearningSample(*row) for row in rows], mode=mode)
+
+
+def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
+    """Read ``id,f1,...,fn[,class]`` rows; a trailing class column is ignored."""
+    return [row[:2] for row in _read_dataset(source, labelled=False)]
+
+
+def save_dataset(rows: Iterable[tuple], n: int, dest: Union[str, Path]) -> None:
+    """Write (id, features, class) rows as a dataset CSV, unvalidated."""
+    with Path(dest).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id"] + [f"f{j}" for j in range(1, n + 1)] + ["class"])
+        for object_id, features, label in rows:
+            writer.writerow([object_id] + [repr(v) for v in features] + [label])
 
 
 def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
     """Write a dataset CSV that round-trips through load_learning_set."""
-    path = Path(dest)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{j}" for j in range(1, ls.n + 1)] + ["class"])
-        for s in ls.samples:
-            writer.writerow([s.object_id] + [repr(v) for v in s.features] + [s.label])
+    save_dataset(((s.object_id, s.features, s.label) for s in ls.samples), ls.n, dest)
 
 
 def load_trace_log(source: Union[str, Path]) -> TraceMap:

@@ -4,12 +4,18 @@ States are class labels; the normal class is absorbing under a synthetic
 ``stay`` action with zero reward.  Rewards derive from level-diagram
 distances, so progress toward the normal class pays off and regression
 costs, and cumulative reward telescopes along any trace.
+
+Value iteration, policy evaluation and policy comparison share one
+Bellman backup over the model compiled once into flat outcome rows, and
+every backup sums its terms in model order, so each value rounds exactly
+as a scalar loop over states, sorted actions and listed outcomes would.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Union
 
@@ -55,6 +61,39 @@ class MDPModel:
 
     def actions(self, state: int) -> tuple[str, ...]:
         return tuple(sorted(self.transitions[state]))
+
+    @cached_property
+    def _backup(self) -> "_Backup":
+        return _Backup(self)
+
+
+class _Backup:
+    """A model's Bellman backup over flat outcome rows, ordered by state,
+    sorted action and listed outcome: each (state, action) pair owns a run
+    of rows, and each state a run of pairs starting at ``first_pair``."""
+
+    def __init__(self, mdp: MDPModel) -> None:
+        index = {s: k for k, s in enumerate(mdp.states)}
+        self.gamma = mdp.gamma
+        self.pairs = [(s, a) for s in mdp.states for a in mdp.actions(s)]
+        self.pair_state = np.array([index[s] for s, _ in self.pairs])
+        self.first_pair = np.searchsorted(self.pair_state, np.arange(len(index)))
+        rows = [
+            (k, index[d], prob, reward)
+            for k, (s, a) in enumerate(self.pairs)
+            for d, prob, reward in mdp.transitions[s][a]
+        ]
+        self.pair, self.dst, self.p, self.r = map(np.array, zip(*rows))
+        self.src = self.pair_state[self.pair]
+
+    def __call__(self, values: np.ndarray, weights=None) -> np.ndarray:
+        """Q per pair; given per-pair policy weights, V per state with terms
+        ``(w * p) * (r + gamma * V)``.  ``np.bincount`` sums in row order."""
+        future = self.r + self.gamma * values[self.dst]
+        if weights is None:
+            return np.bincount(self.pair, self.p * future, minlength=len(self.pairs))
+        terms = weights[self.pair] * self.p * future
+        return np.bincount(self.src, terms, minlength=len(self.first_pair))
 
 
 @dataclass(frozen=True)
@@ -169,6 +208,16 @@ def estimate_mdp(
     return MDPModel(states=ordered, gamma=gamma, transitions=transitions)
 
 
+def _fixed_point(step, size: int, tol: float) -> tuple[np.ndarray, int]:
+    """Sweep ``step`` from zero until no value moves by more than ``tol``."""
+    values, iterations, delta = np.zeros(size), 0, np.inf
+    while delta > tol:
+        new_values = step(values)
+        delta = float(np.max(np.abs(new_values - values)))
+        values, iterations = new_values, iterations + 1
+    return values, iterations
+
+
 def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
     """Bellman optimality sweeps to a residual of at most ``tol``.
 
@@ -176,43 +225,20 @@ def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
     values then satisfy the Bellman residual bound gamma * tol <= tol.
     The greedy policy breaks ties toward the lowest action id.
     """
-    index = {s: k for k, s in enumerate(mdp.states)}
-    values = np.zeros(len(mdp.states))
-    iterations = 0
-    while True:
-        iterations += 1
-        new_values = np.empty_like(values)
-        for s in mdp.states:
-            best = -np.inf
-            for a in mdp.actions(s):
-                q = 0.0
-                for dst, p, r in mdp.transitions[s][a]:
-                    q += p * (r + mdp.gamma * values[index[dst]])
-                best = max(best, q)
-            new_values[index[s]] = best
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if delta <= tol:
-            break
-    greedy: dict[int, str] = {}
-    residual = 0.0
-    for s in mdp.states:
-        best_a = None
-        best_q = -np.inf
-        for a in mdp.actions(s):
-            q = 0.0
-            for dst, p, r in mdp.transitions[s][a]:
-                q += p * (r + mdp.gamma * values[index[dst]])
-            if q > best_q:
-                best_q = q
-                best_a = a
-        greedy[s] = best_a
-        residual = max(residual, abs(best_q - values[index[s]]))
+    backup = mdp._backup
+    values, iterations = _fixed_point(
+        lambda v: np.maximum.reduceat(backup(v), backup.first_pair),
+        len(mdp.states),
+        tol,
+    )
+    q = backup(values)
+    # Sort by state, descending q, then pair: ties go to the lowest action id.
+    best = np.lexsort((np.arange(len(q)), -q, backup.pair_state))[backup.first_pair]
     return VIResult(
-        values={s: float(values[index[s]]) for s in mdp.states},
-        policy=Policy.deterministic(greedy),
+        values=dict(zip(mdp.states, values.tolist())),
+        policy=Policy.deterministic(dict(backup.pairs[k] for k in best)),
         iterations=iterations,
-        residual=residual,
+        residual=float(np.max(np.abs(q[best] - values))),
     )
 
 
@@ -223,30 +249,18 @@ def policy_evaluation(
     for s in mdp.states:
         if s not in policy.decision:
             raise CarlabError(f"policy does not cover state {s}")
-        available = set(mdp.actions(s))
         for a in policy.support(s):
-            if a not in available:
+            if a not in mdp.transitions[s]:
                 raise CarlabError(f"policy uses unavailable action {a!r} at {s}")
+        if not all(w >= 0 for w in policy.decision[s].values()):
+            raise CarlabError(f"policy distribution at {s} has a negative weight")
         total = sum(policy.decision[s].values())
         if abs(total - 1.0) > 1e-9:
             raise CarlabError(f"policy distribution at {s} sums to {total!r}")
-    index = {s: k for k, s in enumerate(mdp.states)}
-    values = np.zeros(len(mdp.states))
-    while True:
-        new_values = np.empty_like(values)
-        for s in mdp.states:
-            v = 0.0
-            for a, weight in policy.decision[s].items():
-                if weight == 0.0:
-                    continue
-                for dst, p, r in mdp.transitions[s][a]:
-                    v += weight * p * (r + mdp.gamma * values[index[dst]])
-            new_values[index[s]] = v
-        delta = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if delta <= tol:
-            break
-    return {s: float(values[index[s]]) for s in mdp.states}
+    backup = mdp._backup
+    weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
+    values, _ = _fixed_point(lambda v: backup(v, weights), len(mdp.states), tol)
+    return dict(zip(mdp.states, values.tolist()))
 
 
 def extract_observed_policy(
@@ -282,16 +296,14 @@ def compare_policies(
     vi = value_iteration(mdp, tol=tol)
     v_obs = policy_evaluation(mdp, observed, tol=tol)
     atol = 1e-8
+    backup = mdp._backup
+    q = backup(np.array([vi.values[s] for s in mdp.states]))
+    best = np.maximum.reduceat(q, backup.first_pair)
+    near_best = q >= (best - atol)[backup.pair_state]
     optimal_actions: dict[int, tuple[str, ...]] = {}
-    for s in mdp.states:
-        qs = {}
-        for a in mdp.actions(s):
-            qs[a] = sum(
-                p * (r + mdp.gamma * vi.values[dst])
-                for dst, p, r in mdp.transitions[s][a]
-            )
-        best = max(qs.values())
-        optimal_actions[s] = tuple(sorted(a for a, q in qs.items() if q >= best - atol))
+    for (s, a), near in zip(backup.pairs, near_best):
+        if near:
+            optimal_actions[s] = optimal_actions.get(s, ()) + (a,)
     regret = {s: vi.values[s] - v_obs[s] for s in mdp.states}
     agreement = {
         s: set(observed.support(s)) <= set(optimal_actions[s]) for s in mdp.states

@@ -146,6 +146,20 @@ class TestBooleanAction:
         with pytest.raises(CarlabError, match="rule expression"):
             BooleanAction("a1", 2, exprs=("x3", "0"))
 
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"ab": "zz", "01": "111", "10": "0", "11": "1"}, "cover all"),
+            ({"00": "00", "01": "111", "10": "10", "11": "11"}, "bad table output"),
+            ({"00": "00", "01": "zz", "10": "10", "11": "11"}, "bad table output"),
+            ({"00": "00", "01": 1, "10": "10", "11": "11"}, "bad table output"),
+        ],
+        ids=["bad-keys", "long-output", "non-bit-output", "non-string-output"],
+    )
+    def test_table_words_validated(self, table, message):
+        with pytest.raises(CarlabError, match=message):
+            BooleanAction("a1", 2, table=table)
+
 
 class TestBackward:
     def test_flip_example(self):

@@ -94,6 +94,31 @@ class TestMineClassify:
         entries = json.loads(mined.read_text())
         assert {e["class"] for e in entries} == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\nid,f1,f2\nx,1.0,2.0\n", "bad header"),
+            ("id,f1,f2,class\nx,1.0,2.0,0\ny,1.0,abc,0\n", "vectors.csv:3: bad numeric"),
+        ],
+        ids=["blank-first-line", "non-numeric"],
+    )
+    def test_classify_bad_vectors_exit_one(
+        self, contracting, tmp_path, capsys, text, message
+    ):
+        data = write(tmp_path / "vectors.csv", text)
+        assert run(["classify", "--lds", contracting["lds"], "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_mine_rejects_non_finite_features(self, tmp_path, capsys, value):
+        data = write(tmp_path / "data.csv", f"id,f1,class\na,1.0,0\nb,{value},1\n")
+        assert run(["mine", "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "non-finite value for 'b'" in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_simulation_artifacts(self, contracting, tmp_path):

@@ -231,6 +231,13 @@ class TestPolicyEvaluation:
         with pytest.raises(CarlabError, match="does not cover"):
             policy_evaluation(model, Policy.deterministic({0: STAY_ACTION}))
 
+    @pytest.mark.parametrize("weight", [-0.5, float("nan")])
+    def test_negative_or_nan_weight_rejected(self, weight):
+        model = chain_mdp()
+        decision = {0: {STAY_ACTION: 1.0}, 1: {"a": 1.5, "zzz": weight}}
+        with pytest.raises(CarlabError, match="negative weight"):
+            policy_evaluation(model, Policy(decision=decision))
+
 
 class TestObservedPolicy:
     def test_single_action_frequency(self):
@@ -295,6 +302,68 @@ class TestComparePolicies:
             report = compare_policies(Policy(decision=decision), model)
             for s in model.states:
                 assert report.regret[s] >= -1e-9
+
+
+class TestBackupGuards:
+    def test_identical_actions_tie_to_lowest_id(self):
+        model = MDPModel(
+            states=(0, 1),
+            gamma=0.9,
+            transitions={
+                0: {STAY_ACTION: ((0, 1.0, 0.0),)},
+                1: {
+                    "b": ((0, 0.5, 1.0), (1, 0.5, 0.0)),
+                    "a": ((0, 0.5, 1.0), (1, 0.5, 0.0)),
+                },
+            },
+        )
+        vi = value_iteration(model)
+        assert vi.policy.action(1) == "a"
+        report = compare_policies(vi.policy, model)
+        assert report.optimal_actions[1] == ("a", "b")
+
+    def test_destination_listed_twice_with_different_rewards(self):
+        rows = [
+            (0, STAY_ACTION, 0, 1.0, 0.0),
+            (1, "a", 0, 0.25, 1.0),
+            (1, "a", 0, 0.25, 3.0),
+            (1, "a", 1, 0.5, -1.0),
+            (1, "b", 2, 1.0, 0.5),
+            (2, "c", 1, 0.5, 2.0),
+            (2, "c", 1, 0.5, -2.5),
+            (2, "d", 0, 0.5, 1.0),
+            (2, "d", 2, 0.5, -1.0),
+        ]
+        model = mdp_from_json(
+            {
+                "states": [0, 1, 2],
+                "gamma": 0.9,
+                "transitions": [
+                    {"s": s, "a": a, "s'": dst, "p": p, "r": r}
+                    for s, a, dst, p, r in rows
+                ],
+            }
+        )
+        vi = value_iteration(model)
+        best = oracles.best_deterministic_values(model)
+        decision = {
+            0: {STAY_ACTION: 1.0},
+            1: {"a": 0.3, "b": 0.7},
+            2: {"c": 0.6, "d": 0.4},
+        }
+        v = policy_evaluation(model, Policy(decision=decision))
+        exact = oracles.exact_policy_value(model, decision)
+        for s in model.states:
+            assert vi.values[s] == pytest.approx(best[s], abs=1e-8)
+            assert v[s] == pytest.approx(exact[s], abs=1e-8)
+
+    def test_greedy_policy_matches_optimal_at_high_gamma(self):
+        rng = synth.default_rng(38)
+        for _ in range(5):
+            model = synth.random_mdp(rng, gamma=0.999)
+            report = compare_policies(value_iteration(model).policy, model)
+            assert report.verdict == "matches-optimal"
+            assert all(report.agreement.values())
 
 
 def test_row_sum_validation():
