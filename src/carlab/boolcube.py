@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .core import CarlabError, LearningSet
 from .lcpr import LDSet, LogicalDependency
 
@@ -35,6 +37,12 @@ class Subcube:
 
     def fixed_positions(self) -> tuple[int, ...]:
         return tuple(k for k, c in enumerate(self.word) if c != "*")
+
+    def mask_value(self) -> tuple[int, int]:
+        """Int form: vertex code v lies in the cube iff ``v & mask == value``,
+        with position 0 as the most significant bit, as in ``all_vertices``."""
+        fixed = "".join("0" if c == "*" else "1" for c in self.word)
+        return int(fixed, 2), int(self.word.replace("*", "0"), 2)
 
     def contains(self, vertex: str) -> bool:
         if len(vertex) != len(self.word):
@@ -96,8 +104,9 @@ class BooleanAction:
         if self.exprs is not None:
             if len(self.exprs) != self.n:
                 raise CarlabError("rule must give one expression per coordinate")
-            for ex in self.exprs:
-                self._parse_expr(ex)
+            object.__setattr__(
+                self, "_rule", tuple(self._parse_expr(ex) for ex in self.exprs)
+            )
 
     def _parse_expr(self, ex: str) -> tuple[str, int]:
         if ex in ("0", "1"):
@@ -115,8 +124,7 @@ class BooleanAction:
         if self.table is not None:
             return self.table[vertex]
         out = []
-        for ex in self.exprs:
-            kind, arg = self._parse_expr(ex)
+        for kind, arg in self._rule:
             if kind == "const":
                 out.append(str(arg))
             elif kind == "copy":
@@ -154,6 +162,27 @@ def all_vertices(n: int) -> Iterable[str]:
     if n > MAX_EXACT_N:
         raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
     return ("".join(bits) for bits in product("01", repeat=n))
+
+
+class VertexRows:
+    """The 2^n cube vertices as 0/1 float rows, in ``all_vertices`` order.
+
+    Rows exist only per slice, built from the vertices' int codes, so a
+    batch classifier can vote the whole cube a chunk at a time.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n > MAX_EXACT_N:
+            raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
+        self.n = n
+
+    def __len__(self) -> int:
+        return 1 << self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        codes = np.arange(*rows.indices(len(self)))
+        shifts = np.arange(self.n - 1, -1, -1)
+        return (codes[:, None] >> shifts & 1).astype(float)
 
 
 def _minimal_transversals(sets: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -198,13 +227,6 @@ def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
     return result
 
 
-def _union_vertices(cubes: Iterable[Subcube]) -> set[str]:
-    covered: set[str] = set()
-    for cube in cubes:
-        covered.update(cube.vertices())
-    return covered
-
-
 def forall_exists_partition(
     pos_rdnf: Iterable[Subcube],
     neg_rdnf: Iterable[Subcube],
@@ -220,12 +242,25 @@ def forall_exists_partition(
     if len(dims) != 1:
         raise CarlabError(f"dimension mismatch or unknown: {sorted(dims)}")
     n = dims.pop()
-    pos = _union_vertices(pos_rdnf)
-    neg = _union_vertices(neg_rdnf)
+    if n > MAX_EXACT_N:
+        raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
+    codes = np.arange(1 << n)
+
+    def covered(cubes: list[Subcube]) -> np.ndarray:
+        hit = np.zeros(len(codes), dtype=bool)
+        for mask, value in {c.mask_value() for c in cubes}:
+            hit |= codes & mask == value
+        return hit
+
+    def words(selected: np.ndarray) -> frozenset[str]:
+        return frozenset(format(v, f"0{n}b") for v in np.flatnonzero(selected).tolist())
+
+    pos = covered(pos_rdnf)
+    neg = covered(neg_rdnf)
     return RegionPartition(
-        forall_region=frozenset(pos - neg),
-        exists_region=frozenset(pos & neg),
-        uncovered=frozenset(set(all_vertices(n)) - pos - neg),
+        forall_region=words(pos & ~neg),
+        exists_region=words(pos & neg),
+        uncovered=words(~(pos | neg)),
     )
 
 

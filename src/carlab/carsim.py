@@ -150,54 +150,59 @@ def run_car(
     rounds, recording a trace with synthetic timestamps t_k = k.
 
     Convergence at step k means the k-th classification (after k applied
-    actions) is the normal class.  Stalls are data, not errors.
+    actions) is the normal class.  Stalls are data, not errors.  The
+    active objects advance in lockstep: one classification round per
+    step, a single call when the classifier has a ``batch`` method (as
+    ``ld_classifier``'s does) and one call per object otherwise.
     """
     if max_steps < 0:
         raise CarlabError("max_steps must be >= 0")
-    items = _population_items(population)
-    traces: dict[str, tuple[TraceEvent, ...]] = {}
-    converged: dict[str, bool] = {}
-    steps_to_normal: dict[str, Optional[int]] = {}
-    stalls: dict[str, StallInfo] = {}
-    for object_id, start in sorted(items):
-        state = start
-        events: list[TraceEvent] = []
-        seen: set[tuple[FeatureVector, int]] = set()
-        done = False
-        for step in range(max_steps + 1):
-            outcome = classifier(state)
-            if outcome.label is None:
-                stalls[object_id] = StallInfo(kind="indeterminate", step=step)
-                done = True
-                break
-            label = outcome.label
+    items = sorted(_population_items(population))
+    batch = getattr(classifier, "batch", None)
+    states = dict(items)
+    events: dict[str, list[TraceEvent]] = {object_id: [] for object_id, _ in items}
+    seen: dict[str, set[tuple[FeatureVector, int]]] = {o: set() for o, _ in items}
+    reached: dict[str, int] = {}
+    stalled: dict[str, StallInfo] = {}
+    active = [object_id for object_id, _ in items]
+    for step in range(max_steps + 1):
+        if not active:
+            break
+        rows = [states[object_id] for object_id in active]
+        if batch is not None:
+            labels = batch(rows).labels
+        else:
+            labels = [classifier(state).label for state in rows]
+        still_active = []
+        for object_id, state, label in zip(active, rows, labels):
+            if label is None:
+                stalled[object_id] = StallInfo(kind="indeterminate", step=step)
+                continue
             if label == NORMAL_CLASS:
-                events.append(
+                events[object_id].append(
                     TraceEvent(object_id, step, float(step), state, label, None)
                 )
-                converged[object_id] = True
-                steps_to_normal[object_id] = step
-                done = True
-                break
+                reached[object_id] = step
+                continue
             action = actions.get(label)
             if action is None:
                 raise CarlabError(f"no action bound to class {label}")
-            events.append(
+            events[object_id].append(
                 TraceEvent(object_id, step, float(step), state, label, action.action_id)
             )
             key = (state, label)
-            if key in seen:
-                stalls[object_id] = StallInfo(kind="cycle", step=step)
-                done = True
-                break
-            seen.add(key)
+            if key in seen[object_id]:
+                stalled[object_id] = StallInfo(kind="cycle", step=step)
+                continue
+            seen[object_id].add(key)
             if step < max_steps:
-                state = action.fn(state)
-        if not done:
-            stalls[object_id] = StallInfo(kind="exhausted", step=max_steps)
-        converged.setdefault(object_id, False)
-        steps_to_normal.setdefault(object_id, None)
-        traces[object_id] = tuple(events)
+                states[object_id] = action.fn(state)
+            still_active.append(object_id)
+        active = still_active
+    for object_id in active:
+        stalled[object_id] = StallInfo(kind="exhausted", step=max_steps)
+    ids = [object_id for object_id, _ in items]
+    steps_to_normal = {object_id: reached.get(object_id) for object_id in ids}
     total = len(items)
     curve = []
     if total:
@@ -206,15 +211,14 @@ def run_car(
                 1 for s in steps_to_normal.values() if s is not None and s <= k
             )
             curve.append(hit / total)
-    reached = [s for s in steps_to_normal.values() if s is not None]
     return CarRunReport(
         max_steps=max_steps,
-        traces=traces,
-        converged=converged,
+        traces={object_id: tuple(events[object_id]) for object_id in ids},
+        converged={object_id: object_id in reached for object_id in ids},
         steps_to_normal=steps_to_normal,
-        stalls=stalls,
+        stalls={object_id: stalled[object_id] for object_id in ids if object_id in stalled},
         fraction_normal_within=tuple(curve),
-        mean_steps=sum(reached) / len(reached) if reached else None,
+        mean_steps=sum(reached.values()) / len(reached) if reached else None,
     )
 
 

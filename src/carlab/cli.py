@@ -80,9 +80,11 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     lds = lcpr.load_ldset(_require(args, "lds"))
+    rows = load_vectors(_require(args, "data"))
+    votes = lcpr.classify_batch([x for _, x in rows], lds)
     results = []
-    for object_id, x in load_vectors(_require(args, "data")):
-        outcome = lcpr.classify(x, lds)
+    for k, (object_id, _) in enumerate(rows):
+        outcome = votes.outcome(k)
         results.append(
             {
                 "id": object_id,
@@ -188,10 +190,10 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     depth = int(args.depth if args.depth is not None else 1)
     n = learning_set.n
     rdnfs = boolcube.multiclass_rdnf(learning_set)
-    lds = boolcube.subcubes_to_ldset(rdnfs)
-
-    def classify_vertex(vertex: str) -> Optional[int]:
-        return lcpr.classify(boolcube.vertex_to_vector(vertex), lds).label
+    votes = lcpr.classify_batch(
+        boolcube.VertexRows(n), boolcube.subcubes_to_ldset(rdnfs)
+    )
+    labels = dict(zip(boolcube.all_vertices(n), votes.labels))
 
     neg_union = set()
     for i in range(1, learning_set.deviated_count + 1):
@@ -206,7 +208,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
             action_id=spec.action_id, n=spec.n, table=spec.table, exprs=spec.exprs
         )
     reach = boolcube.backward_reach(
-        partition.forall_region, actions, classify_vertex, depth, n
+        partition.forall_region, actions, labels.__getitem__, depth, n
     )
     depths = []
     for d, (region, cumulative) in enumerate(zip(reach.depths, reach.cumulative)):
@@ -216,9 +218,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
                 "region": sorted(region),
                 "cover": [c.word for c in boolcube.subcube_cover(region, n)],
                 "cumulative": sorted(cumulative),
-                "never_within": sorted(
-                    set(boolcube.all_vertices(n)) - cumulative
-                ),
+                "never_within": sorted(labels.keys() - cumulative),
             }
         )
     payload = {

@@ -190,7 +190,8 @@ def _check_feature_header(fields: Sequence[str]) -> int:
 
 def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
     """Rows of a dataset CSV as (id, features, label); the trailing class
-    column is required and parsed if ``labelled``, else optional and ignored."""
+    column is required and parsed if ``labelled``, else optional and ignored.
+    A non-finite feature value is rejected with its ``path:line``."""
     path = Path(source)
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -209,6 +210,8 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
         if len(row) != len(header):
             raise DataFormatError(f"{where}: malformed row, expected {len(header)} fields")
         feats = tuple(_parse_float(v, where) for v in row[1 : n + 1])
+        if not all(math.isfinite(v) for v in feats):
+            raise DataFormatError(f"{where}: non-finite value for {row[0]!r}")
         out.append((row[0], feats, _parse_int(row[-1], where) if labelled else None))
     return out
 
@@ -220,7 +223,10 @@ def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningS
 
 
 def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
-    """Read ``id,f1,...,fn[,class]`` rows; a trailing class column is ignored."""
+    """Read ``id,f1,...,fn[,class]`` rows; a trailing class column is ignored.
+
+    Raises DataFormatError, naming ``path:line``, on a non-finite value.
+    """
     return [row[:2] for row in _read_dataset(source, labelled=False)]
 
 

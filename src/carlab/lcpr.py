@@ -13,13 +13,17 @@ or removed, without covering counter-class points beyond the budget.
 
 Classification scores an object per class as the fraction of that class's
 LDs covering it, then takes the argmax; ties and all-zero score vectors
-are reported as indeterminate rather than broken silently.
+are reported as indeterminate rather than broken silently.  Voting runs
+through one kernel over an LDSet compiled once into bound arrays: rows
+are tested against every box in chunks of bounded size, and the argmax
+and ties compare integer cover counts, never float scores.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -78,6 +82,10 @@ class LDSet:
 
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.by_class))
+
+    @cached_property
+    def _compiled(self) -> "_CompiledLDs":
+        return _CompiledLDs(self)
 
 
 @dataclass(frozen=True)
@@ -173,9 +181,25 @@ def grow_maximal_ld(
     no single-bound relaxation is admissible.
     """
     config = config or MiningConfig()
-    budget = config.violation_budget
     X, y = _matrix(learning_set)
-    n = learning_set.n
+    return _grow(seed, X, y, _grids(X), config.violation_budget)
+
+
+def _grids(X: np.ndarray) -> list[np.ndarray]:
+    """Sorted distinct training values of each feature."""
+    return [np.unique(X[:, j]) for j in range(X.shape[1])]
+
+
+def _grow(
+    seed: LearningSample,
+    X: np.ndarray,
+    y: np.ndarray,
+    grids: list[np.ndarray],
+    budget: int,
+) -> LogicalDependency:
+    """``grow_maximal_ld`` on a learning set prepared as a matrix, labels
+    and per-feature grids."""
+    n = X.shape[1]
     counter = y != seed.label
     point = np.asarray(seed.features, dtype=float)
 
@@ -189,12 +213,7 @@ def grow_maximal_ld(
             f"{violations} counter-class point(s)"
         )
 
-    neg_inf = np.full(n, -np.inf)
-    pos_inf = np.full(n, np.inf)
-
-    for j in range(n):
-        grid = np.unique(X[:, j])
-
+    for j, grid in enumerate(grids):
         # Lower bound: points blocked only by this bound sit in the slab
         # below it; walk the grid downward, then drop.
         slab_lower = lower.copy()
@@ -255,9 +274,11 @@ def mine_lds(
         i: [] for i in range(learning_set.deviated_count + 1)
     }
     seen: set[tuple] = set()
+    X, y = _matrix(learning_set)
+    grids = _grids(X)
     for seed in learning_set.samples:
         try:
-            ld = grow_maximal_ld(seed, learning_set, config)
+            ld = _grow(seed, X, y, grids, config.violation_budget)
         except UnseparableSeedError as exc:
             warnings.append(str(exc))
             continue
@@ -272,29 +293,170 @@ def mine_lds(
 
 def similarity(x: Sequence[float], lds: LDSet, class_index: int) -> float:
     """Fraction of the class's LDs covering x; 0 when the class has none."""
-    members = lds.by_class.get(class_index, ())
-    if not members:
-        return 0.0
-    return sum(eval_ld(ld, x) for ld in members) / len(members)
+    return classify(x, lds).scores.get(class_index, 0.0)
+
+
+# Row-by-LD cells tested per chunk: bounds the kernel's scratch memory.
+_CHUNK_CELLS = 1 << 16
+
+_REASONS = (None, "tied", "all-zero")
+_TIED, _ALL_ZERO = 1, 2
+
+
+class _CompiledLDs:
+    """An LDSet as bound arrays over its LDs in ``all_lds`` order.
+
+    Feature j's bounds for every LD sit in one array, -inf / +inf where
+    an LD leaves that side open, so a box test is one comparison per
+    bounded feature side.  Class ``classes[c]`` owns the LDs
+    ``starts[c]:starts[c + 1]``.
+    """
+
+    def __init__(self, lds: LDSet) -> None:
+        self.classes = lds.classes()
+        members = [lds.by_class[i] for i in self.classes]
+        self.sizes = tuple(len(m) for m in members)
+        self.starts = np.cumsum((0,) + self.sizes)
+        flat = [ld for m in members for ld in m]
+        self.width = max((j for ld in flat for j in (*ld.lower, *ld.upper)), default=0)
+        lower = np.full((self.width, len(flat)), -np.inf)
+        upper = np.full((self.width, len(flat)), np.inf)
+        for k, ld in enumerate(flat):
+            for j, v in ld.lower.items():
+                lower[j - 1, k] = v
+            for j, v in ld.upper.items():
+                upper[j - 1, k] = v
+        # A NaN bound excludes nothing, as in eval_ld (x < nan is False).
+        lower[np.isnan(lower)] = -np.inf
+        upper[np.isnan(upper)] = np.inf
+        self.tests = [
+            (j, np.greater_equal, lower[j])
+            for j in range(self.width)
+            if (lower[j] > -np.inf).any()
+        ] + [
+            (j, np.less_equal, upper[j])
+            for j in range(self.width)
+            if (upper[j] < np.inf).any()
+        ]
+        # An empty class scores 0 whatever it is compared with; size 1
+        # keeps its cross-multiplied comparisons exact.
+        self.cross_sizes = np.maximum(np.array(self.sizes, dtype=np.int64), 1)
+
+    def counts(self, X: np.ndarray) -> np.ndarray:
+        """Per-class cover counts of each row of X, shape (rows, classes)."""
+        inside = np.ones((len(X), self.starts[-1]), dtype=bool)
+        scratch = np.empty_like(inside)
+        for j, compare, bound in self.tests:
+            compare(X[:, j, None], bound, out=scratch)
+            inside &= scratch
+        counts = np.empty((len(X), len(self.classes)), dtype=np.int64)
+        for c, (a, b) in enumerate(zip(self.starts[:-1], self.starts[1:])):
+            counts[:, c] = np.count_nonzero(inside[:, a:b], axis=1)
+        return counts
+
+    def decide(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Winning class position and reason code per row.
+
+        Class c scores above class b exactly when
+        ``count_c * size_b > count_b * size_c``: integers, no rounding.
+        """
+        best = np.zeros(len(counts), dtype=np.intp)
+        if not self.classes:
+            return best, np.full(len(counts), _ALL_ZERO)
+        rows = np.arange(len(counts))
+        sizes = self.cross_sizes
+        for c in range(1, len(self.classes)):
+            better = counts[:, c] * sizes[best] > counts[rows, best] * sizes[c]
+            best[better] = c
+        top = counts[rows, best]
+        level = counts * sizes[best, None] == top[:, None] * sizes
+        tied = np.count_nonzero(level, axis=1) > 1
+        return best, np.where(top == 0, _ALL_ZERO, np.where(tied, _TIED, 0))
+
+
+@dataclass(frozen=True, eq=False)
+class VoteBatch:
+    """Similarity votes for a batch of rows.
+
+    ``counts[r, c]`` is the number of class ``classes[c]``'s ``sizes[c]``
+    LDs covering row r; ``labels`` and ``reasons`` hold one entry per row,
+    as in ClassifyOutcome.
+    """
+
+    classes: tuple[int, ...]
+    sizes: tuple[int, ...]
+    counts: np.ndarray
+    labels: list[Optional[int]]
+    reasons: list[Optional[str]]
+
+    def outcome(self, row: int) -> ClassifyOutcome:
+        """One row's verdict with its per-class scores ``count / size``."""
+        scores = {
+            i: k / size if size else 0.0
+            for i, k, size in zip(self.classes, self.counts[row].tolist(), self.sizes)
+        }
+        return ClassifyOutcome(label=self.labels[row], reason=self.reasons[row], scores=scores)
+
+
+def classify_batch(X, lds: LDSet) -> VoteBatch:
+    """Vote every row of X by per-class similarity, as ``classify`` does.
+
+    X is a (rows x n) array, or any sequence whose slices convert to one:
+    rows are converted and tested one fixed-size chunk at a time, so the
+    scratch memory stays bounded whatever the number of rows.  Raises
+    CarlabError on a non-finite row or an LD bounding a feature beyond n.
+    """
+    compiled = lds._compiled
+    total = len(X)
+    step = max(1, _CHUNK_CELLS // max(1, compiled.starts[-1]))
+    counts = np.zeros((total, len(compiled.classes)), dtype=np.int64)
+    best = np.zeros(total, dtype=np.intp)
+    reason = np.zeros(total, dtype=np.intp)
+    for a in range(0, total, step):
+        block = np.asarray(X[a : a + step], dtype=float)
+        if block.ndim != 2:
+            raise CarlabError("rows to classify must form a 2-D array")
+        if block.shape[1] < compiled.width:
+            raise CarlabError(
+                f"feature index {compiled.width} out of range for n={block.shape[1]}"
+            )
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise CarlabError(f"non-finite feature value in row {a + int(np.argmin(finite))}")
+        b = a + len(block)
+        counts[a:b] = compiled.counts(block)
+        best[a:b], reason[a:b] = compiled.decide(counts[a:b])
+    classes = compiled.classes
+    codes = reason.tolist()
+    return VoteBatch(
+        classes=classes,
+        sizes=compiled.sizes,
+        counts=counts,
+        labels=[None if r else classes[w] for w, r in zip(best.tolist(), codes)],
+        reasons=[_REASONS[r] for r in codes],
+    )
 
 
 def classify(x: Sequence[float], lds: LDSet) -> ClassifyOutcome:
     """Vote by per-class similarity; argmax when unique and positive."""
-    scores = {i: similarity(x, lds, i) for i in lds.classes()}
-    if not scores:
-        return ClassifyOutcome(label=None, reason="all-zero", scores={})
-    best = max(scores.values())
-    if best <= 0.0:
-        return ClassifyOutcome(label=None, reason="all-zero", scores=scores)
-    winners = [i for i, v in scores.items() if v == best]
-    if len(winners) > 1:
-        return ClassifyOutcome(label=None, reason="tied", scores=scores)
-    return ClassifyOutcome(label=winners[0], reason=None, scores=scores)
+    return classify_batch((x,), lds).outcome(0)
+
+
+@dataclass(frozen=True)
+class _LDClassifier:
+    lds: LDSet
+
+    def __call__(self, x: Sequence[float]) -> ClassifyOutcome:
+        return classify(x, self.lds)
+
+    def batch(self, rows) -> VoteBatch:
+        return classify_batch(rows, self.lds)
 
 
 def ld_classifier(lds: LDSet) -> Callable[[Sequence[float]], ClassifyOutcome]:
-    """Bind an LDSet into a reusable classifier callable."""
-    return lambda x: classify(x, lds)
+    """Bind an LDSet into a reusable classifier callable; its ``batch``
+    method votes many rows in one kernel call."""
+    return _LDClassifier(lds)
 
 
 def ld_overlap(

@@ -14,6 +14,7 @@ as a scalar loop over states, sorted actions and listed outcomes would.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -46,9 +47,13 @@ class MDPModel:
                 raise CarlabError(f"state {s} has no actions")
             for a, outcomes in self.transitions[s].items():
                 total = 0.0
-                for dst, p, _ in outcomes:
+                for dst, p, r in outcomes:
                     if dst not in members:
                         raise CarlabError(f"unknown destination state {dst}")
+                    if not 0.0 <= p <= 1.0:
+                        raise CarlabError(f"row ({s}, {a}): probability {p!r} outside [0, 1]")
+                    if not math.isfinite(r):
+                        raise CarlabError(f"row ({s}, {a}): non-finite reward {r!r}")
                     total += p
                 if abs(total - 1.0) > ROW_SUM_TOL:
                     raise CarlabError(

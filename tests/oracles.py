@@ -8,6 +8,7 @@ so oracle and implementation can only agree by being right.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -73,6 +74,41 @@ def box_of_ld(ld, n: int) -> tuple:
     return tuple(
         (ld.lower.get(j + 1, -INF), ld.upper.get(j + 1, INF)) for j in range(n)
     )
+
+
+# ---------------------------------------------------------------------------
+# Similarity voting with exact fractions
+
+
+def vote_oracle(x: Sequence[float], lds) -> tuple[Optional[int], Optional[str], dict]:
+    """(label, reason, scores) of similarity voting, recomputed by plain
+    loops over each LD's dict bounds with Fraction scores.
+
+    A class scores the share of its boxes containing x (0 when it has
+    none); the unique positive maximum wins, otherwise the reason is
+    "all-zero" (no positive score) or "tied".
+    """
+    scores = {}
+    for index, members in lds.by_class.items():
+        hits = 0
+        for ld in members:
+            inside = True
+            for j, lo in ld.lower.items():
+                if not lo <= x[j - 1]:
+                    inside = False
+            for j, hi in ld.upper.items():
+                if not x[j - 1] <= hi:
+                    inside = False
+            if inside:
+                hits += 1
+        scores[index] = Fraction(hits, len(members)) if members else Fraction(0)
+    if not scores or max(scores.values()) == 0:
+        return None, "all-zero", scores
+    best = max(scores.values())
+    winners = [index for index, v in scores.items() if v == best]
+    if len(winners) > 1:
+        return None, "tied", scores
+    return winners[0], None, scores
 
 
 # ---------------------------------------------------------------------------

@@ -249,3 +249,11 @@ class TestReportAndConfig:
 
     def test_missing_required_option_exits_one(self):
         assert run(["mine"]) == 1
+
+
+def test_classify_rejects_non_finite_query(contracting, tmp_path, capsys):
+    data = write(tmp_path / "vectors.csv", "id,f1,f2\nx,1.0,0.0\ny,nan,nan\n")
+    assert run(["classify", "--lds", contracting["lds"], "--data", data]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "vectors.csv:3: non-finite value for 'y'" in err
+    assert "Traceback" not in err

@@ -400,3 +400,25 @@ def test_mdp_json_round_trip(tmp_path):
     assert again.gamma == model.gamma
     assert again.transitions == model.transitions
     assert mdp_from_json(mdp_to_json(model)) == model
+
+
+@pytest.mark.parametrize(
+    "p, r, message",
+    [
+        (math.nan, 0.0, r"row \(1, a\): probability nan"),
+        (1.5, 0.0, r"row \(1, a\): probability 1.5"),
+        (1.0, math.nan, r"row \(1, a\): non-finite reward"),
+        (1.0, math.inf, r"row \(1, a\): non-finite reward"),
+    ],
+)
+def test_mdp_from_json_rejects_bad_outcomes(p, r, message):
+    data = {
+        "states": [0, 1],
+        "gamma": 0.9,
+        "transitions": [
+            {"s": 0, "a": STAY_ACTION, "s'": 0, "p": 1.0, "r": 0.0},
+            {"s": 1, "a": "a", "s'": 0, "p": p, "r": r},
+        ],
+    }
+    with pytest.raises(CarlabError, match=message):
+        mdp_from_json(data)
