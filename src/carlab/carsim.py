@@ -109,6 +109,16 @@ def compile_action(spec: ActionSpec) -> CompiledAction:
     return CompiledAction(action_id=spec.action_id, fn=boolean_fn)
 
 
+def check_boolean_sizes(specs: Sequence[ActionSpec], n: int) -> None:
+    """Reject a table or rule action sized for another cube than the
+    dataset's n, before any work starts."""
+    for spec in specs:
+        if spec.kind in ("table", "rule") and spec.n != n:
+            raise CarlabError(
+                f"action {spec.action_id!r} has n={spec.n}, but the dataset has n={n}"
+            )
+
+
 def register_actions(specs: Sequence[ActionSpec], deviated_count: int) -> ActionTable:
     """Validate that exactly one action binds each deviated class, then compile."""
     table: ActionTable = {}

@@ -163,6 +163,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode=args.mode or "real")
     lds = lcpr.load_ldset(_require(args, "lds"))
     specs = carsim.load_actions(_require(args, "actions"))
+    carsim.check_boolean_sizes(specs, learning_set.n)
     actions = carsim.register_actions(specs, learning_set.deviated_count)
     max_steps = int(args.max_steps if args.max_steps is not None else 20)
     report = carsim.run_car(
@@ -189,6 +190,14 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     specs = carsim.load_actions(_require(args, "actions"))
     depth = int(args.depth if args.depth is not None else 1)
     n = learning_set.n
+    carsim.check_boolean_sizes(specs, n)
+    actions = {}
+    for spec in specs:
+        if spec.kind not in ("table", "rule"):
+            raise CarlabError("inverse requires Boolean actions")
+        actions[spec.class_index] = boolcube.BooleanAction(
+            action_id=spec.action_id, n=spec.n, table=spec.table, exprs=spec.exprs
+        )
     rdnfs = boolcube.multiclass_rdnf(learning_set)
     votes = lcpr.classify_batch(
         boolcube.VertexRows(n), boolcube.subcubes_to_ldset(rdnfs)
@@ -200,13 +209,6 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
         neg_union.update(rdnfs[i])
     partition = boolcube.forall_exists_partition(rdnfs[0], neg_union, n=n)
 
-    actions = {}
-    for spec in specs:
-        if spec.kind not in ("table", "rule"):
-            raise CarlabError("inverse requires Boolean actions")
-        actions[spec.class_index] = boolcube.BooleanAction(
-            action_id=spec.action_id, n=spec.n, table=spec.table, exprs=spec.exprs
-        )
     reach = boolcube.backward_reach(
         partition.forall_region, actions, labels.__getitem__, depth, n
     )

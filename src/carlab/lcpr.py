@@ -10,6 +10,11 @@ the other classes (zero by default).  Mining grows, from every own-class
 seed, the admissible box that is maximal on the finite grid of training
 feature values: no single bound can be moved to the adjacent grid value,
 or removed, without covering counter-class points beyond the budget.
+The seeds of one class are grown together, in chunks of bounded size,
+by one kernel that reproduces the greedy walk of ``grow_maximal_ld``
+exactly: it keeps, per seed and counter point, the number of box sides
+excluding that point, and finds where each bound's walk stops by one
+search on the feature's grid instead of stepping through it.
 
 Classification scores an object per class as the fraction of that class's
 LDs covering it, then takes the argmax; ties and all-zero score vectors
@@ -22,6 +27,7 @@ and ties compare integer cover counts, never float scores.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -49,12 +55,12 @@ class LogicalDependency:
     upper: dict[int, float]
 
     def __post_init__(self) -> None:
-        for j in self.lower:
-            if j < 1:
-                raise CarlabError(f"feature index {j} out of range")
-        for j in self.upper:
-            if j < 1:
-                raise CarlabError(f"feature index {j} out of range")
+        for bounds in (self.lower, self.upper):
+            for j, v in bounds.items():
+                if j < 1:
+                    raise CarlabError(f"feature index {j} out of range")
+                if math.isnan(v):
+                    raise CarlabError(f"NaN bound on feature {j}")
         for j, lo in self.lower.items():
             hi = self.upper.get(j)
             if hi is not None and lo > hi:
@@ -91,18 +97,10 @@ class LDSet:
 @dataclass(frozen=True)
 class MiningConfig:
     violation_budget: int = 0
-    quality_criterion: str = "coverage"
-    seed_strategy: str = "all"  # every own-class sample is a seed
 
     def __post_init__(self) -> None:
         if self.violation_budget < 0:
             raise CarlabError("violation_budget must be >= 0")
-        if self.quality_criterion != "coverage":
-            raise CarlabError(
-                f"unknown quality criterion {self.quality_criterion!r}"
-            )
-        if self.seed_strategy != "all":
-            raise CarlabError(f"unknown seed strategy {self.seed_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -155,14 +153,142 @@ def is_admissible(
     )
 
 
+# Cells per kernel chunk, row-by-LD when voting and seed-by-counter-point
+# when mining: bounds the kernels' scratch memory.
+_CHUNK_CELLS = 1 << 16
+
+
 def _matrix(learning_set: LearningSet) -> tuple[np.ndarray, np.ndarray]:
     X = np.array([s.features for s in learning_set.samples], dtype=float)
     y = np.array([s.label for s in learning_set.samples], dtype=int)
     return X, y
 
 
-def _inside(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    return np.all((X >= lower) & (X <= upper), axis=1)
+def _grids(X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per feature, the sorted distinct training values for the lower-bound
+    walk and their negation for the upper-bound walk, each padded with
+    +inf so that "the next grid value" always exists."""
+    sides = []
+    for j in range(X.shape[1]):
+        grid = np.unique(X[:, j])
+        sides.append((np.append(grid, np.inf), np.append(-grid[::-1], np.inf)))
+    return sides
+
+
+def _nth_largest(values: np.ndarray, blocked: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row of ``blocked``, the (r+1)-th largest of the blocked
+    ``values``, duplicates counted; -inf for a row with none blocked."""
+    top = int(r.max(initial=0))
+    if top == 0:
+        # No float matrix is materialised on the common zero-budget path.
+        return np.max(
+            np.broadcast_to(values, blocked.shape), axis=1, where=blocked, initial=-np.inf
+        )
+    ranked = np.where(blocked, values, -np.inf)
+    width = ranked.shape[1]
+    part = np.partition(ranked, np.arange(width - 1 - top, width), axis=1)
+    return part[np.arange(len(ranked)), width - 1 - r]
+
+
+def _grow_boxes(
+    points: np.ndarray,
+    counter: np.ndarray,
+    grids: list[tuple[np.ndarray, np.ndarray]],
+    budget: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grow the boxes around seed ``points`` of one class in lockstep.
+
+    ``counter`` holds the other classes' training points.  Returns the
+    lower and upper bound arrays (-inf / +inf where a bound was dropped)
+    and, per seed, the number of counter points coinciding with it; a
+    seed whose count exceeds the budget is unseparable and its bounds
+    are meaningless.  Seeds are grown in chunks of at most about
+    ``_CHUNK_CELLS`` seed-by-counter cells.
+    """
+    lower = points.copy()
+    # The upper bound is walked as a lower bound of the negated feature:
+    # negation is exact, so both sides share one walk.
+    neg_upper = -points
+    coincident = np.empty(len(points), dtype=np.intp)
+    step = max(1, _CHUNK_CELLS // max(1, len(counter)))
+    for a in range(0, len(points), step):
+        coincident[a : a + step] = _grow_chunk(
+            counter, grids, budget, lower[a : a + step], neg_upper[a : a + step]
+        )
+    return lower, -neg_upper, coincident
+
+
+def _grow_chunk(
+    counter: np.ndarray,
+    grids: list[tuple[np.ndarray, np.ndarray]],
+    budget: int,
+    lower: np.ndarray,
+    neg_upper: np.ndarray,
+) -> np.ndarray:
+    """Run the greedy walk of ``grow_maximal_ld`` for a chunk of seeds,
+    updating the point boxes ``lower`` / ``neg_upper`` in place; returns
+    the coincident counter counts.
+
+    ``excluded[s, r]`` counts the sides of seed s's box that exclude
+    counter point r, so the points blocked only by the side being relaxed
+    are those excluded once and lying beyond that side.  With slack
+    r = budget - violations, the walk steps past a blocked value while at
+    most r blocked points lie at or beyond it, so it ends just past the
+    (r+1)-th nearest blocked value, or drops the bound when at most r
+    points are blocked.
+    """
+    n = counter.shape[1]
+    excluded = np.zeros((len(lower), len(counter)), dtype=np.min_scalar_type(n))
+    for j in range(n):
+        excluded += counter[:, j] != lower[:, j, None]
+    coincident = np.count_nonzero(excluded == 0, axis=1)
+    # Unseparable seeds get zero slack so the walk stays defined; their
+    # boxes are discarded.
+    slack = np.maximum(budget - coincident, 0)
+    out = np.empty(excluded.shape, dtype=bool)
+    blocked = np.empty_like(out)
+    scratch = np.empty_like(out)
+    for j, (grid, neg_grid) in enumerate(grids):
+        for bound, values, walk in (
+            (lower, counter[:, j], grid),
+            (neg_upper, -counter[:, j], neg_grid),
+        ):
+            np.less(values, bound[:, j, None], out=out)
+            np.equal(excluded, 1, out=blocked)
+            blocked &= out
+            drop = np.count_nonzero(blocked, axis=1) <= slack
+            stop = _nth_largest(values, blocked, np.where(drop, 0, slack))
+            stop[drop] = -np.inf
+            # The walk ends on the grid value just past ``stop``, or stays
+            # put when that value is not beyond the bound (an off-grid seed).
+            nearest = walk[np.searchsorted(walk, stop, side="right")]
+            new = np.where(nearest < bound[:, j], nearest, bound[:, j])
+            new[drop] = -np.inf
+            np.greater(values, stop[:, None], out=scratch)
+            scratch &= blocked
+            slack -= np.count_nonzero(scratch, axis=1)
+            np.greater_equal(values, new[:, None], out=scratch)
+            scratch &= out
+            excluded -= scratch
+            bound[:, j] = new
+    return coincident
+
+
+def _ld_of_box(
+    class_index: int, lower: Sequence[float], upper: Sequence[float]
+) -> LogicalDependency:
+    return LogicalDependency(
+        class_index=class_index,
+        lower={j + 1: v for j, v in enumerate(lower) if v != -np.inf},
+        upper={j + 1: v for j, v in enumerate(upper) if v != np.inf},
+    )
+
+
+def _unseparable(seed: LearningSample, coincident: int) -> str:
+    return (
+        f"unseparable seed {seed.object_id!r}: coincides with "
+        f"{coincident} counter-class point(s)"
+    )
 
 
 def grow_maximal_ld(
@@ -182,82 +308,17 @@ def grow_maximal_ld(
     """
     config = config or MiningConfig()
     X, y = _matrix(learning_set)
-    return _grow(seed, X, y, _grids(X), config.violation_budget)
-
-
-def _grids(X: np.ndarray) -> list[np.ndarray]:
-    """Sorted distinct training values of each feature."""
-    return [np.unique(X[:, j]) for j in range(X.shape[1])]
-
-
-def _grow(
-    seed: LearningSample,
-    X: np.ndarray,
-    y: np.ndarray,
-    grids: list[np.ndarray],
-    budget: int,
-) -> LogicalDependency:
-    """``grow_maximal_ld`` on a learning set prepared as a matrix, labels
-    and per-feature grids."""
-    n = X.shape[1]
-    counter = y != seed.label
-    point = np.asarray(seed.features, dtype=float)
-
-    lower = point.copy()
-    upper = point.copy()
-
-    violations = int(np.count_nonzero(_inside(X, lower, upper) & counter))
-    if violations > budget:
-        raise UnseparableSeedError(
-            f"unseparable seed {seed.object_id!r}: coincides with "
-            f"{violations} counter-class point(s)"
+    point = np.array([seed.features], dtype=float)
+    if point.shape[1] != X.shape[1]:
+        raise CarlabError(
+            f"seed {seed.object_id!r} has {point.shape[1]} features, expected {X.shape[1]}"
         )
-
-    for j, grid in enumerate(grids):
-        # Lower bound: points blocked only by this bound sit in the slab
-        # below it; walk the grid downward, then drop.
-        slab_lower = lower.copy()
-        slab_lower[j] = -np.inf
-        slab = _inside(X, slab_lower, upper)
-        blocked_vals = np.sort(X[slab & counter & (X[:, j] < lower[j]), j])[::-1]
-        admitted = 0
-        dropped = True
-        for v in grid[grid < lower[j]][::-1]:
-            newly = int(np.count_nonzero(blocked_vals >= v))
-            if violations + newly > budget:
-                dropped = False
-                break
-            lower[j] = v
-            admitted = newly
-        if dropped and violations + len(blocked_vals) <= budget:
-            lower[j] = -np.inf
-            admitted = len(blocked_vals)
-        violations += admitted
-
-        # Upper bound, symmetric.
-        slab_upper = upper.copy()
-        slab_upper[j] = np.inf
-        slab = _inside(X, lower, slab_upper)
-        blocked_vals = np.sort(X[slab & counter & (X[:, j] > upper[j]), j])
-        admitted = 0
-        dropped = True
-        for v in grid[grid > upper[j]]:
-            newly = int(np.count_nonzero(blocked_vals <= v))
-            if violations + newly > budget:
-                dropped = False
-                break
-            upper[j] = v
-            admitted = newly
-        if dropped and violations + len(blocked_vals) <= budget:
-            upper[j] = np.inf
-            admitted = len(blocked_vals)
-        violations += admitted
-
-    return LogicalDependency(
-        class_index=seed.label,
-        lower={j + 1: float(lower[j]) for j in range(n) if lower[j] != -np.inf},
-        upper={j + 1: float(upper[j]) for j in range(n) if upper[j] != np.inf},
+    lower, upper, coincident = _grow_boxes(
+        point, X[y != seed.label], _grids(X), config.violation_budget
     )
+    if coincident[0] > config.violation_budget:
+        raise UnseparableSeedError(_unseparable(seed, int(coincident[0])))
+    return _ld_of_box(seed.label, lower[0].tolist(), upper[0].tolist())
 
 
 def mine_lds(
@@ -265,23 +326,34 @@ def mine_lds(
 ) -> LDSet:
     """Mine maximal admissible LDs from every seed of every class.
 
-    Unseparable seeds become warnings, not failures; duplicate boxes are
-    removed and each class list is sorted canonically.
+    Each seed's box is the one ``grow_maximal_ld`` grows; the seeds of a
+    class are grown together.  Unseparable seeds become warnings, not
+    failures; duplicate boxes are removed and each class list is sorted
+    canonically.
     """
-    config = config or MiningConfig()
+    budget = (config or MiningConfig()).violation_budget
+    X, y = _matrix(learning_set)
+    grids = _grids(X)
+    lower = np.empty_like(X)
+    upper = np.empty_like(X)
+    coincident = np.empty(len(X), dtype=np.intp)
+    for label in np.unique(y):
+        seeds = y == label
+        lower[seeds], upper[seeds], coincident[seeds] = _grow_boxes(
+            X[seeds], X[~seeds], grids, budget
+        )
     warnings: list[str] = []
     by_class: dict[int, list[LogicalDependency]] = {
         i: [] for i in range(learning_set.deviated_count + 1)
     }
     seen: set[tuple] = set()
-    X, y = _matrix(learning_set)
-    grids = _grids(X)
-    for seed in learning_set.samples:
-        try:
-            ld = _grow(seed, X, y, grids, config.violation_budget)
-        except UnseparableSeedError as exc:
-            warnings.append(str(exc))
+    for seed, lo, hi, k in zip(
+        learning_set.samples, lower.tolist(), upper.tolist(), coincident.tolist()
+    ):
+        if k > budget:
+            warnings.append(_unseparable(seed, k))
             continue
+        ld = _ld_of_box(seed.label, lo, hi)
         if ld.key() not in seen:
             seen.add(ld.key())
             by_class[ld.class_index].append(ld)
@@ -295,9 +367,6 @@ def similarity(x: Sequence[float], lds: LDSet, class_index: int) -> float:
     """Fraction of the class's LDs covering x; 0 when the class has none."""
     return classify(x, lds).scores.get(class_index, 0.0)
 
-
-# Row-by-LD cells tested per chunk: bounds the kernel's scratch memory.
-_CHUNK_CELLS = 1 << 16
 
 _REASONS = (None, "tied", "all-zero")
 _TIED, _ALL_ZERO = 1, 2
@@ -326,9 +395,6 @@ class _CompiledLDs:
                 lower[j - 1, k] = v
             for j, v in ld.upper.items():
                 upper[j - 1, k] = v
-        # A NaN bound excludes nothing, as in eval_ld (x < nan is False).
-        lower[np.isnan(lower)] = -np.inf
-        upper[np.isnan(upper)] = np.inf
         self.tests = [
             (j, np.greater_equal, lower[j])
             for j in range(self.width)

@@ -76,6 +76,52 @@ def box_of_ld(ld, n: int) -> tuple:
     )
 
 
+def greedy_box(
+    points: Sequence[Sequence[float]],
+    labels: Sequence[int],
+    seed: Sequence[float],
+    label: int,
+    budget: int = 0,
+) -> tuple[Optional[tuple], int]:
+    """(box, coincident) of the documented greedy walk from the point
+    ``seed`` of class ``label`` over the grid of the training ``points``.
+
+    The walk starts at the point box, then for each feature in ascending
+    order relaxes the lower bound and then the upper bound one grid value
+    at a time, keeping a step while at most ``budget`` counter points are
+    covered, and drops the bound once every grid value beyond it was
+    accepted.  Counter points are recounted by loops after every step.
+    ``coincident`` counts the counter points equal to the seed; when it
+    exceeds the budget the seed is unseparable and the box is None.
+    """
+    points = [tuple(p) for p in points]
+    n = len(points[0])
+    grids = [sorted({p[j] for p in points}) for j in range(n)]
+    counters = [p for p, y in zip(points, labels) if y != label]
+    box = [[v, v] for v in seed]
+
+    def covered() -> int:
+        return sum(
+            1 for p in counters if all(lo <= v <= hi for (lo, hi), v in zip(box, p))
+        )
+
+    coincident = covered()
+    if coincident > budget:
+        return None, coincident
+    for j in range(n):
+        for side, beyond, open_value in (
+            (0, [v for v in reversed(grids[j]) if v < box[j][0]], -INF),
+            (1, [v for v in grids[j] if v > box[j][1]], INF),
+        ):
+            for v in beyond + [open_value]:
+                kept = box[j][side]
+                box[j][side] = v
+                if covered() > budget:
+                    box[j][side] = kept
+                    break
+    return tuple((lo, hi) for lo, hi in box), coincident
+
+
 # ---------------------------------------------------------------------------
 # Similarity voting with exact fractions
 

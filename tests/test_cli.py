@@ -201,6 +201,43 @@ class TestInverse:
         assert payload["depths"][0]["region"] == payload["forall"]
         assert payload["depths"][0]["cumulative"] == payload["forall"]
 
+    @pytest.fixture
+    def three_bit_action(self, tmp_path):
+        return write(
+            tmp_path / "actions3.json",
+            json.dumps(
+                [{"action": "a1", "class": 1, "kind": "rule", "n": 3, "exprs": ["0", "x2", "x3"]}]
+            ),
+        )
+
+    def test_inverse_rejects_action_of_other_size(
+        self, boolean_setup, three_bit_action, tmp_path, capsys
+    ):
+        data, _ = boolean_setup
+        out = tmp_path / "inv.json"
+        assert run(["inverse", "--data", data, "--actions", three_bit_action, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "action 'a1' has n=3, but the dataset has n=4" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_boolean_simulate_rejects_action_of_other_size(
+        self, boolean_setup, three_bit_action, tmp_path, capsys
+    ):
+        data, _ = boolean_setup
+        lds = tmp_path / "lds.json"
+        assert run(["mine", "--data", data, "--mode", "boolean", "--out", lds]) == 0
+        out = tmp_path / "run.json"
+        code = run(
+            [
+                "simulate", "--data", data, "--mode", "boolean", "--lds", lds,
+                "--actions", three_bit_action, "--out", out,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "action 'a1' has n=3, but the dataset has n=4" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_depths_reported(self, boolean_setup, tmp_path):
         data, actions = boolean_setup
         out = tmp_path / "inv.json"
@@ -257,3 +294,13 @@ def test_classify_rejects_non_finite_query(contracting, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "vectors.csv:3: non-finite value for 'y'" in err
     assert "Traceback" not in err
+
+
+def test_classify_rejects_nan_rule_bound(tmp_path, capsys):
+    lds = write(tmp_path / "lds.json", '[{"class": 0, "lower": {"1": NaN}, "upper": {}}]')
+    data = write(tmp_path / "vectors.csv", "id,f1\nq,-100.0\n")
+    out = tmp_path / "table.json"
+    assert run(["classify", "--lds", lds, "--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "NaN bound on feature 1" in err
+    assert "Traceback" not in err and not out.exists()

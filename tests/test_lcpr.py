@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from carlab.core import LearningSample, LearningSet
+from carlab.core import CarlabError, LearningSample, LearningSet
 from carlab.lcpr import (
     LDSet,
     LogicalDependency,
@@ -95,6 +95,10 @@ class TestGrowMaximal:
         )
         with pytest.raises(UnseparableSeedError):
             grow_maximal_ld(ls.samples[0], ls)
+
+    def test_seed_of_other_width_rejected(self, two_band_set):
+        with pytest.raises(CarlabError, match="seed 'z' has 2 features, expected 1"):
+            grow_maximal_ld(LearningSample("z", (1.0, 2.0), 0), two_band_set)
 
     def test_budget_absorbs_coincident_counter(self):
         ls = LearningSet.build(
@@ -323,11 +327,15 @@ def test_ldset_json_round_trip():
     }
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_nan_bound_rejected(side):
+    with pytest.raises(CarlabError, match="NaN bound on feature 2"):
+        ld(**{side: {1: 0.0, 2: float("nan")}})
+
+
 def test_mining_config_validation():
     with pytest.raises(Exception, match="violation_budget"):
         MiningConfig(violation_budget=-1)
-    with pytest.raises(Exception, match="quality criterion"):
-        MiningConfig(quality_criterion="volume")
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=4))
