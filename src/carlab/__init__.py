@@ -33,9 +33,7 @@ from .core import (
     DataFormatError,
     LearningSample,
     LearningSet,
-    LinkageGraph,
     TraceEvent,
-    build_linkage_graph,
     load_learning_set,
     load_trace_log,
     save_learning_set,

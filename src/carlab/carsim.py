@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .boolcube import BooleanAction, vector_to_vertex, vertex_to_vector
 from .core import (
@@ -20,6 +20,7 @@ from .core import (
     LearningSample,
     NORMAL_CLASS,
     TraceEvent,
+    load_json,
 )
 from .lcpr import ClassifyOutcome
 
@@ -31,7 +32,9 @@ class ActionSpec:
     """Declarative binding of one action to one deviated class.
 
     Kinds: "affine" (per-coordinate x -> alpha * x + beta, alpha > 0),
-    "table" and "rule" (Boolean-domain actions).
+    "table" and "rule" (Boolean-domain actions).  A table or rule spec is
+    compiled once, when it is made, into its ``BooleanAction``, held in
+    the non-field attribute ``boolean`` (None for an affine spec).
     """
 
     action_id: str
@@ -56,20 +59,24 @@ class ActionSpec:
                     raise CarlabError(
                         "non-invertible affine component (slope must be positive)"
                     )
+            boolean = None
         elif self.kind in ("table", "rule"):
             if self.n is None:
                 raise CarlabError(f"{self.kind} action needs n")
+            boolean = BooleanAction(
+                action_id=self.action_id, n=self.n, table=self.table, exprs=self.exprs
+            )
         else:
             raise CarlabError(f"unknown action kind {self.kind!r}")
+        object.__setattr__(self, "boolean", boolean)
 
-
-@dataclass(frozen=True)
-class CompiledAction:
-    action_id: str
-    fn: Callable[[FeatureVector], FeatureVector]
-
-
-ActionTable = dict[int, CompiledAction]
+    def apply(self, x: FeatureVector) -> FeatureVector:
+        """The state after one application of the action to ``x``."""
+        if self.boolean is not None:
+            return vertex_to_vector(self.boolean.apply(vector_to_vertex(x)))
+        if len(x) != len(self.alpha):
+            raise CarlabError("affine action dimension mismatch")
+        return tuple(a * v + b for a, v, b in zip(self.alpha, x, self.beta))
 
 
 @dataclass(frozen=True)
@@ -89,43 +96,26 @@ class CarRunReport:
     mean_steps: Optional[float]
 
 
-def compile_action(spec: ActionSpec) -> CompiledAction:
-    if spec.kind == "affine":
-        alpha, beta = spec.alpha, spec.beta
-
-        def affine(x: FeatureVector) -> FeatureVector:
-            if len(x) != len(alpha):
-                raise CarlabError("affine action dimension mismatch")
-            return tuple(a * v + b for a, v, b in zip(alpha, x, beta))
-
-        return CompiledAction(action_id=spec.action_id, fn=affine)
-    boolean = BooleanAction(
-        action_id=spec.action_id, n=spec.n, table=spec.table, exprs=spec.exprs
-    )
-
-    def boolean_fn(x: FeatureVector) -> FeatureVector:
-        return vertex_to_vector(boolean.apply(vector_to_vertex(x)))
-
-    return CompiledAction(action_id=spec.action_id, fn=boolean_fn)
-
-
-def check_boolean_sizes(specs: Sequence[ActionSpec], n: int) -> None:
-    """Reject a table or rule action sized for another cube than the
-    dataset's n, before any work starts."""
+def check_action_sizes(specs: Sequence[ActionSpec], n: int) -> None:
+    """Reject an action sized for other data than the dataset's n
+    features, before any work starts."""
     for spec in specs:
-        if spec.kind in ("table", "rule") and spec.n != n:
+        width = len(spec.alpha) if spec.kind == "affine" else spec.n
+        if width != n:
             raise CarlabError(
-                f"action {spec.action_id!r} has n={spec.n}, but the dataset has n={n}"
+                f"action {spec.action_id!r} has n={width}, but the dataset has n={n}"
             )
 
 
-def register_actions(specs: Sequence[ActionSpec], deviated_count: int) -> ActionTable:
-    """Validate that exactly one action binds each deviated class, then compile."""
-    table: ActionTable = {}
+def register_actions(
+    specs: Sequence[ActionSpec], deviated_count: int
+) -> dict[int, ActionSpec]:
+    """Validate that exactly one action binds each deviated class."""
+    table: dict[int, ActionSpec] = {}
     for spec in specs:
         if spec.class_index in table:
             raise CarlabError(f"duplicate action binding for class {spec.class_index}")
-        table[spec.class_index] = compile_action(spec)
+        table[spec.class_index] = spec
     missing = [i for i in range(1, deviated_count + 1) if i not in table]
     if missing:
         raise CarlabError(f"missing action binding for classes {missing}")
@@ -153,7 +143,7 @@ def _population_items(
 def run_car(
     population: Iterable[Union[LearningSample, Sequence[float]]],
     classifier: Classifier,
-    actions: ActionTable,
+    actions: Mapping[int, ActionSpec],
     max_steps: int,
 ) -> CarRunReport:
     """Drive every object through at most ``max_steps`` classify-act
@@ -206,7 +196,7 @@ def run_car(
                 continue
             seen[object_id].add(key)
             if step < max_steps:
-                states[object_id] = action.fn(state)
+                states[object_id] = action.apply(state)
             still_active.append(object_id)
         active = still_active
     for object_id in active:
@@ -331,7 +321,7 @@ def save_actions(specs: Sequence[ActionSpec], dest: Union[str, Path]) -> None:
 
 
 def load_actions(source: Union[str, Path]) -> list[ActionSpec]:
-    return actions_from_json(json.loads(Path(source).read_text(encoding="utf-8")))
+    return load_json(source, actions_from_json)
 
 
 def report_to_json(report: CarRunReport) -> dict:

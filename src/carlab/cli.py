@@ -21,6 +21,7 @@ from . import boolcube, carsim, lcpr, mdp, poset
 from .core import (
     CarlabError,
     DataFormatError,
+    load_json,
     load_learning_set,
     load_trace_log,
     load_vectors,
@@ -113,9 +114,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 def _load_or_derive_diagram(args: argparse.Namespace, traces) -> poset.LevelDiagram:
     if getattr(args, "diagram", None):
-        return poset.diagram_from_json(
-            json.loads(Path(args.diagram).read_text(encoding="utf-8"))
-        )
+        return load_json(args.diagram, poset.diagram_from_json)
     return poset.build_level_diagram(poset.extract_relation(traces))
 
 
@@ -163,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode=args.mode or "real")
     lds = lcpr.load_ldset(_require(args, "lds"))
     specs = carsim.load_actions(_require(args, "actions"))
-    carsim.check_boolean_sizes(specs, learning_set.n)
+    carsim.check_action_sizes(specs, learning_set.n)
     actions = carsim.register_actions(specs, learning_set.deviated_count)
     max_steps = int(args.max_steps if args.max_steps is not None else 20)
     report = carsim.run_car(
@@ -190,14 +189,12 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     specs = carsim.load_actions(_require(args, "actions"))
     depth = int(args.depth if args.depth is not None else 1)
     n = learning_set.n
-    carsim.check_boolean_sizes(specs, n)
+    carsim.check_action_sizes(specs, n)
     actions = {}
     for spec in specs:
-        if spec.kind not in ("table", "rule"):
+        if spec.boolean is None:
             raise CarlabError("inverse requires Boolean actions")
-        actions[spec.class_index] = boolcube.BooleanAction(
-            action_id=spec.action_id, n=spec.n, table=spec.table, exprs=spec.exprs
-        )
+        actions[spec.class_index] = spec.boolean
     rdnfs = boolcube.multiclass_rdnf(learning_set)
     votes = lcpr.classify_batch(
         boolcube.VertexRows(n), boolcube.subcubes_to_ldset(rdnfs)

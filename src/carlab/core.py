@@ -1,4 +1,4 @@
-"""Core data model: learning sets, trace logs, and the linkage graph.
+"""Core data model: learning sets and trace logs, with their file readers.
 
 File formats
 ------------
@@ -13,14 +13,17 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
 NORMAL_CLASS = 0
 
 FeatureVector = tuple[float, ...]
+
+T = TypeVar("T")
 
 
 class CarlabError(Exception):
@@ -139,31 +142,19 @@ class TraceEvent:
 TraceMap = dict[str, tuple[TraceEvent, ...]]
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    src: tuple[str, int]
-    dst: tuple[str, int]
-    action: str
-    weight: Optional[float] = None
+def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
+    """Build an object from the JSON document at ``source`` with ``parse``.
 
-
-@dataclass(frozen=True)
-class LinkageGraph:
-    """Directed graph of object states with action-labeled edges.
-
-    Vertices are keyed by (object_id, step) so equal states observed at
-    different steps never alias.
+    Invalid JSON, a missing key, a value of the wrong type and a value
+    the object rejects each raise one DataFormatError naming the file.
     """
-
-    vertices: Mapping[tuple[str, int], FeatureVector]
-    edges: tuple[GraphEdge, ...]
-
-    def __post_init__(self) -> None:
-        for e in self.edges:
-            if e.src not in self.vertices or e.dst not in self.vertices:
-                raise DataFormatError(f"edge endpoint missing from vertex set: {e}")
-            if not e.action:
-                raise DataFormatError(f"edge without action label: {e}")
+    path = Path(source)
+    try:
+        return parse(json.loads(path.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing key {exc}") from None
+    except (CarlabError, AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _parse_float(text: str, where: str) -> float:
@@ -333,29 +324,3 @@ def group_traces(traces: Union[TraceMap, Iterable[TraceEvent]]) -> TraceMap:
     for event in traces:
         by_object.setdefault(event.object_id, []).append(event)
     return {k: tuple(sorted(v, key=lambda e: e.step)) for k, v in by_object.items()}
-
-
-def build_linkage_graph(traces: Union[TraceMap, Iterable[TraceEvent]]) -> LinkageGraph:
-    """Build the linkage graph: one vertex per (object, step) state, one
-    action-labeled edge per consecutive event pair."""
-    grouped = group_traces(traces)
-    vertices: dict[tuple[str, int], FeatureVector] = {}
-    edges: list[GraphEdge] = []
-    for object_id in grouped:
-        events = grouped[object_id]
-        for e in events:
-            vertices[(object_id, e.step)] = e.state
-        for prev, nxt in zip(events, events[1:]):
-            if prev.applied_action is None:
-                raise DataFormatError(
-                    f"no action recorded at non-terminal event "
-                    f"({object_id!r}, step {prev.step})"
-                )
-            edges.append(
-                GraphEdge(
-                    src=(object_id, prev.step),
-                    dst=(object_id, nxt.step),
-                    action=prev.applied_action,
-                )
-            )
-    return LinkageGraph(vertices=vertices, edges=tuple(edges))

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CarlabError, LearningSample, LearningSet
+from .core import CarlabError, LearningSample, LearningSet, load_json
 
 
 class UnseparableSeedError(CarlabError):
@@ -595,4 +595,4 @@ def save_ldset(lds: LDSet, dest: Union[str, Path]) -> None:
 
 
 def load_ldset(source: Union[str, Path]) -> LDSet:
-    return ldset_from_json(json.loads(Path(source).read_text(encoding="utf-8")))
+    return load_json(source, ldset_from_json)

@@ -22,7 +22,14 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .core import CarlabError, NORMAL_CLASS, TraceEvent, TraceMap, group_traces
+from .core import (
+    CarlabError,
+    NORMAL_CLASS,
+    TraceEvent,
+    TraceMap,
+    group_traces,
+    load_json,
+)
 from .poset import LevelDiagram, distance_to_normal
 
 STAY_ACTION = "stay"
@@ -364,4 +371,4 @@ def save_mdp(mdp: MDPModel, dest: Union[str, Path]) -> None:
 
 
 def load_mdp(source: Union[str, Path]) -> MDPModel:
-    return mdp_from_json(json.loads(Path(source).read_text(encoding="utf-8")))
+    return load_json(source, mdp_from_json)

@@ -1,11 +1,12 @@
 """Class-transition analysis: order axioms, unique minimum, level diagram.
 
 Observed transitions generate a step relation over classes; an action on
-class x leading to class y is read as "y below x".  The order axioms are
-evaluated on the reflexive-transitive closure of the step relation, since
-raw step data is never reflexive.  The level diagram roots the normal
-class at level 0 and assigns every other class its shortest directed
-distance to it.
+class x leading to class y is read as "y below x".  The order is the one
+the steps generate, so reflexivity and transitivity hold by construction;
+antisymmetry and the unique minimum are read off the step relation itself
+with one strongly-connected-component pass.  The level diagram roots the
+normal class at level 0 and assigns every other class its shortest
+directed distance to it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -70,6 +72,14 @@ class ClassTransitionGraph:
     def step_pairs(self) -> set[tuple[int, int]]:
         return {(e.src, e.dst) for e in self.edges}
 
+    @cached_property
+    def successors(self) -> dict[int, tuple[int, ...]]:
+        """Distinct step successors of every class, ascending; built once."""
+        succ: dict[int, set[int]] = {c: set() for c in self.classes}
+        for e in self.edges:
+            succ[e.src].add(e.dst)
+        return {c: tuple(sorted(d)) for c, d in succ.items()}
+
     def nondeterministic(self) -> dict[tuple[int, str], tuple[int, ...]]:
         """(class, action) pairs observed with more than one destination."""
         dests: dict[tuple[int, str], set[int]] = {}
@@ -82,15 +92,14 @@ class ClassTransitionGraph:
 
 @dataclass(frozen=True)
 class PosetReport:
-    reflexive: bool
+    """Antisymmetry of the generated order, the one axiom that can fail."""
+
     antisymmetric: bool
-    transitive: bool
-    closure_used: bool
     counterexample_cycle: Optional[tuple[int, ...]]
 
     @property
     def passed(self) -> bool:
-        return self.reflexive and self.antisymmetric and self.transitive
+        return self.antisymmetric
 
 
 @dataclass(frozen=True)
@@ -177,89 +186,91 @@ def save_transition_records(g: ClassTransitionGraph, dest: Union[str, Path]) -> 
             writer.writerow([e.src, e.action, e.dst, e.count])
 
 
-def _reachability(g: ClassTransitionGraph) -> dict[int, set[int]]:
-    """Reflexive-transitive closure as per-class reachable sets (BFS each)."""
-    succ: dict[int, set[int]] = {c: set() for c in g.classes}
-    for s, d in g.step_pairs():
-        succ[s].add(d)
-    reach: dict[int, set[int]] = {}
-    for c in g.classes:
-        seen = {c}
-        queue = deque([c])
-        while queue:
-            cur = queue.popleft()
-            for nxt in succ[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        reach[c] = seen
-    return reach
+def _components(succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
+    """Strongly connected components (Tarjan 1972), without recursion.
+
+    A class whose component is closed gets low link inf, so later visits
+    from other components leave their low links alone.
+    """
+    low: dict[int, float] = {}
+    stack: list[int] = []
+    work: list = []  # (class, index, stack position, successor iterator)
+    components: list[list[int]] = []
+
+    def enter(v: int) -> None:
+        low[v] = len(low)
+        work.append((v, low[v], len(stack), iter(succ[v])))
+        stack.append(v)
+
+    for root in succ:
+        if root not in low:
+            enter(root)
+        while work:
+            v, index, pos, children = work[-1]
+            for w in children:
+                if w not in low:
+                    enter(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if low[v] == index:
+                    components.append(stack[pos:])
+                    for w in stack[pos:]:
+                        low[w] = math.inf
+                    del stack[pos:]
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return components
 
 
-def _find_cycle(g: ClassTransitionGraph, a: int, b: int) -> tuple[int, ...]:
-    """A closed walk a -> ... -> b -> ... -> a in the step relation."""
-    succ: dict[int, set[int]] = {c: set() for c in g.classes}
-    for s, d in g.step_pairs():
-        succ[s].add(d)
-
-    def path(src: int, dst: int) -> list[int]:
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            if cur == dst:
-                out = [cur]
-                while parent[cur] is not None:
-                    cur = parent[cur]
-                    out.append(cur)
-                return out[::-1]
-            for nxt in sorted(succ[cur]):
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    queue.append(nxt)
-        raise CarlabError("internal: expected path missing")
-
-    forward = path(a, b)
-    back = path(b, a)
-    return tuple(forward + back[1:])
+def _path(succ: dict[int, tuple[int, ...]], src: int, dst: int) -> list[int]:
+    """Shortest step path src -> dst, visiting successors in ascending order."""
+    parent: dict[int, Optional[int]] = {src: None}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        if cur == dst:
+            out = [cur]
+            while parent[cur] is not None:
+                cur = parent[cur]
+                out.append(cur)
+            return out[::-1]
+        for nxt in succ[cur]:
+            if nxt not in parent:
+                parent[nxt] = cur
+                queue.append(nxt)
+    raise CarlabError("internal: expected path missing")
 
 
 def check_poset(g: ClassTransitionGraph) -> PosetReport:
-    """Evaluate the order axioms on the closed step relation.
+    """Antisymmetry of the order the step relation generates.
 
-    Reflexivity and transitivity hold by closure construction; the
-    substantive check is antisymmetry, which fails exactly when two
-    distinct classes reach each other.
+    Antisymmetry fails exactly when a strongly connected component holds
+    two or more classes; self-loops do not count.  The witness is a closed
+    walk a -> ... -> b -> ... -> a, where a is the smallest class in any
+    such component and b the smallest other class in a's component.
     """
-    reach = _reachability(g)
-    reflexive = all(c in reach[c] for c in g.classes)
-    counterexample = None
-    for a in sorted(g.classes):
-        for b in sorted(reach[a]):
-            if b != a and a in reach[b]:
-                counterexample = _find_cycle(g, a, b)
-                break
-        if counterexample:
-            break
-    return PosetReport(
-        reflexive=reflexive,
-        antisymmetric=counterexample is None,
-        transitive=True,
-        closure_used=True,
-        counterexample_cycle=counterexample,
-    )
+    cyclic = [sorted(c) for c in _components(g.successors) if len(c) > 1]
+    if not cyclic:
+        return PosetReport(antisymmetric=True, counterexample_cycle=None)
+    a, b = min(cyclic)[:2]
+    cycle = _path(g.successors, a, b) + _path(g.successors, b, a)[1:]
+    return PosetReport(antisymmetric=False, counterexample_cycle=tuple(cycle))
 
 
 def has_unique_minimum(g: ClassTransitionGraph) -> MinimumReport:
-    """Minimal elements of the closed relation; pass iff exactly the
+    """Minimal elements of the generated order; pass iff exactly the
     normal class.
 
     A class is minimal when nothing lies strictly below it, i.e. it
-    reaches no other class.  Computed without assuming acyclicity so the
-    answer matches direct evaluation on the closure for any input.
+    reaches no other class, which holds exactly when it has no step
+    successor besides itself.  No acyclicity is assumed.
     """
-    reach = _reachability(g)
-    minimal = tuple(sorted(c for c in g.classes if reach[c] <= {c}))
+    minimal = tuple(
+        sorted(c for c, succ in g.successors.items() if set(succ) <= {c})
+    )
     return MinimumReport(passed=minimal == (NORMAL_CLASS,), minimal=minimal)
 
 
@@ -391,10 +402,7 @@ def verdict_to_json(v: ValidationVerdict) -> dict:
         "passed": v.passed,
         "verdict": v.verdict,
         "poset": {
-            "reflexive": v.poset.reflexive,
             "antisymmetric": v.poset.antisymmetric,
-            "transitive": v.poset.transitive,
-            "closure_used": v.poset.closure_used,
             "counterexample_cycle": None if cycle is None else list(cycle),
         },
         "minimum": {

@@ -3,7 +3,6 @@ import pytest
 from carlab.core import CarlabError, LearningSample
 from carlab.carsim import (
     ActionSpec,
-    compile_action,
     convergence_metrics,
     register_actions,
     report_to_json,
@@ -123,7 +122,7 @@ class TestRunCar:
         for events in report.traces.values():
             for prev, nxt in zip(events, events[1:]):
                 assert classifier(prev.state).label == prev.assigned_class
-                replay = actions[prev.assigned_class].fn(prev.state)
+                replay = actions[prev.assigned_class].apply(prev.state)
                 assert replay == nxt.state
             last = events[-1]
             assert classifier(last.state).label == last.assigned_class
@@ -183,8 +182,7 @@ class TestBooleanActions:
         spec = ActionSpec(
             action_id="a1", class_index=1, kind="rule", n=2, exprs=("~x1", "x2")
         )
-        compiled = compile_action(spec)
-        assert compiled.fn((1.0, 0.0)) == (0.0, 0.0)
+        assert spec.apply((1.0, 0.0)) == (0.0, 0.0)
 
     def test_table_action(self):
         spec = ActionSpec(
@@ -194,16 +192,14 @@ class TestBooleanActions:
             n=1,
             table={"0": "1", "1": "0"},
         )
-        compiled = compile_action(spec)
-        assert compiled.fn((0.0,)) == (1.0,)
+        assert spec.apply((0.0,)) == (1.0,)
 
     def test_non_boolean_state_rejected(self):
         spec = ActionSpec(
             action_id="a1", class_index=1, kind="rule", n=1, exprs=("~x1",)
         )
-        compiled = compile_action(spec)
         with pytest.raises(CarlabError, match="non-Boolean"):
-            compiled.fn((0.5,))
+            spec.apply((0.5,))
 
     def test_boolean_run_matches_forward_stepping(self):
         # every vertex, every depth: the simulated state equals what

@@ -304,3 +304,62 @@ def test_classify_rejects_nan_rule_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "NaN bound on feature 1" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_simulate_rejects_affine_action_of_other_width(contracting, tmp_path, capsys):
+    actions = write(
+        tmp_path / "affine1.json",
+        json.dumps(
+            [
+                {"action": f"a{i}", "class": i, "kind": "affine", "alpha": [1.0], "beta": [-1.0]}
+                for i in (1, 2, 3)
+            ]
+        ),
+    )
+    out = tmp_path / "run.json"
+    code = run(
+        ["simulate", "--data", contracting["data"], "--lds", contracting["lds"],
+         "--actions", actions, "--out", out]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "action 'a1' has n=1, but the dataset has n=2" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(
+            ["simulate", "--data", "{data}", "--lds", "{lds}", "--actions", "{bad}"],
+            '[{"action": "a1", "class": 1}]',
+            id="actions-without-kind",
+        ),
+        pytest.param(["classify", "--lds", "{bad}", "--data", "{data}"], '{"x": 1}', id="ldset-object"),
+        pytest.param(
+            ["eval-policy", "--mdp", "{bad}", "--traces", "{traces}"],
+            '{"states": [0], "gamma": 0.9}',
+            id="mdp-without-transitions",
+        ),
+        pytest.param(["inverse", "--data", "{bool}", "--actions", "{bad}"], "[1, 2]", id="actions-numbers"),
+        pytest.param(
+            ["fit-mdp", "--traces", "{traces}", "--diagram", "{bad}"], '{"levels": [0]}', id="diagram-levels-list"
+        ),
+    ],
+)
+def test_malformed_json_exits_one_naming_the_file(contracting, tmp_path, capsys, argv, text):
+    paths = {
+        "data": contracting["data"],
+        "lds": contracting["lds"],
+        "traces": write(
+            tmp_path / "traces.csv",
+            "id,step,timestamp,f1,f2,class,action\nx,0,0.0,1.0,0.0,1,a1\nx,1,1.0,0.0,0.0,0,\n",
+        ),
+        "bool": write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n"),
+        "bad": write(tmp_path / "bad.json", text),
+    }
+    out = tmp_path / "out.json"
+    assert run([a.format(**paths) for a in argv] + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "bad.json: " in err
+    assert "Traceback" not in err and not out.exists()

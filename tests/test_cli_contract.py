@@ -1,0 +1,151 @@
+"""The CLI contract under malformed input: exit 0, 1 or 2, never a traceback.
+
+Valid inputs for every subcommand are built once; each example then
+mutates one of a subcommand's input files, by deleting or replacing
+characters or, for JSON, by dropping a key or giving a value the wrong
+type, and runs ``main`` on the result.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carlab import synth
+from carlab.boolcube import all_vertices
+from carlab.carsim import ActionSpec, register_actions, run_car, save_actions
+from carlab.cli import main
+from carlab.core import save_learning_set, save_trace_log
+from carlab.lcpr import ld_classifier, mine_lds, save_ldset
+from carlab.mdp import estimate_mdp, save_mdp
+from carlab.poset import build_level_diagram, diagram_to_json, save_transition_records
+
+# Subcommand argv; a word naming an input file is replaced by its path.
+COMMANDS = {
+    "mine": ["mine", "--data", "data.csv"],
+    "mine-boolean": ["mine", "--data", "bool.csv", "--mode", "boolean"],
+    "classify": ["classify", "--lds", "lds.json", "--data", "data.csv"],
+    "validate-poset": ["validate-poset", "--transitions", "transitions.csv"],
+    "diagram": ["diagram", "--transitions", "transitions.csv"],
+    "fit-mdp": ["fit-mdp", "--traces", "traces.csv", "--diagram", "diagram.json"],
+    "eval-policy": ["eval-policy", "--mdp", "mdp.json", "--traces", "traces.csv"],
+    "simulate": [
+        "simulate", "--data", "data.csv", "--lds", "lds.json",
+        "--actions", "actions.json", "--max-steps", "4",
+        "--trace-out", "run_traces.csv", "--emit-dataset", "run_data.csv",
+    ],
+    "inverse": ["inverse", "--data", "bool.csv", "--actions", "bool_actions.json", "--depth", "2"],
+    "report": ["report", "mdp.json", "diagram.json"],
+}
+
+# Characters a replacement may write: digits, separators, JSON syntax,
+# letters of keywords and tokens, and a few that no format expects.
+ALPHABET = "0123456789,.-+e\n\r\" {}[]:*~xantrufl\x00\xe9"
+
+WRONG_VALUES = st.sampled_from([None, True, -1, 0, 7, 2.5, float("nan"), "", "x", [], {}, [1, 2]])
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """File name -> text of a valid input for every subcommand."""
+    root = tmp_path_factory.mktemp("valid")
+    learning_set, specs, graph = synth.contracting_instance(deviated_count=2)
+    lds = mine_lds(learning_set)
+    report = run_car(learning_set.samples, ld_classifier(lds), register_actions(specs, 2), 4)
+    traces = [e for events in report.traces.values() for e in events]
+    diagram = build_level_diagram(graph)
+    save_learning_set(learning_set, root / "data.csv")
+    save_ldset(lds, root / "lds.json")
+    save_actions(specs, root / "actions.json")
+    save_transition_records(graph, root / "transitions.csv")
+    save_trace_log(traces, root / "traces.csv")
+    (root / "diagram.json").write_text(json.dumps(diagram_to_json(diagram)), encoding="utf-8")
+    save_mdp(estimate_mdp(traces, diagram, gamma=0.9), root / "mdp.json")
+
+    rng = synth.default_rng(5)
+    save_learning_set(
+        synth.random_boolean_learning_set(rng, n=3, classes=3, per_class=2), root / "bool.csv"
+    )
+    flip = synth.random_boolean_action(rng, "a1", 3)
+    bool_specs = [
+        ActionSpec("a1", 1, "table", n=3, table={v: flip.apply(v) for v in all_vertices(3)}),
+        ActionSpec("a2", 2, "rule", n=3, exprs=("0", "~x2", "x3")),
+    ]
+    save_actions(bool_specs, root / "bool_actions.json")
+    return {p.name: p.read_text(encoding="utf-8") for p in root.iterdir()}
+
+
+def _run(argv, files, workdir: Path) -> tuple[int, str]:
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    argv = [str(workdir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    argv += ["--out", str(workdir / "out.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@st.composite
+def text_mutation(draw, text: str) -> str:
+    """Delete or replace one to three characters."""
+    for _ in range(draw(st.integers(1, 3))):
+        if not text:
+            break
+        k = draw(st.integers(0, len(text) - 1))
+        tail = text[k + 1:]
+        text = text[:k] + (tail if draw(st.booleans()) else draw(st.sampled_from(ALPHABET)) + tail)
+    return text
+
+
+@st.composite
+def json_mutation(draw, text: str) -> str:
+    """Drop one key, or give one value (at any depth) the wrong type."""
+    doc = json.loads(text)
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, draw(st.sampled_from(list(keys)))
+        node = node[key]
+    if parent is None:
+        return json.dumps(draw(WRONG_VALUES))
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(WRONG_VALUES)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_malformed_input_keeps_the_cli_contract(valid_inputs, command, data):
+    argv = COMMANDS[command]
+    inputs = [a for a in argv if a in valid_inputs]
+    target = data.draw(st.sampled_from(inputs))
+    text = valid_inputs[target]
+    if target.endswith(".json") and data.draw(st.booleans()):
+        text = data.draw(json_mutation(text))
+    else:
+        text = data.draw(text_mutation(text))
+    files = {name: valid_inputs[name] for name in inputs}
+    files[target] = text
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(argv, files, Path(workdir))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.count("error:") == 1
+
+
+def test_valid_inputs_run_clean(valid_inputs):
+    """Unmutated, every subcommand succeeds (validate-poset passes the chain)."""
+    for argv in COMMANDS.values():
+        with tempfile.TemporaryDirectory() as workdir:
+            code, err = _run(argv, dict(valid_inputs), Path(workdir))
+        assert code == 0, (argv, err)

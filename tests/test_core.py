@@ -6,15 +6,12 @@ from carlab.core import (
     LearningSample,
     LearningSet,
     TraceEvent,
-    build_linkage_graph,
     group_traces,
     load_learning_set,
     load_trace_log,
     save_learning_set,
     save_trace_log,
 )
-
-import oracles
 
 
 def write(path, text):
@@ -98,53 +95,6 @@ class TestLoadTraceLog:
         )
         with pytest.raises(DataFormatError, match="gap in step numbering"):
             load_trace_log(p)
-
-
-class TestLinkageGraph:
-    def trace(self, object_id, classes):
-        events = []
-        for k, c in enumerate(classes):
-            events.append(
-                TraceEvent(
-                    object_id,
-                    k,
-                    float(k),
-                    (float(k + 1),),
-                    c,
-                    f"a{c}" if c != 0 else None,
-                )
-            )
-        return events
-
-    def test_single_trace_path(self):
-        g = build_linkage_graph(self.trace("a", [2, 1, 0]))
-        assert len(g.vertices) == 3
-        assert len(g.edges) == 2
-        assert g.edges[0].src == ("a", 0) and g.edges[0].dst == ("a", 1)
-        assert g.edges[0].action == "a2"
-
-    def test_empty_trace_set(self):
-        g = build_linkage_graph([])
-        assert not g.vertices and not g.edges
-
-    def test_two_disjoint_traces_components(self):
-        events = self.trace("a", [1, 0]) + self.trace("b", [2, 1, 0])
-        g = build_linkage_graph(events)
-        pairs = [(e.src, e.dst) for e in g.edges]
-        assert oracles.undirected_components(g.vertices, pairs) == 2
-
-    def test_edge_count_matches_trace_lengths(self):
-        events = self.trace("a", [1, 1, 0]) + self.trace("b", [2, 0])
-        g = build_linkage_graph(events)
-        assert len(g.edges) == (3 - 1) + (2 - 1)
-
-    def test_missing_action_mid_trace(self):
-        events = [
-            TraceEvent("a", 0, 0.0, (1.0,), 0, None),
-            TraceEvent("a", 1, 1.0, (2.0,), 1, "a1"),
-        ]
-        with pytest.raises(DataFormatError, match="non-terminal"):
-            build_linkage_graph(events)
 
 
 grids = st.sampled_from([0.0, 1.0, 2.5, -3.0, 10.0])
