@@ -8,7 +8,6 @@ cycle under deterministic dynamics), or exhausts the step budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -20,7 +19,9 @@ from .core import (
     LearningSample,
     NORMAL_CLASS,
     TraceEvent,
+    _parse_index,
     load_json,
+    save_json,
 )
 from .lcpr import ClassifyOutcome
 
@@ -256,20 +257,13 @@ def convergence_metrics(report: CarRunReport) -> dict:
 def actions_to_json(specs: Sequence[ActionSpec]) -> list[dict]:
     out = []
     for spec in sorted(specs, key=lambda s: s.class_index):
-        entry: dict = {
-            "action": spec.action_id,
-            "class": spec.class_index,
-            "kind": spec.kind,
-        }
+        entry: dict = {"action": spec.action_id, "class": spec.class_index, "kind": spec.kind}
         if spec.kind == "affine":
-            entry["alpha"] = list(spec.alpha)
-            entry["beta"] = list(spec.beta)
+            entry.update(alpha=list(spec.alpha), beta=list(spec.beta))
         elif spec.kind == "table":
-            entry["n"] = spec.n
-            entry["map"] = dict(sorted(spec.table.items()))
+            entry.update(n=spec.n, map=dict(sorted(spec.table.items())))
         else:
-            entry["n"] = spec.n
-            entry["exprs"] = list(spec.exprs)
+            entry.update(n=spec.n, exprs=list(spec.exprs))
         out.append(entry)
     return out
 
@@ -278,46 +272,26 @@ def actions_from_json(data: list[dict]) -> list[ActionSpec]:
     specs = []
     for entry in data:
         kind = entry["kind"]
+        fields: dict = {}
         if kind == "affine":
-            specs.append(
-                ActionSpec(
-                    action_id=entry["action"],
-                    class_index=int(entry["class"]),
-                    kind=kind,
-                    alpha=tuple(float(v) for v in entry["alpha"]),
-                    beta=tuple(float(v) for v in entry["beta"]),
-                )
-            )
+            fields = {key: tuple(map(float, entry[key])) for key in ("alpha", "beta")}
         elif kind == "table":
-            specs.append(
-                ActionSpec(
-                    action_id=entry["action"],
-                    class_index=int(entry["class"]),
-                    kind=kind,
-                    n=int(entry["n"]),
-                    table=dict(entry["map"]),
-                )
-            )
+            fields = {"n": _parse_index(entry["n"], "n"), "table": dict(entry["map"])}
         elif kind == "rule":
-            specs.append(
-                ActionSpec(
-                    action_id=entry["action"],
-                    class_index=int(entry["class"]),
-                    kind=kind,
-                    n=int(entry["n"]),
-                    exprs=tuple(entry["exprs"]),
-                )
+            fields = {"n": _parse_index(entry["n"], "n"), "exprs": tuple(entry["exprs"])}
+        specs.append(
+            ActionSpec(
+                action_id=entry["action"],
+                class_index=_parse_index(entry["class"], "class"),
+                kind=kind,
+                **fields,
             )
-        else:
-            raise CarlabError(f"unknown action kind {kind!r}")
+        )
     return specs
 
 
 def save_actions(specs: Sequence[ActionSpec], dest: Union[str, Path]) -> None:
-    Path(dest).write_text(
-        json.dumps(actions_to_json(specs), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    save_json(actions_to_json(specs), dest)
 
 
 def load_actions(source: Union[str, Path]) -> list[ActionSpec]:

@@ -12,7 +12,6 @@ fixes the randomized dataset-generation helpers in carlab.synth.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,17 +25,10 @@ from .core import (
     load_trace_log,
     load_vectors,
     save_dataset,
+    save_json,
     save_trace_log,
 )
 from .lcpr import MiningConfig
-
-
-def _write_json(obj, out: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -75,7 +67,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     lds = lcpr.mine_lds(learning_set, config)
     for warning in lds.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_json(lcpr.ldset_to_json(lds), args.out)
+    save_json(lcpr.ldset_to_json(lds), args.out)
     return 0
 
 
@@ -94,33 +86,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 "scores": {str(i): v for i, v in sorted(outcome.scores.items())},
             }
         )
-    _write_json({"results": results}, args.out)
+    save_json({"results": results}, args.out)
     return 0
 
 
 def _cmd_validate_poset(args: argparse.Namespace) -> int:
     graph = poset.load_transition_records(_require(args, "transitions"))
     verdict = poset.validate_to_normal(graph)
-    _write_json(poset.verdict_to_json(verdict), args.out)
+    save_json(poset.verdict_to_json(verdict), args.out)
     return 0 if verdict.passed else 2
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     graph = poset.load_transition_records(_require(args, "transitions"))
     diagram = poset.build_level_diagram(graph)
-    _write_json(poset.diagram_to_json(diagram), args.out)
+    save_json(poset.diagram_to_json(diagram), args.out)
     return 0
-
-
-def _load_or_derive_diagram(args: argparse.Namespace, traces) -> poset.LevelDiagram:
-    if getattr(args, "diagram", None):
-        return load_json(args.diagram, poset.diagram_from_json)
-    return poset.build_level_diagram(poset.extract_relation(traces))
 
 
 def _cmd_fit_mdp(args: argparse.Namespace) -> int:
     traces = load_trace_log(_require(args, "traces"))
-    diagram = _load_or_derive_diagram(args, traces)
+    if args.diagram:
+        diagram = load_json(args.diagram, poset.diagram_from_json)
+    else:
+        diagram = poset.build_level_diagram(poset.extract_relation(traces))
     model = mdp.estimate_mdp(
         traces,
         diagram,
@@ -128,7 +117,7 @@ def _cmd_fit_mdp(args: argparse.Namespace) -> int:
         smoothing=float(args.smoothing if args.smoothing is not None else 0.0),
         reward_shape=args.reward_shape or "level-diff",
     )
-    _write_json(mdp.mdp_to_json(model), args.out)
+    save_json(mdp.mdp_to_json(model), args.out)
     return 0
 
 
@@ -154,7 +143,7 @@ def _cmd_eval_policy(args: argparse.Namespace) -> int:
             for s in model.states
         },
     }
-    _write_json(payload, args.out)
+    save_json(payload, args.out)
     return 0
 
 
@@ -168,11 +157,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = carsim.run_car(
         learning_set.samples, lcpr.ld_classifier(lds), actions, max_steps
     )
-    _write_json(carsim.report_to_json(report), args.out)
-    if args.trace_out:
-        flat = [e for events in report.traces.values() for e in events]
-        if flat:
-            save_trace_log(flat, args.trace_out)
+    save_json(carsim.report_to_json(report), args.out)
+    if args.trace_out and any(report.traces.values()):
+        save_trace_log(report.traces, args.trace_out)
     if args.emit_dataset:
         # Raw emission: validation happens when the file is re-ingested.
         rows = (
@@ -229,22 +216,18 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
         "indeterminate": sorted(reach.indeterminate),
         "depths": depths,
     }
-    _write_json(payload, args.out)
+    save_json(payload, args.out)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     bundle = {}
     for item in args.inputs:
-        if "=" in item:
-            name, path = item.split("=", 1)
-        else:
-            path = item
-            name = Path(item).stem
+        name, path = item.split("=", 1) if "=" in item else (Path(item).stem, item)
         if name in bundle:
             raise CarlabError(f"duplicate report section {name!r}")
-        bundle[name] = json.loads(Path(path).read_text(encoding="utf-8"))
-    _write_json(bundle, args.out)
+        bundle[name] = load_json(path, lambda doc: doc)
+    save_json(bundle, args.out)
     return 0
 
 
@@ -345,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _merge_config(args)
         return args.handler(args)
-    except (CarlabError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CarlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,9 @@ Dataset CSV      header ``id,f1,...,fn,class``; ``class`` is an integer
 Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
                  ``action`` field is empty exactly when ``class`` is 0.
 
-All values are immutable after construction; every function here is pure.
+Every CSV file is read by ``_read_csv`` and written by ``_write_csv``,
+every JSON file by ``load_json`` and ``save_json``.  All values are
+immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 NORMAL_CLASS = 0
 
@@ -157,11 +160,39 @@ def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def save_json(doc: Any, dest: Union[str, Path, None]) -> None:
+    """Write ``doc`` as key-sorted, indented JSON with a trailing newline;
+    to stdout when ``dest`` is None or empty."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not dest:
+        sys.stdout.write(text)
+    else:
+        Path(dest).write_text(text, encoding="utf-8")
+
+
+def _parse_index(value: Any, what: str) -> int:
+    """A JSON index: an int, and not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DataFormatError(f"{what} must be an integer, got {value!r}")
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
         raise DataFormatError(f"{where}: bad numeric value {text!r}") from None
+
+
+def _parse_finite(fields: Sequence[str], where: str, object_id: str) -> tuple[float, ...]:
+    """The fields of one row of ``object_id`` as finite floats."""
+    try:
+        values = tuple(map(float, fields))
+    except ValueError:  # parse again, one field at a time, to name the bad one
+        values = tuple(_parse_float(text, where) for text in fields)
+    if not all(map(math.isfinite, values)):
+        raise DataFormatError(f"{where}: non-finite value for {object_id!r}")
+    return values
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -179,32 +210,51 @@ def _check_feature_header(fields: Sequence[str]) -> int:
     return n
 
 
-def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
-    """Rows of a dataset CSV as (id, features, label); the trailing class
-    column is required and parsed if ``labelled``, else optional and ignored.
-    A non-finite feature value is rejected with its ``path:line``."""
-    path = Path(source)
+def _read_csv(path: Path) -> tuple[list[str], Iterator[tuple[str, list[str]]]]:
+    """The header of a CSV file, which must not be empty, and its nonblank
+    rows as (``path:line``, fields); the rows are checked, as they are
+    read, to have as many fields as the header."""
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     header = rows[0]
+
+    def body() -> Iterator[tuple[str, list[str]]]:
+        width, prefix = len(header), f"{path}:"
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            where = f"{prefix}{lineno}"
+            if len(row) != width:
+                raise DataFormatError(f"{where}: malformed row, expected {width} fields")
+            yield where, row
+
+    return header, body()
+
+
+def _write_csv(dest: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with Path(dest).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
+    """Rows of a dataset CSV as (id, features, label); the trailing class
+    column is required and parsed if ``labelled``, else optional and ignored.
+    A non-finite feature value is rejected with its ``path:line``."""
+    path = Path(source)
+    header, rows = _read_csv(path)
     has_class = header[-1:] == ["class"]
     if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
         raise DataFormatError(f"{path}: bad header {header!r}")
     n = _check_feature_header(header[1 : len(header) - has_class])
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != len(header):
-            raise DataFormatError(f"{where}: malformed row, expected {len(header)} fields")
-        feats = tuple(_parse_float(v, where) for v in row[1 : n + 1])
-        if not all(math.isfinite(v) for v in feats):
-            raise DataFormatError(f"{where}: non-finite value for {row[0]!r}")
-        out.append((row[0], feats, _parse_int(row[-1], where) if labelled else None))
-    return out
+    return [
+        (row[0], _parse_finite(row[1 : n + 1], where, row[0]),
+         _parse_int(row[-1], where) if labelled else None)
+        for where, row in rows
+    ]
 
 
 def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
@@ -223,11 +273,11 @@ def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
 
 def save_dataset(rows: Iterable[tuple], n: int, dest: Union[str, Path]) -> None:
     """Write (id, features, class) rows as a dataset CSV, unvalidated."""
-    with Path(dest).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"f{j}" for j in range(1, n + 1)] + ["class"])
-        for object_id, features, label in rows:
-            writer.writerow([object_id] + [repr(v) for v in features] + [label])
+    _write_csv(
+        dest,
+        ["id"] + [f"f{j}" for j in range(1, n + 1)] + ["class"],
+        ([object_id] + [repr(v) for v in x] + [label] for object_id, x, label in rows),
+    )
 
 
 def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
@@ -239,33 +289,27 @@ def load_trace_log(source: Union[str, Path]) -> TraceMap:
     """Read a trace log CSV, grouped per object id.
 
     Within each object the events are sorted by step; steps must be
-    consecutive from 0 and timestamps strictly increasing.
+    consecutive from 0 and timestamps strictly increasing.  A non-finite
+    timestamp or state value is rejected with its ``path:line``.
     """
     path = Path(source)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
+    header, rows = _read_csv(path)
     if (
         len(header) < 6
         or header[:3] != ["id", "step", "timestamp"]
         or header[-2:] != ["class", "action"]
     ):
         raise DataFormatError(f"{path}: bad header {header!r}")
-    n = _check_feature_header(header[3:-2])
+    _check_feature_header(header[3:-2])
     by_object: dict[str, list[TraceEvent]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        where = f"{path}:{lineno}"
-        if len(row) != n + 5:
-            raise DataFormatError(f"{where}: malformed row, expected {n + 5} fields")
+    for where, row in rows:
+        step = _parse_int(row[1], where)
+        values = _parse_finite(row[2:-2], where, row[0])
         event = TraceEvent(
             object_id=row[0],
-            step=_parse_int(row[1], where),
-            timestamp=_parse_float(row[2], where),
-            state=tuple(_parse_float(v, where) for v in row[3:-2]),
+            step=step,
+            timestamp=values[0],
+            state=values[1:],
             assigned_class=_parse_int(row[-2], where),
             applied_action=row[-1] or None,
         )
@@ -290,30 +334,21 @@ def load_trace_log(source: Union[str, Path]) -> TraceMap:
 def save_trace_log(traces: Union[TraceMap, Iterable[TraceEvent]], dest: Union[str, Path]) -> None:
     """Write a trace log CSV that round-trips through load_trace_log."""
     grouped = group_traces(traces)
-    n = None
-    for events in grouped.values():
-        for e in events:
-            n = len(e.state)
-            break
-        if n is not None:
-            break
-    if n is None:
+    events = [e for object_id in sorted(grouped) for e in grouped[object_id]]
+    if not events:
         raise DataFormatError("cannot save an empty trace log")
-    path = Path(dest)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id", "step", "timestamp"]
-            + [f"f{j}" for j in range(1, n + 1)]
-            + ["class", "action"]
-        )
-        for object_id in sorted(grouped):
-            for e in grouped[object_id]:
-                writer.writerow(
-                    [e.object_id, e.step, repr(e.timestamp)]
-                    + [repr(v) for v in e.state]
-                    + [e.assigned_class, e.applied_action or ""]
-                )
+    _write_csv(
+        dest,
+        ["id", "step", "timestamp"]
+        + [f"f{j}" for j in range(1, len(events[0].state) + 1)]
+        + ["class", "action"],
+        (
+            [e.object_id, e.step, repr(e.timestamp)]
+            + [repr(v) for v in e.state]
+            + [e.assigned_class, e.applied_action or ""]
+            for e in events
+        ),
+    )
 
 
 def group_traces(traces: Union[TraceMap, Iterable[TraceEvent]]) -> TraceMap:

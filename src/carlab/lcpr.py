@@ -26,7 +26,6 @@ and ties compare integer cover counts, never float scores.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +34,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CarlabError, LearningSample, LearningSet, load_json
+from .core import CarlabError, LearningSample, LearningSet, _parse_index, load_json, save_json
 
 
 class UnseparableSeedError(CarlabError):
@@ -577,7 +576,7 @@ def ldset_from_json(data: list[dict]) -> LDSet:
     by_class: dict[int, list[LogicalDependency]] = {}
     for entry in data:
         ld = LogicalDependency(
-            class_index=int(entry["class"]),
+            class_index=_parse_index(entry["class"], "class"),
             lower={int(j): float(v) for j, v in entry.get("lower", {}).items()},
             upper={int(j): float(v) for j, v in entry.get("upper", {}).items()},
         )
@@ -588,10 +587,7 @@ def ldset_from_json(data: list[dict]) -> LDSet:
 
 
 def save_ldset(lds: LDSet, dest: Union[str, Path]) -> None:
-    Path(dest).write_text(
-        json.dumps(ldset_to_json(lds), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    save_json(ldset_to_json(lds), dest)
 
 
 def load_ldset(source: Union[str, Path]) -> LDSet:

@@ -13,7 +13,6 @@ as a scalar loop over states, sorted actions and listed outcomes would.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,10 +26,12 @@ from .core import (
     NORMAL_CLASS,
     TraceEvent,
     TraceMap,
+    _parse_index,
     group_traces,
     load_json,
+    save_json,
 )
-from .poset import LevelDiagram, distance_to_normal
+from .poset import LevelDiagram, distance_to_normal, extract_relation
 
 STAY_ACTION = "stay"
 ROW_SUM_TOL = 1e-12
@@ -175,9 +176,10 @@ def estimate_mdp(
 ) -> MDPModel:
     """Frequency-estimate the transition model from traces.
 
-    P(s, a, s') = (count + smoothing) / (row count + smoothing * |S|);
-    actions per state are those observed there.  The normal class gets
-    the synthetic absorbing row.
+    P(s, a, s') = (count + smoothing) / (row count + smoothing * |S|),
+    with the counts and states of ``extract_relation(traces)``; actions
+    per state are those observed there.  The normal class gets the
+    synthetic absorbing row.
     """
     if smoothing < 0:
         raise CarlabError("smoothing must be >= 0")
@@ -187,28 +189,23 @@ def estimate_mdp(
         reward = _neg_level_reward(diagram)
     else:
         raise CarlabError(f"unknown reward shape {reward_shape!r}")
-    grouped = group_traces(traces)
-    counts: dict[tuple[int, str], dict[int, int]] = {}
-    states: set[int] = {NORMAL_CLASS}
-    for events in grouped.values():
-        for e in events:
-            states.add(e.assigned_class)
-        for prev, nxt in zip(events, events[1:]):
-            row = counts.setdefault((prev.assigned_class, prev.applied_action), {})
-            row[nxt.assigned_class] = row.get(nxt.assigned_class, 0) + 1
+    graph = extract_relation(traces)
+    counts: dict[tuple[int, str], dict[int, int]] = {}  # in (s, a) order, as the edges
+    for e in graph.edges:
+        counts.setdefault((e.src, e.action), {})[e.dst] = e.count
+    states = graph.classes
     for s in states:
         if s not in diagram.levels:
             raise CarlabError(f"class {s} missing from the level diagram")
-    observed_sources = {s for s, _ in counts}
     for s in sorted(states - {NORMAL_CLASS}):
-        if s not in observed_sources:
+        if not graph.successors[s]:
             raise CarlabError(f"state {s} has no observed action")
     ordered = tuple(sorted(states))
     size = len(ordered)
     transitions: dict[int, dict[str, Outcomes]] = {
         NORMAL_CLASS: {STAY_ACTION: ((NORMAL_CLASS, 1.0, 0.0),)}
     }
-    for (s, a), row in sorted(counts.items()):
+    for (s, a), row in counts.items():
         total = sum(row.values())
         outcomes = []
         for dst in ordered:
@@ -350,11 +347,11 @@ def mdp_to_json(mdp: MDPModel) -> dict:
 def mdp_from_json(data: dict) -> MDPModel:
     transitions: dict[int, dict[str, list]] = {}
     for row in data["transitions"]:
-        transitions.setdefault(int(row["s"]), {}).setdefault(row["a"], []).append(
-            (int(row["s'"]), float(row["p"]), float(row["r"]))
+        transitions.setdefault(_parse_index(row["s"], "s"), {}).setdefault(row["a"], []).append(
+            (_parse_index(row["s'"], "s'"), float(row["p"]), float(row["r"]))
         )
     return MDPModel(
-        states=tuple(int(s) for s in data["states"]),
+        states=tuple(_parse_index(s, "state") for s in data["states"]),
         gamma=float(data["gamma"]),
         transitions={
             s: {a: tuple(outs) for a, outs in acts.items()}
@@ -364,10 +361,7 @@ def mdp_from_json(data: dict) -> MDPModel:
 
 
 def save_mdp(mdp: MDPModel, dest: Union[str, Path]) -> None:
-    Path(dest).write_text(
-        json.dumps(mdp_to_json(mdp), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    save_json(mdp_to_json(mdp), dest)
 
 
 def load_mdp(source: Union[str, Path]) -> MDPModel:

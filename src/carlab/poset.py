@@ -11,7 +11,6 @@ directed distance to it.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -25,8 +24,14 @@ from .core import (
     NORMAL_CLASS,
     TraceEvent,
     TraceMap,
+    _parse_index,
+    _parse_int,
+    _read_csv,
+    _write_csv,
     group_traces,
 )
+
+_TRANSITION_HEADER = ["from_class", "action", "to_class", "count"]
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,29 @@ class MinimumReport:
 
 @dataclass(frozen=True)
 class LevelDiagram:
-    """Classes leveled by shortest directed distance to the normal class."""
+    """Classes leveled by shortest directed distance to the normal class.
+
+    The normal class is at level 0, every level is a nonnegative int,
+    ``height`` is the largest level, and the diagram is ``complete``
+    exactly when no class is ``unleveled``.
+    """
 
     levels: dict[int, int]
     complete: bool
     height: int
     unleveled: tuple[int, ...]
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for c, level in self.levels.items():
+            if isinstance(level, bool) or not isinstance(level, int) or level < 0:
+                raise CarlabError(f"class {c} has level {level!r}, expected a nonnegative int")
+        if self.levels.get(NORMAL_CLASS) != 0:
+            raise CarlabError("the normal class must be at level 0")
+        if self.height != max(self.levels.values()):
+            raise CarlabError(f"height {self.height!r} is not the largest level")
+        if self.complete != (not self.unleveled):
+            raise CarlabError(f"complete is {self.complete!r}, unleveled {list(self.unleveled)!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +150,20 @@ class ValidationVerdict:
     nondeterministic: dict[tuple[int, str], tuple[int, ...]]
 
 
+def _graph(
+    counts: dict[tuple[int, str, int], int], classes: Iterable[int] = ()
+) -> ClassTransitionGraph:
+    """The graph of (src, action, dst) -> count, edges in key order."""
+    edges = tuple(
+        Transition(src=s, action=a, dst=d, count=c)
+        for (s, a, d), c in sorted(counts.items())
+    )
+    return ClassTransitionGraph.build(edges, classes=classes)
+
+
 def extract_relation(traces: Union[TraceMap, Iterable[TraceEvent]]) -> ClassTransitionGraph:
-    """Aggregate consecutive trace events into class transitions."""
+    """Count the class transitions of consecutive trace events; every
+    class a trace visits is a member of the graph."""
     grouped = group_traces(traces)
     counts: dict[tuple[int, str, int], int] = {}
     classes: set[int] = set()
@@ -145,45 +178,25 @@ def extract_relation(traces: Union[TraceMap, Iterable[TraceEvent]]) -> ClassTran
                 )
             key = (prev.assigned_class, prev.applied_action, nxt.assigned_class)
             counts[key] = counts.get(key, 0) + 1
-    edges = tuple(
-        Transition(src=s, action=a, dst=d, count=c)
-        for (s, a, d), c in sorted(counts.items())
-    )
-    return ClassTransitionGraph.build(edges, classes=classes)
+    return _graph(counts, classes)
 
 
 def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
     """Read a transition CSV with header from_class,action,to_class,count."""
     path = Path(source)
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["from_class", "action", "to_class", "count"]:
-        raise DataFormatError(f"{path}: bad header")
+    header, rows = _read_csv(path)
+    if header != _TRANSITION_HEADER:
+        raise DataFormatError(f"{path}: bad header {header!r}")
     counts: dict[tuple[int, str, int], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise DataFormatError(f"{path}:{lineno}: malformed row")
-        try:
-            src, dst, count = int(row[0]), int(row[2]), int(row[3])
-        except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: bad integer") from None
-        key = (src, row[1], dst)
-        counts[key] = counts.get(key, 0) + count
-    edges = tuple(
-        Transition(src=s, action=a, dst=d, count=c)
-        for (s, a, d), c in sorted(counts.items())
-    )
-    return ClassTransitionGraph.build(edges)
+    for where, (src, action, dst, count) in rows:
+        key = (_parse_int(src, where), action, _parse_int(dst, where))
+        counts[key] = counts.get(key, 0) + _parse_int(count, where)
+    return _graph(counts)
 
 
 def save_transition_records(g: ClassTransitionGraph, dest: Union[str, Path]) -> None:
-    with Path(dest).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from_class", "action", "to_class", "count"])
-        for e in sorted(g.edges, key=lambda e: (e.src, e.action, e.dst)):
-            writer.writerow([e.src, e.action, e.dst, e.count])
+    edges = sorted(g.edges, key=lambda e: (e.src, e.action, e.dst))
+    _write_csv(dest, _TRANSITION_HEADER, ([e.src, e.action, e.dst, e.count] for e in edges))
 
 
 def _components(succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
@@ -353,22 +366,18 @@ def neighborhood(
         raise CarlabError("depth must be >= 1")
     if not 0.0 <= link_threshold <= 1.0:
         raise CarlabError("link_threshold must lie in [0, 1]")
-    out_total: dict[int, int] = {}
     out_counts: dict[int, dict[int, int]] = {}
     for e in g.edges:
-        out_total[e.src] = out_total.get(e.src, 0) + e.count
-        out_counts.setdefault(e.src, {})[e.dst] = (
-            out_counts.get(e.src, {}).get(e.dst, 0) + e.count
-        )
+        row = out_counts.setdefault(e.src, {})
+        row[e.dst] = row.get(e.dst, 0) + e.count
     members: set[int] = set()
     for _ in range(depth):
         target = members | {NORMAL_CLASS}
         added = set()
         for c in sorted(g.classes - target):
-            into = sum(cnt for d, cnt in out_counts.get(c, {}).items() if d in target)
-            if into == 0:
-                continue
-            if out_total.get(c, 0) and into / out_total[c] >= link_threshold:
+            row = out_counts.get(c, {})
+            into = sum(cnt for d, cnt in row.items() if d in target)
+            if into and into / sum(row.values()) >= link_threshold:
                 added.add(c)
         if not added:
             break
@@ -388,10 +397,10 @@ def diagram_to_json(diagram: LevelDiagram) -> dict:
 
 def diagram_from_json(data: dict) -> LevelDiagram:
     return LevelDiagram(
-        levels={int(c): int(lvl) for c, lvl in data["levels"].items()},
+        levels={int(c): _parse_index(v, f"level of class {c}") for c, v in data["levels"].items()},
         complete=bool(data["complete"]),
-        height=int(data["height"]),
-        unleveled=tuple(int(c) for c in data.get("unleveled", ())),
+        height=_parse_index(data["height"], "height"),
+        unleveled=tuple(_parse_index(c, "unleveled class") for c in data.get("unleveled", ())),
         warnings=tuple(data.get("warnings", ())),
     )
 

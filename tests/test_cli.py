@@ -363,3 +363,95 @@ def test_malformed_json_exits_one_naming_the_file(contracting, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "bad.json: " in err
     assert "Traceback" not in err and not out.exists()
+
+
+# Per subcommand: its argv, where {doc} is the JSON input under test, and a
+# valid document for that input.
+VALID_JSON = {
+    "classify": (
+        ["classify", "--lds", "{doc}", "--data", "{vectors}"],
+        [{"class": 0, "lower": {"1": 0.5}, "upper": {}}, {"class": 1, "lower": {}, "upper": {"1": 0.5}}],
+    ),
+    "eval-policy": (
+        ["eval-policy", "--mdp", "{doc}", "--traces", "{traces}"],
+        {
+            "states": [0, 1],
+            "gamma": 0.9,
+            "transitions": [
+                {"s": 0, "a": "stay", "s'": 0, "p": 1.0, "r": 0.0},
+                {"s": 1, "a": "a1", "s'": 0, "p": 1.0, "r": 1.0},
+            ],
+        },
+    ),
+    "fit-mdp": (
+        ["fit-mdp", "--traces", "{traces}", "--diagram", "{doc}"],
+        {"levels": {"0": 0, "1": 1}, "height": 1, "complete": True, "unleveled": [], "warnings": []},
+    ),
+    "inverse": (
+        ["inverse", "--data", "{bool}", "--actions", "{doc}"],
+        [{"action": "a1", "class": 1, "kind": "rule", "n": 1, "exprs": ["0"]}],
+    ),
+}
+
+
+def _run_json(tmp_path, command, doc):
+    argv, _ = VALID_JSON[command]
+    paths = {
+        "vectors": write(tmp_path / "vectors.csv", "id,f1\nq,0.25\nr,0.75\n"),
+        "traces": write(
+            tmp_path / "traces.csv",
+            "id,step,timestamp,f1,class,action\nx,0,0.0,1.0,1,a1\nx,1,1.0,0.0,0,\n",
+        ),
+        "bool": write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n"),
+        "doc": write(tmp_path / "doc.json", json.dumps(doc)),
+    }
+    return run([a.format(**paths) for a in argv] + ["--out", tmp_path / "out.json"])
+
+
+@pytest.mark.parametrize("command", sorted(VALID_JSON))
+def test_valid_json_inputs_run_clean(tmp_path, command):
+    assert _run_json(tmp_path, command, VALID_JSON[command][1]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        ("classify", (0, "class"), 0.9, "class must be an integer, got 0.9"),
+        ("classify", (1, "class"), True, "class must be an integer, got True"),
+        ("eval-policy", ("transitions", 1, "s"), 1.2, "s must be an integer, got 1.2"),
+        ("eval-policy", ("transitions", 1, "s'"), True, "s' must be an integer, got True"),
+        ("eval-policy", ("states",), [0, 1.7], "state must be an integer, got 1.7"),
+        ("fit-mdp", ("levels", "1"), 1.0, "level of class 1 must be an integer, got 1.0"),
+        ("fit-mdp", ("height",), True, "height must be an integer, got True"),
+        ("fit-mdp", ("unleveled",), [2.5], "unleveled class must be an integer, got 2.5"),
+        ("inverse", (0, "class"), 1.0, "class must be an integer, got 1.0"),
+        ("inverse", (0, "n"), True, "n must be an integer, got True"),
+    ],
+)
+def test_json_index_must_be_an_int(tmp_path, capsys, command, path, value, message):
+    doc = json.loads(json.dumps(VALID_JSON[command][1]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert _run_json(tmp_path, command, doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "diagram, message",
+    [
+        ({"levels": {"0": 0, "1": 7, "2": 3}, "height": 1, "complete": True}, "height 1 is not the largest level"),
+        ({"levels": {"0": 1, "1": 0}, "height": 1, "complete": True}, "the normal class must be at level 0"),
+        ({"levels": {"0": 0, "1": -1}, "height": 0, "complete": True}, "class 1 has level -1"),
+        ({"levels": {"0": 0, "1": 1}, "height": 1, "complete": False}, "complete is False, unleveled []"),
+        ({"levels": {"0": 0, "1": 1}, "height": 1, "complete": True, "unleveled": [2]}, "complete is True"),
+    ],
+)
+def test_fit_mdp_rejects_inconsistent_diagram(tmp_path, capsys, diagram, message):
+    assert _run_json(tmp_path, "fit-mdp", diagram) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()

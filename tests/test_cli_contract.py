@@ -2,13 +2,17 @@
 
 Valid inputs for every subcommand are built once; each example then
 mutates one of a subcommand's input files, by deleting or replacing
-characters or, for JSON, by dropping a key or giving a value the wrong
-type, and runs ``main`` on the result.
+characters, by making a CSV feature or timestamp non-finite or, for
+JSON, by dropping a key, giving a value the wrong type or giving an
+integer index a float or bool value, and runs ``main`` on the result.
+A non-finite CSV value and a non-integer index must exit 1.
 """
 
 import contextlib
+import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -121,6 +125,47 @@ def json_mutation(draw, text: str) -> str:
     return json.dumps(doc)
 
 
+@st.composite
+def non_finite_mutation(draw, text: str) -> str:
+    """Make one feature or timestamp field of a CSV file non-finite."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    cells = [
+        (r, c)
+        for r in range(1, len(rows))
+        for c, name in enumerate(rows[0])
+        if re.fullmatch(r"f\d+|timestamp", name)
+    ]
+    if not cells:
+        return text
+    r, c = draw(st.sampled_from(cells))
+    rows[r][c] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@st.composite
+def index_mutation(draw, text: str) -> str:
+    """Give one integer of a JSON document (every one is an index) a
+    float or bool value."""
+    doc = json.loads(text)
+    slots = []
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(value, int) and not isinstance(value, bool):
+                slots.append((node, key))
+            elif isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    if not slots:
+        return text
+    node, key = draw(st.sampled_from(slots))
+    node[key] = draw(st.sampled_from([node[key] + 0.5, float(node[key]), True, False]))
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -129,7 +174,11 @@ def test_malformed_input_keeps_the_cli_contract(valid_inputs, command, data):
     inputs = [a for a in argv if a in valid_inputs]
     target = data.draw(st.sampled_from(inputs))
     text = valid_inputs[target]
-    if target.endswith(".json") and data.draw(st.booleans()):
+    kind = data.draw(st.sampled_from(["text", "structure", "value"]))
+    if kind == "value":
+        mutation = index_mutation if target.endswith(".json") else non_finite_mutation
+        text = data.draw(mutation(text))
+    elif target.endswith(".json") and kind == "structure":
         text = data.draw(json_mutation(text))
     else:
         text = data.draw(text_mutation(text))
@@ -141,6 +190,8 @@ def test_malformed_input_keeps_the_cli_contract(valid_inputs, command, data):
     assert "Traceback" not in err
     if code == 1:
         assert err.count("error:") == 1
+    if kind == "value" and text != valid_inputs[target] and command != "report":
+        assert code == 1, err
 
 
 def test_valid_inputs_run_clean(valid_inputs):

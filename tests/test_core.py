@@ -96,6 +96,18 @@ class TestLoadTraceLog:
         with pytest.raises(DataFormatError, match="gap in step numbering"):
             load_trace_log(p)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["b,0,nan,5.0,1,a1", "b,0,inf,5.0,1,a1", "b,0,1e999,5.0,1,a1", "b,0,1.0,nan,1,a1",
+         "b,0,1.0,-inf,1,a1"],
+    )
+    def test_non_finite_value(self, tmp_path, row):
+        p = write(
+            tmp_path / "t.csv", f"id,step,timestamp,f1,class,action\na,0,1.0,5.0,0,\n{row}\n"
+        )
+        with pytest.raises(DataFormatError, match=r"t\.csv:3: non-finite value for 'b'"):
+            load_trace_log(p)
+
 
 grids = st.sampled_from([0.0, 1.0, 2.5, -3.0, 10.0])
 
