@@ -3,20 +3,22 @@ always/sometimes region splits, and backward reachability of the normal
 class under per-class actions.
 
 Vertices of the n-cube are binary words like "0110"; subcubes are ternary
-words like "0*1" where ``*`` frees a coordinate.  Exact computations are
-capped at n = 20 and refuse larger inputs rather than approximate.
+words like "0*1" where ``*`` frees a coordinate; every cube membership
+test is one int test on the subcube's (mask, value) pair.  Exact
+computations are capped at n = 20 and refuse larger inputs rather than
+approximate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import CarlabError, LearningSet
-from .lcpr import LDSet, LogicalDependency
+from .lcpr import LDSet, LogicalDependency, VoteBatch, vote
 
 MAX_EXACT_N = 20
 
@@ -30,6 +32,9 @@ class Subcube:
     def __post_init__(self) -> None:
         if not self.word or any(c not in "01*" for c in self.word):
             raise CarlabError(f"bad subcube word {self.word!r}")
+        # Not a field, so equality, hashing and repr see only the word.
+        mask, value = self.word.replace("0", "1").replace("*", "0"), self.word.replace("*", "0")
+        object.__setattr__(self, "_mask_value", (int(mask, 2), int(value, 2)))
 
     @property
     def n(self) -> int:
@@ -41,13 +46,13 @@ class Subcube:
     def mask_value(self) -> tuple[int, int]:
         """Int form: vertex code v lies in the cube iff ``v & mask == value``,
         with position 0 as the most significant bit, as in ``all_vertices``."""
-        fixed = "".join("0" if c == "*" else "1" for c in self.word)
-        return int(fixed, 2), int(self.word.replace("*", "0"), 2)
+        return self._mask_value
 
     def contains(self, vertex: str) -> bool:
         if len(vertex) != len(self.word):
             raise CarlabError("dimension mismatch")
-        return all(c == "*" or c == v for c, v in zip(self.word, vertex))
+        mask, value = self._mask_value
+        return int(vertex, 2) & mask == value
 
     def vertices(self) -> Iterable[str]:
         free = [k for k, c in enumerate(self.word) if c == "*"]
@@ -164,27 +169,6 @@ def all_vertices(n: int) -> Iterable[str]:
     return ("".join(bits) for bits in product("01", repeat=n))
 
 
-class VertexRows:
-    """The 2^n cube vertices as 0/1 float rows, in ``all_vertices`` order.
-
-    Rows exist only per slice, built from the vertices' int codes, so a
-    batch classifier can vote the whole cube a chunk at a time.
-    """
-
-    def __init__(self, n: int) -> None:
-        if n > MAX_EXACT_N:
-            raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
-        self.n = n
-
-    def __len__(self) -> int:
-        return 1 << self.n
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        codes = np.arange(*rows.indices(len(self)))
-        shifts = np.arange(self.n - 1, -1, -1)
-        return (codes[:, None] >> shifts & 1).astype(float)
-
-
 def _minimal_transversals(sets: list[frozenset[int]]) -> list[frozenset[int]]:
     """All minimal hitting sets of a family of nonempty position sets."""
     # Supersets are redundant: hitting a subset hits them too.
@@ -227,6 +211,28 @@ def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
     return result
 
 
+def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
+    """How many of ``cubes`` hold each vertex, in ``all_vertices`` order."""
+    if n > MAX_EXACT_N:
+        raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
+    codes = np.arange(1 << n)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for cube in cubes:
+        mask, value = cube.mask_value()
+        counts += codes & mask == value
+    return counts
+
+
+def vote_vertices(rdnfs: Mapping[int, Collection[Subcube]], n: int) -> VoteBatch:
+    """Votes of all 2^n vertices, in ``all_vertices`` order, by the
+    fraction of each class's cubes holding them, as ``classify`` votes."""
+    classes = tuple(sorted(rdnfs))
+    counts = np.zeros((1 << n, len(classes)), dtype=np.int64)
+    for c, index in enumerate(classes):
+        counts[:, c] = cover_counts(rdnfs[index], n)
+    return vote(classes, tuple(len(rdnfs[i]) for i in classes), counts)
+
+
 def forall_exists_partition(
     pos_rdnf: Iterable[Subcube],
     neg_rdnf: Iterable[Subcube],
@@ -242,21 +248,12 @@ def forall_exists_partition(
     if len(dims) != 1:
         raise CarlabError(f"dimension mismatch or unknown: {sorted(dims)}")
     n = dims.pop()
-    if n > MAX_EXACT_N:
-        raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
-    codes = np.arange(1 << n)
-
-    def covered(cubes: list[Subcube]) -> np.ndarray:
-        hit = np.zeros(len(codes), dtype=bool)
-        for mask, value in {c.mask_value() for c in cubes}:
-            hit |= codes & mask == value
-        return hit
 
     def words(selected: np.ndarray) -> frozenset[str]:
         return frozenset(format(v, f"0{n}b") for v in np.flatnonzero(selected).tolist())
 
-    pos = covered(pos_rdnf)
-    neg = covered(neg_rdnf)
+    pos = cover_counts(pos_rdnf, n) > 0
+    neg = cover_counts(neg_rdnf, n) > 0
     return RegionPartition(
         forall_region=words(pos & ~neg),
         exists_region=words(pos & neg),
@@ -334,10 +331,7 @@ def multiclass_rdnf(learning_set: LearningSet) -> dict[int, set[Subcube]]:
         raise CarlabError("multiclass_rdnf requires a Boolean-mode learning set")
     n = learning_set.n
     words = {
-        i: frozenset(
-            "".join(str(int(v)) for v in s.features)
-            for s in learning_set.class_share(i)
-        )
+        i: frozenset(vector_to_vertex(s.features) for s in learning_set.class_share(i))
         for i in range(learning_set.deviated_count + 1)
     }
     result = {}

@@ -20,6 +20,7 @@ from .core import (
     NORMAL_CLASS,
     TraceEvent,
     _parse_index,
+    _parse_number,
     load_json,
     save_json,
 )
@@ -274,7 +275,7 @@ def actions_from_json(data: list[dict]) -> list[ActionSpec]:
         kind = entry["kind"]
         fields: dict = {}
         if kind == "affine":
-            fields = {key: tuple(map(float, entry[key])) for key in ("alpha", "beta")}
+            fields = {k: tuple(_parse_number(v, k) for v in entry[k]) for k in ("alpha", "beta")}
         elif kind == "table":
             fields = {"n": _parse_index(entry["n"], "n"), "table": dict(entry["map"])}
         elif kind == "rule":

@@ -183,14 +183,9 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
             raise CarlabError("inverse requires Boolean actions")
         actions[spec.class_index] = spec.boolean
     rdnfs = boolcube.multiclass_rdnf(learning_set)
-    votes = lcpr.classify_batch(
-        boolcube.VertexRows(n), boolcube.subcubes_to_ldset(rdnfs)
-    )
-    labels = dict(zip(boolcube.all_vertices(n), votes.labels))
+    labels = dict(zip(boolcube.all_vertices(n), boolcube.vote_vertices(rdnfs, n).labels))
 
-    neg_union = set()
-    for i in range(1, learning_set.deviated_count + 1):
-        neg_union.update(rdnfs[i])
+    neg_union = set().union(*(rdnfs[i] for i in rdnfs if i != 0))
     partition = boolcube.forall_exists_partition(rdnfs[0], neg_union, n=n)
 
     reach = boolcube.backward_reach(

@@ -177,6 +177,13 @@ def _parse_index(value: Any, what: str) -> int:
     raise DataFormatError(f"{what} must be an integer, got {value!r}")
 
 
+def _parse_number(value: Any, what: str) -> float:
+    """A JSON number as a float: an int or a float, and not a bool."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise DataFormatError(f"{what} must be a number, got {value!r}")
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         return float(text)

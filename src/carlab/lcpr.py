@@ -34,7 +34,9 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import CarlabError, LearningSample, LearningSet, _parse_index, load_json, save_json
+from .core import (
+    CarlabError, LearningSample, LearningSet, _parse_index, _parse_number, load_json, save_json
+)
 
 
 class UnseparableSeedError(CarlabError):
@@ -403,9 +405,6 @@ class _CompiledLDs:
             for j in range(self.width)
             if (upper[j] < np.inf).any()
         ]
-        # An empty class scores 0 whatever it is compared with; size 1
-        # keeps its cross-multiplied comparisons exact.
-        self.cross_sizes = np.maximum(np.array(self.sizes, dtype=np.int64), 1)
 
     def counts(self, X: np.ndarray) -> np.ndarray:
         """Per-class cover counts of each row of X, shape (rows, classes)."""
@@ -418,25 +417,6 @@ class _CompiledLDs:
         for c, (a, b) in enumerate(zip(self.starts[:-1], self.starts[1:])):
             counts[:, c] = np.count_nonzero(inside[:, a:b], axis=1)
         return counts
-
-    def decide(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Winning class position and reason code per row.
-
-        Class c scores above class b exactly when
-        ``count_c * size_b > count_b * size_c``: integers, no rounding.
-        """
-        best = np.zeros(len(counts), dtype=np.intp)
-        if not self.classes:
-            return best, np.full(len(counts), _ALL_ZERO)
-        rows = np.arange(len(counts))
-        sizes = self.cross_sizes
-        for c in range(1, len(self.classes)):
-            better = counts[:, c] * sizes[best] > counts[rows, best] * sizes[c]
-            best[better] = c
-        top = counts[rows, best]
-        level = counts * sizes[best, None] == top[:, None] * sizes
-        tied = np.count_nonzero(level, axis=1) > 1
-        return best, np.where(top == 0, _ALL_ZERO, np.where(tied, _TIED, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,20 +443,48 @@ class VoteBatch:
         return ClassifyOutcome(label=self.labels[row], reason=self.reasons[row], scores=scores)
 
 
+def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -> VoteBatch:
+    """Votes of rows whose cover counts are ``counts[r, c]`` of ``sizes[c]``
+    for class ``classes[c]``.  Class c scores above class b exactly when
+    ``count_c * size_b > count_b * size_c``: integers, no rounding.  The
+    first class no other scores above wins, unless one scores level with
+    it (tied) or its count is 0 (all-zero)."""
+    rows = np.arange(len(counts))
+    best = np.zeros(len(counts), dtype=np.intp)
+    if not classes:
+        reason = np.full(len(counts), _ALL_ZERO)
+    else:
+        # An empty class scores 0 whatever it is compared with; size 1
+        # keeps its cross-multiplied comparisons exact.
+        size = np.maximum(np.array(sizes, dtype=np.int64), 1)
+        above = lambda count_a, size_a, count_b, size_b: count_a * size_b > count_b * size_a
+        for c in range(1, len(classes)):
+            best[above(counts[:, c], size[c], counts[rows, best], size[best])] = c
+        top = counts[rows, best]
+        tied = np.count_nonzero(~above(top[:, None], size[best, None], counts, size), axis=1) > 1
+        reason = np.where(top == 0, _ALL_ZERO, np.where(tied, _TIED, 0))
+    codes = reason.tolist()
+    return VoteBatch(
+        classes=classes,
+        sizes=sizes,
+        counts=counts,
+        labels=[None if r else classes[w] for w, r in zip(best.tolist(), codes)],
+        reasons=[_REASONS[r] for r in codes],
+    )
+
+
 def classify_batch(X, lds: LDSet) -> VoteBatch:
     """Vote every row of X by per-class similarity, as ``classify`` does.
 
-    X is a (rows x n) array, or any sequence whose slices convert to one:
-    rows are converted and tested one fixed-size chunk at a time, so the
-    scratch memory stays bounded whatever the number of rows.  Raises
-    CarlabError on a non-finite row or an LD bounding a feature beyond n.
+    X is a (rows x n) array or a sequence of rows: rows are converted and
+    tested one fixed-size chunk at a time, so the scratch memory stays
+    bounded whatever the number of rows.  Raises CarlabError on a
+    non-finite row or an LD bounding a feature beyond n.
     """
     compiled = lds._compiled
     total = len(X)
     step = max(1, _CHUNK_CELLS // max(1, compiled.starts[-1]))
     counts = np.zeros((total, len(compiled.classes)), dtype=np.int64)
-    best = np.zeros(total, dtype=np.intp)
-    reason = np.zeros(total, dtype=np.intp)
     for a in range(0, total, step):
         block = np.asarray(X[a : a + step], dtype=float)
         if block.ndim != 2:
@@ -488,18 +496,8 @@ def classify_batch(X, lds: LDSet) -> VoteBatch:
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise CarlabError(f"non-finite feature value in row {a + int(np.argmin(finite))}")
-        b = a + len(block)
-        counts[a:b] = compiled.counts(block)
-        best[a:b], reason[a:b] = compiled.decide(counts[a:b])
-    classes = compiled.classes
-    codes = reason.tolist()
-    return VoteBatch(
-        classes=classes,
-        sizes=compiled.sizes,
-        counts=counts,
-        labels=[None if r else classes[w] for w, r in zip(best.tolist(), codes)],
-        reasons=[_REASONS[r] for r in codes],
-    )
+        counts[a : a + len(block)] = compiled.counts(block)
+    return vote(compiled.classes, compiled.sizes, counts)
 
 
 def classify(x: Sequence[float], lds: LDSet) -> ClassifyOutcome:
@@ -577,8 +575,8 @@ def ldset_from_json(data: list[dict]) -> LDSet:
     for entry in data:
         ld = LogicalDependency(
             class_index=_parse_index(entry["class"], "class"),
-            lower={int(j): float(v) for j, v in entry.get("lower", {}).items()},
-            upper={int(j): float(v) for j, v in entry.get("upper", {}).items()},
+            lower={int(j): _parse_number(v, "lower") for j, v in entry.get("lower", {}).items()},
+            upper={int(j): _parse_number(v, "upper") for j, v in entry.get("upper", {}).items()},
         )
         by_class.setdefault(ld.class_index, []).append(ld)
     return LDSet(

@@ -27,6 +27,7 @@ from .core import (
     TraceEvent,
     TraceMap,
     _parse_index,
+    _parse_number,
     group_traces,
     load_json,
     save_json,
@@ -347,12 +348,13 @@ def mdp_to_json(mdp: MDPModel) -> dict:
 def mdp_from_json(data: dict) -> MDPModel:
     transitions: dict[int, dict[str, list]] = {}
     for row in data["transitions"]:
+        p, r = (_parse_number(row[key], key) for key in ("p", "r"))
         transitions.setdefault(_parse_index(row["s"], "s"), {}).setdefault(row["a"], []).append(
-            (_parse_index(row["s'"], "s'"), float(row["p"]), float(row["r"]))
+            (_parse_index(row["s'"], "s'"), p, r)
         )
     return MDPModel(
         states=tuple(_parse_index(s, "state") for s in data["states"]),
-        gamma=float(data["gamma"]),
+        gamma=_parse_number(data["gamma"], "gamma"),
         transitions={
             s: {a: tuple(outs) for a, outs in acts.items()}
             for s, acts in transitions.items()

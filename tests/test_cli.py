@@ -455,3 +455,103 @@ def test_fit_mdp_rejects_inconsistent_diagram(tmp_path, capsys, diagram, message
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"doc.json: {message}" in err
     assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, path, value, message",
+    [
+        ("eval-policy", ("gamma",), False, "gamma must be a number, got False"),
+        ("eval-policy", ("transitions", 0, "p"), True, "p must be a number, got True"),
+        ("eval-policy", ("transitions", 1, "r"), True, "r must be a number, got True"),
+        ("eval-policy", ("gamma",), "0.9", "gamma must be a number, got '0.9'"),
+        ("eval-policy", ("transitions", 0, "p"), "1", "p must be a number, got '1'"),
+        ("classify", (0, "lower", "1"), True, "lower must be a number, got True"),
+        ("classify", (1, "upper", "1"), "0.5", "upper must be a number, got '0.5'"),
+    ],
+)
+def test_json_number_must_be_a_number(tmp_path, capsys, command, path, value, message):
+    doc = json.loads(json.dumps(VALID_JSON[command][1]))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    assert _run_json(tmp_path, command, doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+def test_json_int_is_a_number(tmp_path):
+    doc = json.loads(json.dumps(VALID_JSON["eval-policy"][1]))
+    doc["transitions"][1].update(p=1, r=1)
+    assert _run_json(tmp_path, "eval-policy", doc) == 0
+    ldset = [{"class": 0, "lower": {"1": 0}, "upper": {}}, {"class": 1, "lower": {}, "upper": {"1": 0}}]
+    assert _run_json(tmp_path, "classify", ldset) == 0
+
+
+@pytest.mark.parametrize("key, value", [("alpha", True), ("beta", False)])
+def test_simulate_rejects_non_number_affine_coefficient(contracting, tmp_path, capsys, key, value):
+    specs = json.loads(contracting["actions"].read_text())
+    specs[0][key][0] = value
+    actions = write(tmp_path / "bad_actions.json", json.dumps(specs))
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--data", contracting["data"], "--lds", contracting["lds"], "--actions", actions]
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"bad_actions.json: {key} must be a number, got {value}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_mine_warns_once_per_unseparable_seed(tmp_path, capsys):
+    data = write(tmp_path / "data.csv", "id,f1,class\na,1.0,0\nb,1.0,1\nc,2.0,1\n")
+    out = tmp_path / "lds.json"
+    assert run(["mine", "--data", data, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: unseparable seed {seed!r}: coincides with 1 counter-class point(s)"
+        for seed in ("a", "b")
+    ]
+    assert json.loads(out.read_text()) == [{"class": 1, "lower": {"1": 2.0}, "upper": {}}]
+
+
+def test_inverse_rejects_affine_action(tmp_path, capsys):
+    data = write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n")
+    actions = write(
+        tmp_path / "actions.json",
+        json.dumps([{"action": "a1", "class": 1, "kind": "affine", "alpha": [1.0], "beta": [0.0]}]),
+    )
+    out = tmp_path / "inv.json"
+    assert run(["inverse", "--data", data, "--actions", actions, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: inverse requires Boolean actions\n"
+    assert not out.exists()
+
+
+def test_config_line_without_equals_exits_one(chain_transitions, tmp_path, capsys):
+    config = write(tmp_path / "run.cfg", f"# poset workflow\n{chain_transitions}\n")
+    assert run(["validate-poset", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {config}:2: expected KEY=VALUE\n"
+
+
+def test_report_rejects_duplicate_section(chain_transitions, tmp_path, capsys):
+    verdict = tmp_path / "verdict.json"
+    assert run(["validate-poset", "--transitions", chain_transitions, "--out", verdict]) == 0
+    out = tmp_path / "bundle.json"
+    assert run(["report", "--out", out, f"a={verdict}", f"a={verdict}"]) == 1
+    assert capsys.readouterr().err == "error: duplicate report section 'a'\n"
+    assert not out.exists()
+
+
+def test_fit_mdp_neg_level_reward(tmp_path):
+    traces = write(
+        tmp_path / "traces.csv",
+        "id,step,timestamp,f1,class,action\n"
+        "x,0,0.0,2.0,2,a2\nx,1,1.0,1.0,1,a1\nx,2,2.0,0.0,0,\n"
+        "y,0,0.0,2.0,2,a3\ny,1,1.0,0.0,0,\n",
+    )
+    levels = {0: 0, 1: 1, 2: 2}
+    out = tmp_path / "mdp.json"
+    assert run(["fit-mdp", "--traces", traces, "--reward-shape", "neg-level", "--out", out]) == 0
+    rewards = {(t["s"], t["a"], t["s'"]): t["r"] for t in json.loads(out.read_text())["transitions"]}
+    assert rewards == {
+        (s, a, dst): -levels[dst]
+        for s, a, dst in [(0, "stay", 0), (1, "a1", 0), (2, "a2", 1), (2, "a3", 0)]
+    }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlab import synth
-from carlab.boolcube import Subcube, VertexRows, all_vertices, vertex_to_vector
+from carlab.boolcube import Subcube, all_vertices
 from carlab.carsim import register_actions, run_car
 from carlab.core import CarlabError
 from carlab.lcpr import (
@@ -137,14 +137,6 @@ class TestExactVoting:
         ]
         rows += [s.features for s in learning_set.samples]
         assert_matches_oracle(rows, lds)
-
-    def test_cube_vertex_rows(self):
-        n = 5
-        vertices = VertexRows(n)
-        assert len(vertices) == 2**n
-        expected = np.array([vertex_to_vector(v) for v in all_vertices(n)])
-        assert (vertices[0 : 2**n] == expected).all()
-        assert (vertices[3:11] == expected[3:11]).all()
 
     def test_subcube_mask_value(self):
         cube = Subcube("1*0*")
