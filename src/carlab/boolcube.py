@@ -2,11 +2,12 @@
 always/sometimes region splits, and backward reachability of the normal
 class under per-class actions.
 
-Vertices of the n-cube are binary words like "0110"; subcubes are ternary
-words like "0*1" where ``*`` frees a coordinate; every cube membership
-test is one int test on the subcube's (mask, value) pair.  Exact
-computations are capped at n = 20 and refuse larger inputs rather than
-approximate.
+Inside the module a vertex is its int code (coordinate 1 is the high bit,
+so code order is ``all_vertices`` order), a vertex set a bool mask over all
+codes, an action an array of image codes, a subcube a (mask, value) pair.
+Binary words like "0110" and ternary words like "0*1" (``*`` frees a
+coordinate) are checked where they enter, at the API and JSON edges.
+Exact computations are capped at n = 20 and refuse larger inputs.
 """
 
 from __future__ import annotations
@@ -49,10 +50,8 @@ class Subcube:
         return self._mask_value
 
     def contains(self, vertex: str) -> bool:
-        if len(vertex) != len(self.word):
-            raise CarlabError("dimension mismatch")
         mask, value = self._mask_value
-        return int(vertex, 2) & mask == value
+        return _code(vertex, self.n) & mask == value
 
     def vertices(self) -> Iterable[str]:
         free = [k for k, c in enumerate(self.word) if c == "*"]
@@ -78,8 +77,7 @@ class PartialBooleanFunction:
                 f"positives and negatives overlap on {sorted(overlap)[:3]}"
             )
         for v in self.positives | self.negatives:
-            if len(v) != self.n or any(c not in "01" for c in v):
-                raise CarlabError(f"bad vertex {v!r} for n={self.n}")
+            _code(v, self.n)
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,8 @@ class BooleanAction:
     substitution rule.
 
     Rule tokens, one per output coordinate: "0", "1", "xK" (copy input
-    coordinate K, 1-based), "~xK" (negate input coordinate K).
+    coordinate K, 1-based), "~xK" (negate input coordinate K).  Compiled
+    once into ``image`` (not a field): the image code of every vertex code.
     """
 
     action_id: str
@@ -99,44 +98,37 @@ class BooleanAction:
     def __post_init__(self) -> None:
         if (self.table is None) == (self.exprs is None):
             raise CarlabError("exactly one of table/exprs must be given")
+        n, codes = self.n, _all_codes(self.n)
         if self.table is not None:
-            words = set(all_vertices(self.n))
-            if set(self.table) != words:
-                raise CarlabError(f"table keys must cover all {self.n}-bit words")
-            for out in self.table.values():
-                if not (isinstance(out, str) and out in words):
-                    raise CarlabError(f"bad table output {out!r} for n={self.n}")
-        if self.exprs is not None:
-            if len(self.exprs) != self.n:
+            # Keys are distinct, so 2^n n-bit keys are all the n-bit words.
+            if len(self.table) != codes.size or not all(_is_word(v, n) for v in self.table):
+                raise CarlabError(f"table keys must cover all {n}-bit words")
+            image = np.empty_like(codes)
+            for v, out in self.table.items():
+                if not _is_word(out, n):
+                    raise CarlabError(f"bad table output {out!r} for n={n}")
+                image[int(v, 2)] = int(out, 2)
+        else:
+            if len(self.exprs) != n:
                 raise CarlabError("rule must give one expression per coordinate")
-            object.__setattr__(
-                self, "_rule", tuple(self._parse_expr(ex) for ex in self.exprs)
-            )
+            image = np.zeros_like(codes)
+            for k, ex in enumerate(self.exprs):
+                image |= self._compile_expr(ex, codes) << (n - 1 - k)
+        object.__setattr__(self, "image", image)
 
-    def _parse_expr(self, ex: str) -> tuple[str, int]:
+    def _compile_expr(self, ex: str, codes: np.ndarray) -> int | np.ndarray:
+        """One output bit of every vertex code."""
         if ex in ("0", "1"):
-            return ("const", int(ex))
+            return int(ex)
         body, negate = (ex[1:], True) if ex.startswith("~") else (ex, False)
         if body.startswith("x") and body[1:].isdigit():
             k = int(body[1:])
             if 1 <= k <= self.n:
-                return ("neg" if negate else "copy", k - 1)
+                return (codes >> (self.n - k) & 1) ^ negate
         raise CarlabError(f"bad rule expression {ex!r}")
 
     def apply(self, vertex: str) -> str:
-        if len(vertex) != self.n:
-            raise CarlabError("dimension mismatch")
-        if self.table is not None:
-            return self.table[vertex]
-        out = []
-        for kind, arg in self._rule:
-            if kind == "const":
-                out.append(str(arg))
-            elif kind == "copy":
-                out.append(vertex[arg])
-            else:
-                out.append("1" if vertex[arg] == "0" else "0")
-        return "".join(out)
+        return format(self.image[_code(vertex, self.n)], f"0{self.n}b")
 
 
 @dataclass(frozen=True)
@@ -169,23 +161,53 @@ def all_vertices(n: int) -> Iterable[str]:
     return ("".join(bits) for bits in product("01", repeat=n))
 
 
-def _minimal_transversals(sets: list[frozenset[int]]) -> list[frozenset[int]]:
-    """All minimal hitting sets of a family of nonempty position sets."""
+def _all_codes(n: int) -> np.ndarray:
+    """Every vertex code of the n-cube, in ``all_vertices`` order."""
+    if n > MAX_EXACT_N:
+        raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
+    return np.arange(1 << n)
+
+
+def _is_word(vertex: object, n: int) -> bool:
+    return isinstance(vertex, str) and len(vertex) == n and not vertex.strip("01")
+
+
+def _code(vertex: str, n: int) -> int:
+    """The code of an n-bit binary word; anything else is refused."""
+    if not _is_word(vertex, n):
+        raise CarlabError(f"bad vertex {vertex!r} for n={n}")
+    return int(vertex, 2)
+
+
+def _region(vertices: Iterable[str], n: int) -> np.ndarray:
+    """A vertex set as a bool mask over all vertex codes."""
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[[_code(v, n) for v in vertices]] = True
+    return mask
+
+
+def _words(mask: np.ndarray, n: int) -> frozenset[str]:
+    """The vertex set a bool mask over all vertex codes selects."""
+    return frozenset(format(v, f"0{n}b") for v in np.flatnonzero(mask).tolist())
+
+
+def _minimal_transversals(sets: list[int]) -> list[int]:
+    """All minimal hitting sets of a family of nonempty bit sets.
+
+    Berge's method, one set s at a time: a minimal transversal of the sets
+    so far is kept if it hits s, else grown by each bit of s.  Kept ones
+    stay minimal, and a grown one is minimal unless it holds a kept one
+    (``u & t == u`` tests u ⊆ t): the transversals so far are pairwise
+    incomparable, and none that is grown meets s.
+    """
     # Supersets are redundant: hitting a subset hits them too.
-    kernel = [s for s in sets if not any(t < s for t in sets)]
-    kernel = sorted(set(kernel), key=lambda s: (len(s), sorted(s)))
-    transversals: list[frozenset[int]] = [frozenset()]
-    for s in kernel:
-        extended: list[frozenset[int]] = []
-        for t in transversals:
-            if t & s:
-                extended.append(t)
-            else:
-                extended.extend(t | {v} for v in sorted(s))
-        transversals = [
-            t for t in extended if not any(u < t for u in extended)
-        ]
-        transversals = sorted(set(transversals), key=lambda t: sorted(t))
+    kernel = {s for s in sets if not any(t & s == t != s for t in sets)}
+    transversals = [0]
+    for s in sorted(kernel, key=lambda s: (s.bit_count(), s)):
+        bits = [1 << b for b in range(s.bit_length()) if s >> b & 1]
+        kept = [t for t in transversals if t & s]
+        grown = {t | bit for t in transversals if not t & s for bit in bits}
+        transversals = kept + [t for t in grown if not any(u & t == u for u in kept)]
     return transversals
 
 
@@ -200,22 +222,20 @@ def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
     if f.n > MAX_EXACT_N:
         raise CarlabError(f"exact computation capped at n={MAX_EXACT_N}")
     result: set[Subcube] = set()
-    negatives = sorted(f.negatives)
-    for p in sorted(f.positives):
-        diffs = [
-            frozenset(k for k in range(f.n) if p[k] != q[k]) for q in negatives
-        ]
-        for hit in _minimal_transversals(diffs):
-            word = "".join(p[k] if k in hit else "*" for k in range(f.n))
+    negatives = [int(q, 2) for q in f.negatives]
+    for p in f.positives:
+        code = int(p, 2)
+        for hit in _minimal_transversals([code ^ q for q in negatives]):
+            word = "".join(
+                c if hit >> (f.n - 1 - k) & 1 else "*" for k, c in enumerate(p)
+            )
             result.add(Subcube(word))
     return result
 
 
 def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
     """How many of ``cubes`` hold each vertex, in ``all_vertices`` order."""
-    if n > MAX_EXACT_N:
-        raise CarlabError(f"exact enumeration capped at n={MAX_EXACT_N}")
-    codes = np.arange(1 << n)
+    codes = _all_codes(n)
     counts = np.zeros(1 << n, dtype=np.int64)
     for cube in cubes:
         mask, value = cube.mask_value()
@@ -248,16 +268,12 @@ def forall_exists_partition(
     if len(dims) != 1:
         raise CarlabError(f"dimension mismatch or unknown: {sorted(dims)}")
     n = dims.pop()
-
-    def words(selected: np.ndarray) -> frozenset[str]:
-        return frozenset(format(v, f"0{n}b") for v in np.flatnonzero(selected).tolist())
-
     pos = cover_counts(pos_rdnf, n) > 0
     neg = cover_counts(neg_rdnf, n) > 0
     return RegionPartition(
-        forall_region=words(pos & ~neg),
-        exists_region=words(pos & neg),
-        uncovered=words(~(pos | neg)),
+        forall_region=_words(pos & ~neg, n),
+        exists_region=_words(pos & neg, n),
+        uncovered=_words(~(pos | neg), n),
     )
 
 
@@ -275,22 +291,8 @@ def backward_step(
 
     Indeterminately classified vertices are excluded and tallied.
     """
-    region = frozenset(region)
-    hit: set[str] = set()
-    indeterminate: set[str] = set()
-    for v in all_vertices(n):
-        label = classify_fn(v)
-        if label is None:
-            indeterminate.add(v)
-        elif label == 0:
-            if v in region:
-                hit.add(v)
-        else:
-            if label not in actions:
-                raise CarlabError(f"no action bound to class {label}")
-            if actions[label].apply(v) in region:
-                hit.add(v)
-    return StepResult(region=frozenset(hit), indeterminate=frozenset(indeterminate))
+    reach = backward_reach(region, actions, classify_fn, 1, n)
+    return StepResult(region=reach.depths[1], indeterminate=reach.indeterminate)
 
 
 def backward_reach(
@@ -302,26 +304,34 @@ def backward_reach(
 ) -> ReachResult:
     """Iterate backward_step k times; depth 0 is the input region.
 
-    The classifier is evaluated once per vertex and memoized across
-    depths.
+    The classifier is evaluated once per vertex, for all depths.
     """
     if k < 0:
         raise CarlabError("depth must be >= 0")
-    labels = {v: classify_fn(v) for v in all_vertices(n)}
-    memo_classify = labels.__getitem__
+    labels = [classify_fn(v) for v in all_vertices(n)]
+    labels = np.array([-1 if c is None else c for c in labels])  # -1: indeterminate
     depths = [frozenset(region)]
     cumulative = [depths[0]]
-    indeterminate: frozenset[str] = frozenset(
-        v for v, lab in labels.items() if lab is None
-    )
+    hit = _region(depths[0], n)
+    reached = hit.copy()
     for _ in range(k):
-        step = backward_step(depths[-1], actions, memo_classify, n)
-        depths.append(step.region)
-        cumulative.append(cumulative[-1] | step.region)
+        # A code hits if it is normal inside the last region, or if the
+        # action bound to its class takes it there.
+        last, hit = hit, (labels == 0) & hit
+        for c in sorted(set(labels[labels > 0].tolist())):
+            if c not in actions:
+                raise CarlabError(f"no action bound to class {c}")
+            if actions[c].n != n:
+                raise CarlabError("dimension mismatch")
+            at = labels == c
+            hit[at] = last[actions[c].image[at]]
+        reached |= hit
+        depths.append(_words(hit, n))
+        cumulative.append(_words(reached, n))
     return ReachResult(
         depths=tuple(depths),
         cumulative=tuple(cumulative),
-        indeterminate=indeterminate,
+        indeterminate=_words(labels == -1, n),
     )
 
 
@@ -374,23 +384,20 @@ def subcube_cover(region: Iterable[str], n: int) -> tuple[Subcube, ...]:
     """Greedy cover of a vertex set by maximal subcubes inside it.
 
     Rendering aid for reports; the vertex set stays the exact
-    representation.
+    representation.  Each cube grows from the first uncovered vertex by
+    freeing coordinates 1..n in turn, each while the cube stays inside.
     """
-    region = frozenset(region)
-    remaining = sorted(region)
-    cover: list[Subcube] = []
-    covered: set[str] = set()
-    for v in remaining:
-        if v in covered:
+    inside = _region(region, n)
+    covered = np.zeros_like(inside)
+    cover = []
+    for v in np.flatnonzero(inside).tolist():
+        if covered[v]:
             continue
-        chars = list(v)
+        cube, word = np.array([v]), list(format(v, f"0{n}b"))
         for k in range(n):
-            saved = chars[k]
-            chars[k] = "*"
-            candidate = Subcube("".join(chars))
-            if not all(u in region for u in candidate.vertices()):
-                chars[k] = saved
-        cube = Subcube("".join(chars))
-        cover.append(cube)
-        covered.update(cube.vertices())
+            flipped = cube ^ 1 << (n - 1 - k)
+            if inside[flipped].all():
+                cube, word[k] = np.concatenate([cube, flipped]), "*"
+        cover.append(Subcube("".join(word)))
+        covered[cube] = True
     return tuple(cover)

@@ -20,6 +20,7 @@ from .core import (
     NORMAL_CLASS,
     TraceEvent,
     _parse_index,
+    _parse_name,
     _parse_number,
     load_json,
     save_json,
@@ -282,7 +283,7 @@ def actions_from_json(data: list[dict]) -> list[ActionSpec]:
             fields = {"n": _parse_index(entry["n"], "n"), "exprs": tuple(entry["exprs"])}
         specs.append(
             ActionSpec(
-                action_id=entry["action"],
+                action_id=_parse_name(entry["action"], "action"),
                 class_index=_parse_index(entry["class"], "class"),
                 kind=kind,
                 **fields,

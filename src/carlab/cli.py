@@ -183,14 +183,15 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
             raise CarlabError("inverse requires Boolean actions")
         actions[spec.class_index] = spec.boolean
     rdnfs = boolcube.multiclass_rdnf(learning_set)
-    labels = dict(zip(boolcube.all_vertices(n), boolcube.vote_vertices(rdnfs, n).labels))
+    labels = boolcube.vote_vertices(rdnfs, n).labels
 
     neg_union = set().union(*(rdnfs[i] for i in rdnfs if i != 0))
     partition = boolcube.forall_exists_partition(rdnfs[0], neg_union, n=n)
 
     reach = boolcube.backward_reach(
-        partition.forall_region, actions, labels.__getitem__, depth, n
+        partition.forall_region, actions, lambda v: labels[int(v, 2)], depth, n
     )
+    vertices = list(boolcube.all_vertices(n))
     depths = []
     for d, (region, cumulative) in enumerate(zip(reach.depths, reach.cumulative)):
         depths.append(
@@ -199,7 +200,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
                 "region": sorted(region),
                 "cover": [c.word for c in boolcube.subcube_cover(region, n)],
                 "cumulative": sorted(cumulative),
-                "never_within": sorted(labels.keys() - cumulative),
+                "never_within": [v for v in vertices if v not in cumulative],
             }
         )
     payload = {

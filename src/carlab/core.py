@@ -184,6 +184,20 @@ def _parse_number(value: Any, what: str) -> float:
     raise DataFormatError(f"{what} must be a number, got {value!r}")
 
 
+def _parse_name(value: Any, what: str) -> str:
+    """A JSON name: a nonempty string."""
+    if isinstance(value, str) and value:
+        return value
+    raise DataFormatError(f"{what} must be a nonempty string, got {value!r}")
+
+
+def _parse_key(text: str, what: str) -> int:
+    """A JSON object key that names an index: canonical decimal digits."""
+    if text.isascii() and text.isdigit() and str(int(text)) == text:
+        return int(text)
+    raise DataFormatError(f"{what} key must be a decimal integer, got {text!r}")
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         return float(text)

@@ -35,7 +35,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    CarlabError, LearningSample, LearningSet, _parse_index, _parse_number, load_json, save_json
+    CarlabError, LearningSample, LearningSet, _parse_index, _parse_key, _parse_number, load_json,
+    save_json,
 )
 
 
@@ -573,11 +574,11 @@ def ldset_to_json(lds: LDSet) -> list[dict]:
 def ldset_from_json(data: list[dict]) -> LDSet:
     by_class: dict[int, list[LogicalDependency]] = {}
     for entry in data:
-        ld = LogicalDependency(
-            class_index=_parse_index(entry["class"], "class"),
-            lower={int(j): _parse_number(v, "lower") for j, v in entry.get("lower", {}).items()},
-            upper={int(j): _parse_number(v, "upper") for j, v in entry.get("upper", {}).items()},
-        )
+        bounds = {
+            side: {_parse_key(j, side): _parse_number(v, side) for j, v in entry.get(side, {}).items()}
+            for side in ("lower", "upper")
+        }
+        ld = LogicalDependency(class_index=_parse_index(entry["class"], "class"), **bounds)
         by_class.setdefault(ld.class_index, []).append(ld)
     return LDSet(
         by_class={i: tuple(sorted(lds, key=LogicalDependency.key)) for i, lds in by_class.items()}

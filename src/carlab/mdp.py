@@ -27,6 +27,7 @@ from .core import (
     TraceEvent,
     TraceMap,
     _parse_index,
+    _parse_name,
     _parse_number,
     group_traces,
     load_json,
@@ -349,9 +350,8 @@ def mdp_from_json(data: dict) -> MDPModel:
     transitions: dict[int, dict[str, list]] = {}
     for row in data["transitions"]:
         p, r = (_parse_number(row[key], key) for key in ("p", "r"))
-        transitions.setdefault(_parse_index(row["s"], "s"), {}).setdefault(row["a"], []).append(
-            (_parse_index(row["s'"], "s'"), p, r)
-        )
+        s, a = _parse_index(row["s"], "s"), _parse_name(row["a"], "a")
+        transitions.setdefault(s, {}).setdefault(a, []).append((_parse_index(row["s'"], "s'"), p, r))
     return MDPModel(
         states=tuple(_parse_index(s, "state") for s in data["states"]),
         gamma=_parse_number(data["gamma"], "gamma"),

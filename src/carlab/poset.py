@@ -26,6 +26,7 @@ from .core import (
     TraceMap,
     _parse_index,
     _parse_int,
+    _parse_key,
     _read_csv,
     _write_csv,
     group_traces,
@@ -396,8 +397,9 @@ def diagram_to_json(diagram: LevelDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> LevelDiagram:
+    levels = data["levels"].items()
     return LevelDiagram(
-        levels={int(c): _parse_index(v, f"level of class {c}") for c, v in data["levels"].items()},
+        levels={_parse_key(c, "level"): _parse_index(v, f"level of class {c}") for c, v in levels},
         complete=bool(data["complete"]),
         height=_parse_index(data["height"], "height"),
         unleveled=tuple(_parse_index(c, "unleveled class") for c in data.get("unleveled", ())),

@@ -312,3 +312,99 @@ def test_subcube_membership_consistency(n, data):
     assert len(members) == 2 ** word.count("*")
     for v in all_vertices(n):
         assert cube.contains(v) == (v in members)
+
+
+def _greedy_cover_by_words(region, n):
+    """Reference for subcube_cover: the same greedy, on words."""
+    cover, covered = [], set()
+    for v in sorted(region):
+        if v in covered:
+            continue
+        chars = list(v)
+        for k in range(n):
+            saved, chars[k] = chars[k], "*"
+            if not set(Subcube("".join(chars)).vertices()) <= region:
+                chars[k] = saved
+        cover.append(Subcube("".join(chars)))
+        covered.update(cover[-1].vertices())
+    return tuple(cover)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_subcube_cover_matches_greedy_on_words(n, data):
+    region = data.draw(st.sets(st.sampled_from(list(all_vertices(n)))))
+    assert subcube_cover(region, n) == _greedy_cover_by_words(region, n)
+
+
+RULE_TOKENS = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.one_of(
+                st.sampled_from(["0", "1"]),
+                st.builds(lambda neg, k: f"{'~' if neg else ''}x{k}", st.booleans(), st.integers(1, n)),
+            ),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+)
+
+
+@given(RULE_TOKENS)
+@settings(max_examples=60, deadline=None)
+def test_rule_image_follows_the_tokens(n_tokens):
+    n, tokens = n_tokens
+    action = BooleanAction("a1", n, exprs=tuple(tokens))
+    assert action.image.shape == (2 ** n,)
+    for code in range(2 ** n):
+        word = format(code, f"0{n}b")
+        out = []
+        for token in tokens:
+            if token in ("0", "1"):
+                out.append(token)
+            else:
+                bit = word[int(token.lstrip("~x")) - 1]
+                out.append(bit if not token.startswith("~") else "10"[int(bit)])
+        assert action.image[code] == int("".join(out), 2), (tokens, word)
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_image_follows_the_table(n, data):
+    words = list(all_vertices(n))
+    keys = data.draw(st.permutations(words))
+    table = {v: data.draw(st.sampled_from(words)) for v in keys}
+    action = BooleanAction("a1", n, table=table)
+    assert action.image.tolist() == [int(table[v], 2) for v in words]
+
+
+class TestVertexWordsChecked:
+    RULE = BooleanAction("a1", 2, exprs=("~x1", "x2"))
+    TABLE = BooleanAction("a2", 2, table={"00": "01", "01": "11", "10": "10", "11": "00"})
+    BAD = ["2 ", " 1", "+1", "0b", "1", "011", "zz", "", 1, None]
+
+    @pytest.mark.parametrize("action", [RULE, TABLE], ids=["rule", "table"])
+    @pytest.mark.parametrize("vertex", BAD, ids=repr)
+    def test_apply_rejects_non_words(self, action, vertex):
+        with pytest.raises(CarlabError, match="bad vertex"):
+            action.apply(vertex)
+
+    @pytest.mark.parametrize("vertex", BAD, ids=repr)
+    def test_backward_step_rejects_non_words(self, vertex):
+        with pytest.raises(CarlabError, match="bad vertex"):
+            backward_step({"00", vertex}, {1: self.RULE}, lambda v: 1, 2)
+
+    def test_backward_step_rejects_words_of_other_length(self):
+        with pytest.raises(CarlabError, match="bad vertex"):
+            backward_step({"00", "0110", "zz"}, {1: self.RULE}, lambda v: 1, 2)
+
+    @pytest.mark.parametrize("vertex", BAD, ids=repr)
+    def test_reach_cover_and_contains_reject_non_words(self, vertex):
+        with pytest.raises(CarlabError, match="bad vertex"):
+            backward_reach({vertex}, {1: self.RULE}, lambda v: 1, 0, 2)
+        with pytest.raises(CarlabError, match="bad vertex"):
+            subcube_cover({"00", vertex}, 2)
+        with pytest.raises(CarlabError, match="bad vertex"):
+            Subcube("0*").contains(vertex)

@@ -555,3 +555,44 @@ def test_fit_mdp_neg_level_reward(tmp_path):
         (s, a, dst): -levels[dst]
         for s, a, dst in [(0, "stay", 0), (1, "a1", 0), (2, "a2", 1), (2, "a3", 0)]
     }
+
+
+@pytest.mark.parametrize("value", [7, "", None, ["a1"]])
+def test_mdp_action_must_be_a_name(tmp_path, capsys, value):
+    doc = json.loads(json.dumps(VALID_JSON["eval-policy"][1]))
+    doc["transitions"][0]["a"] = value  # next to "a1" on the other row
+    assert _run_json(tmp_path, "eval-policy", doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: a must be a nonempty string, got {value!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", ["", 3])
+def test_simulate_rejects_action_without_a_name(contracting, tmp_path, capsys, value):
+    specs = json.loads(contracting["actions"].read_text())
+    specs[0]["action"] = value
+    actions = write(tmp_path / "bad_actions.json", json.dumps(specs))
+    out, traces = tmp_path / "run.json", tmp_path / "traces.csv"
+    argv = ["simulate", "--data", contracting["data"], "--lds", contracting["lds"], "--actions", actions]
+    assert run(argv + ["--trace-out", traces, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"action must be a nonempty string, got {value!r}" in err
+    assert "Traceback" not in err and not out.exists() and not traces.exists()
+
+
+@pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0", "1 ", "١", "-1", ""])
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("classify", [{"class": 0, "lower": {"{key}": 0.5}, "upper": {}}], "lower key"),
+        ("classify", [{"class": 1, "lower": {}, "upper": {"{key}": 0.5}}], "upper key"),
+        ("fit-mdp", {"levels": {"0": 0, "{key}": 1}, "height": 1, "complete": True}, "level key"),
+    ],
+)
+def test_json_key_must_be_canonical_decimal(tmp_path, capsys, key, command, doc, message):
+    doc = json.loads(json.dumps(doc).replace("{key}", json.dumps(key)[1:-1]))
+    assert _run_json(tmp_path, command, doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert f"doc.json: {message} must be a decimal integer, got {key!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()

@@ -5,7 +5,9 @@ mutates one of a subcommand's input files, by deleting or replacing
 characters, by making a CSV feature or timestamp non-finite or, for
 JSON, by dropping a key, giving a value the wrong type or giving an
 integer index a float or bool value, and runs ``main`` on the result.
-A non-finite CSV value and a non-integer index must exit 1.
+A non-finite CSV value and a non-integer index must exit 1, and so must
+a decimal JSON object key rewritten in a form ``int()`` reads but that
+is not canonical.
 """
 
 import contextlib
@@ -192,6 +194,48 @@ def test_malformed_input_keeps_the_cli_contract(valid_inputs, command, data):
         assert err.count("error:") == 1
     if kind == "value" and text != valid_inputs[target] and command != "report":
         assert code == 1, err
+
+
+@st.composite
+def key_mutation(draw, text: str) -> str:
+    """Rewrite one decimal JSON object key (a feature, class or vertex
+    word) in a non-canonical form that ``int()`` still reads."""
+    doc = json.loads(text)
+    slots = []
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(key, str) and key.isdigit():
+                slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(doc)
+    node, key = draw(st.sampled_from(slots))
+    form = draw(st.sampled_from([" {}", "{} ", "+{}", "0{}", "{}_0", "{}\n"]))
+    node[form.format(key)] = node.pop(key)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("classify", "lds.json"),
+        ("simulate", "lds.json"),
+        ("fit-mdp", "diagram.json"),
+        ("inverse", "bool_actions.json"),
+    ],
+)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_non_canonical_json_key_exits_one(valid_inputs, command, target, data):
+    argv = COMMANDS[command]
+    files = {name: valid_inputs[name] for name in argv if name in valid_inputs}
+    files[target] = data.draw(key_mutation(files[target]))
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(argv, files, Path(workdir))
+    assert code == 1, err
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 def test_valid_inputs_run_clean(valid_inputs):
