@@ -14,7 +14,6 @@ from .boolcube import (
     RegionPartition,
     Subcube,
     backward_reach,
-    backward_step,
     forall_exists_partition,
     multiclass_rdnf,
     reduced_dnf,

@@ -2,11 +2,11 @@
 always/sometimes region splits, and backward reachability of the normal
 class under per-class actions.
 
-Inside the module a vertex is its int code (coordinate 1 is the high bit,
-so code order is ``all_vertices`` order), a vertex set a bool mask over all
-codes, an action an array of image codes, a subcube a (mask, value) pair.
-Binary words like "0110" and ternary words like "0*1" (``*`` frees a
-coordinate) are checked where they enter, at the API and JSON edges.
+A vertex is its int code (coordinate 1 is the high bit, so code order is
+``all_vertices`` order), a vertex set an ascending code array at the API and
+a bool mask over all codes inside, an action an array of image codes, a
+subcube a (mask, value) pair.  Binary words like "0110" and ternary words
+like "0*1" (``*`` frees a coordinate) are checked where they enter.
 Exact computations are capped at n = 20 and refuse larger inputs.
 """
 
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import CarlabError, LearningSet
+from .core import CarlabError, LearningSet, _decimal
 from .lcpr import LDSet, LogicalDependency, VoteBatch, vote
 
 MAX_EXACT_N = 20
@@ -121,38 +121,33 @@ class BooleanAction:
         if ex in ("0", "1"):
             return int(ex)
         body, negate = (ex[1:], True) if ex.startswith("~") else (ex, False)
-        if body.startswith("x") and body[1:].isdigit():
-            k = int(body[1:])
-            if 1 <= k <= self.n:
-                return (codes >> (self.n - k) & 1) ^ negate
+        k = _decimal(body[1:]) if body.startswith("x") else None
+        if k is not None and 1 <= k <= self.n:
+            return (codes >> (self.n - k) & 1) ^ negate
         raise CarlabError(f"bad rule expression {ex!r}")
 
     def apply(self, vertex: str) -> str:
         return format(self.image[_code(vertex, self.n)], f"0{self.n}b")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegionPartition:
-    """Split of the positive cover: certain, ambiguous, and uncovered."""
+    """Split of the positive cover: certain, ambiguous, and uncovered;
+    each an ascending array of vertex codes."""
 
-    forall_region: frozenset[str]
-    exists_region: frozenset[str]
-    uncovered: frozenset[str]
-
-
-@dataclass(frozen=True)
-class StepResult:
-    region: frozenset[str]
-    indeterminate: frozenset[str]
+    forall_region: np.ndarray
+    exists_region: np.ndarray
+    uncovered: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReachResult:
-    """Per-depth backward regions plus their running union."""
+    """Per-depth backward regions plus their running union, and the
+    indeterminately classified vertices; each an ascending code array."""
 
-    depths: tuple[frozenset[str], ...]
-    cumulative: tuple[frozenset[str], ...]
-    indeterminate: frozenset[str]
+    depths: tuple[np.ndarray, ...]
+    cumulative: tuple[np.ndarray, ...]
+    indeterminate: np.ndarray
 
 
 def all_vertices(n: int) -> Iterable[str]:
@@ -179,16 +174,16 @@ def _code(vertex: str, n: int) -> int:
     return int(vertex, 2)
 
 
-def _region(vertices: Iterable[str], n: int) -> np.ndarray:
-    """A vertex set as a bool mask over all vertex codes."""
-    mask = np.zeros(1 << n, dtype=bool)
-    mask[[_code(v, n) for v in vertices]] = True
+def _region(codes: Sequence[int], n: int) -> np.ndarray:
+    """A vertex set, given as 1-D integer codes in [0, 2^n), as a bool mask
+    over all vertex codes; anything else is refused."""
+    mask, array = np.zeros_like(_all_codes(n), dtype=bool), np.asarray(codes)
+    if array.ndim != 1 or array.size and array.dtype.kind not in "iu":
+        raise CarlabError(f"a vertex set must be 1-D integer codes, got {array.dtype} {array.shape}")
+    if array.size and not (0 <= array.min() and array.max() < mask.size):
+        raise CarlabError(f"vertex code out of range [0, {mask.size}) for n={n}")
+    mask[array.astype(np.intp, copy=False)] = True  # an empty list reads as floats
     return mask
-
-
-def _words(mask: np.ndarray, n: int) -> frozenset[str]:
-    """The vertex set a bool mask over all vertex codes selects."""
-    return frozenset(format(v, f"0{n}b") for v in np.flatnonzero(mask).tolist())
 
 
 def _minimal_transversals(sets: list[int]) -> list[int]:
@@ -271,48 +266,34 @@ def forall_exists_partition(
     pos = cover_counts(pos_rdnf, n) > 0
     neg = cover_counts(neg_rdnf, n) > 0
     return RegionPartition(
-        forall_region=_words(pos & ~neg, n),
-        exists_region=_words(pos & neg, n),
-        uncovered=_words(~(pos | neg), n),
+        forall_region=np.flatnonzero(pos & ~neg),
+        exists_region=np.flatnonzero(pos & neg),
+        uncovered=np.flatnonzero(~(pos | neg)),
     )
 
 
-ClassifyFn = Callable[[str], Optional[int]]
-
-
-def backward_step(
-    region: Iterable[str],
-    actions: Mapping[int, BooleanAction],
-    classify_fn: ClassifyFn,
-    n: int,
-) -> StepResult:
-    """One-step preimage: vertices that land in ``region`` after one
-    classify-act step, or are already normal inside it.
-
-    Indeterminately classified vertices are excluded and tallied.
-    """
-    reach = backward_reach(region, actions, classify_fn, 1, n)
-    return StepResult(region=reach.depths[1], indeterminate=reach.indeterminate)
-
-
 def backward_reach(
-    region: Iterable[str],
+    region: Sequence[int],
     actions: Mapping[int, BooleanAction],
-    classify_fn: ClassifyFn,
+    labels: Sequence[Optional[int]],
     k: int,
     n: int,
 ) -> ReachResult:
-    """Iterate backward_step k times; depth 0 is the input region.
+    """Backward regions of depths 0..k: depth d holds the vertices whose
+    state after d classify-act steps lies in ``region`` (a normal vertex
+    stays put; depth 0 is ``region`` itself).
 
-    The classifier is evaluated once per vertex, for all depths.
+    ``labels`` gives the class of every vertex code, or None for an
+    indeterminately classified one; those are excluded and tallied.
     """
     if k < 0:
         raise CarlabError("depth must be >= 0")
-    labels = [classify_fn(v) for v in all_vertices(n)]
+    hit = _region(region, n)
+    if len(labels) != hit.size:
+        raise CarlabError(f"need one label per vertex: {hit.size} for n={n}, got {len(labels)}")
     labels = np.array([-1 if c is None else c for c in labels])  # -1: indeterminate
-    depths = [frozenset(region)]
+    depths = [np.flatnonzero(hit)]
     cumulative = [depths[0]]
-    hit = _region(depths[0], n)
     reached = hit.copy()
     for _ in range(k):
         # A code hits if it is normal inside the last region, or if the
@@ -326,12 +307,12 @@ def backward_reach(
             at = labels == c
             hit[at] = last[actions[c].image[at]]
         reached |= hit
-        depths.append(_words(hit, n))
-        cumulative.append(_words(reached, n))
+        depths.append(np.flatnonzero(hit))
+        cumulative.append(np.flatnonzero(reached))
     return ReachResult(
         depths=tuple(depths),
         cumulative=tuple(cumulative),
-        indeterminate=_words(labels == -1, n),
+        indeterminate=np.flatnonzero(labels == -1),
     )
 
 
@@ -380,8 +361,9 @@ def vector_to_vertex(vector: Sequence[float]) -> str:
     return "".join(chars)
 
 
-def subcube_cover(region: Iterable[str], n: int) -> tuple[Subcube, ...]:
-    """Greedy cover of a vertex set by maximal subcubes inside it.
+def subcube_cover(region: Sequence[int], n: int) -> tuple[Subcube, ...]:
+    """Greedy cover of a vertex set, given as codes, by maximal subcubes
+    inside it.
 
     Rendering aid for reports; the vertex set stays the exact
     representation.  Each cube grows from the first uncovered vertex by

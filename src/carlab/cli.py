@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import boolcube, carsim, lcpr, mdp, poset
 from .core import (
     CarlabError,
@@ -106,13 +108,9 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 def _cmd_fit_mdp(args: argparse.Namespace) -> int:
     traces = load_trace_log(_require(args, "traces"))
-    if args.diagram:
-        diagram = load_json(args.diagram, poset.diagram_from_json)
-    else:
-        diagram = poset.build_level_diagram(poset.extract_relation(traces))
     model = mdp.estimate_mdp(
         traces,
-        diagram,
+        load_json(args.diagram, poset.diagram_from_json) if args.diagram else None,
         gamma=float(args.gamma if args.gamma is not None else 0.9),
         smoothing=float(args.smoothing if args.smoothing is not None else 0.0),
         reward_shape=args.reward_shape or "level-diff",
@@ -188,28 +186,29 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     neg_union = set().union(*(rdnfs[i] for i in rdnfs if i != 0))
     partition = boolcube.forall_exists_partition(rdnfs[0], neg_union, n=n)
 
-    reach = boolcube.backward_reach(
-        partition.forall_region, actions, lambda v: labels[int(v, 2)], depth, n
-    )
-    vertices = list(boolcube.all_vertices(n))
+    reach = boolcube.backward_reach(partition.forall_region, actions, labels, depth, n)
+    # Code order is word order, so each list comes out sorted.
+    names = list(boolcube.all_vertices(n))
+    words = lambda codes: [names[c] for c in codes.tolist()]
+    cube = np.arange(len(names))
     depths = []
     for d, (region, cumulative) in enumerate(zip(reach.depths, reach.cumulative)):
         depths.append(
             {
                 "depth": d,
-                "region": sorted(region),
+                "region": words(region),
                 "cover": [c.word for c in boolcube.subcube_cover(region, n)],
-                "cumulative": sorted(cumulative),
-                "never_within": [v for v in vertices if v not in cumulative],
+                "cumulative": words(cumulative),
+                "never_within": words(np.setdiff1d(cube, cumulative, assume_unique=True)),
             }
         )
     payload = {
         "n": n,
         "start_region": "forall",
-        "forall": sorted(partition.forall_region),
-        "exists": sorted(partition.exists_region),
-        "uncovered": sorted(partition.uncovered),
-        "indeterminate": sorted(reach.indeterminate),
+        "forall": words(partition.forall_region),
+        "exists": words(partition.exists_region),
+        "uncovered": words(partition.uncovered),
+        "indeterminate": words(reach.indeterminate),
         "depths": depths,
     }
     save_json(payload, args.out)

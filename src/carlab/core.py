@@ -191,10 +191,21 @@ def _parse_name(value: Any, what: str) -> str:
     raise DataFormatError(f"{what} must be a nonempty string, got {value!r}")
 
 
+def _decimal(text: str) -> Optional[int]:
+    """The int ``text`` spells in canonical decimal, else None: "-1" and "10"
+    are read, "+1", " 1", "01", "1_0" and non-ASCII digits are not."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 def _parse_key(text: str, what: str) -> int:
     """A JSON object key that names an index: canonical decimal digits."""
-    if text.isascii() and text.isdigit() and str(int(text)) == text:
-        return int(text)
+    value = _decimal(text)
+    if value is not None and value >= 0:
+        return value
     raise DataFormatError(f"{what} key must be a decimal integer, got {text!r}")
 
 
@@ -217,10 +228,10 @@ def _parse_finite(fields: Sequence[str], where: str, object_id: str) -> tuple[fl
 
 
 def _parse_int(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataFormatError(f"{where}: bad integer value {text!r}") from None
+    value = _decimal(text)
+    if value is None:
+        raise DataFormatError(f"{where}: bad integer value {text!r}")
+    return value
 
 
 def _check_feature_header(fields: Sequence[str]) -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .core import (
     load_json,
     save_json,
 )
-from .poset import LevelDiagram, distance_to_normal, extract_relation
+from .poset import LevelDiagram, build_level_diagram, distance_to_normal, extract_relation
 
 STAY_ACTION = "stay"
 ROW_SUM_TOL = 1e-12
@@ -171,7 +171,7 @@ def _neg_level_reward(diagram: LevelDiagram):
 
 def estimate_mdp(
     traces: Union[TraceMap, Iterable[TraceEvent]],
-    diagram: LevelDiagram,
+    diagram: Optional[LevelDiagram] = None,
     gamma: float = 0.9,
     smoothing: float = 0.0,
     reward_shape: str = "level-diff",
@@ -181,17 +181,20 @@ def estimate_mdp(
     P(s, a, s') = (count + smoothing) / (row count + smoothing * |S|),
     with the counts and states of ``extract_relation(traces)``; actions
     per state are those observed there.  The normal class gets the
-    synthetic absorbing row.
+    synthetic absorbing row.  Rewards follow ``diagram``, by default the
+    level diagram of that same relation.
     """
     if smoothing < 0:
         raise CarlabError("smoothing must be >= 0")
+    graph = extract_relation(traces)
+    if diagram is None:
+        diagram = build_level_diagram(graph)
     if reward_shape == "level-diff":
         reward = reward_from_levels(diagram)
     elif reward_shape == "neg-level":
         reward = _neg_level_reward(diagram)
     else:
         raise CarlabError(f"unknown reward shape {reward_shape!r}")
-    graph = extract_relation(traces)
     counts: dict[tuple[int, str], dict[int, int]] = {}  # in (s, a) order, as the edges
     for e in graph.edges:
         counts.setdefault((e.src, e.action), {})[e.dst] = e.count

@@ -48,6 +48,16 @@ def report(number, detail):
     ACCEPTANCE_LINES.append(line)
 
 
+def _codes(vertices):
+    """A word set as the ascending code array the region API takes."""
+    return np.array(sorted(int(v, 2) for v in vertices), dtype=np.int64)
+
+
+def _words(codes, n):
+    """The word set a code array names."""
+    return {format(c, f"0{n}b") for c in codes.tolist()}
+
+
 # ---------------------------------------------------------------------------
 # Criteria 1-2: logical-dependency mining
 
@@ -184,12 +194,13 @@ def test_criterion_4_partition_soundness():
                 type(f)(n=n, positives=f.negatives, negatives=f.positives)
             )
             part = forall_exists_partition(pos_rdnf, neg_rdnf, n=n)
+            forall, exists = _words(part.forall_region, n), _words(part.exists_region, n)
             for v in all_vertices(n):
                 pos_cover = sum(1 for c in pos_rdnf if c.contains(v))
                 neg_cover = sum(1 for c in neg_rdnf if c.contains(v))
-                if v in part.forall_region:
+                if v in forall:
                     assert pos_cover >= 1 and neg_cover == 0
-                elif v in part.exists_region:
+                elif v in exists:
                     assert pos_cover >= 1 and neg_cover >= 1
                 else:
                     assert pos_cover == 0
@@ -224,10 +235,11 @@ def test_criterion_5_backward_reach_oracle():
     for n in sizes:
         _, _, label, actions, region = _boolean_instance(rng, n)
         depth = rng.randint(1, 5)
-        reach = backward_reach(region, actions, label, depth, n)
+        labels = [label(v) for v in all_vertices(n)]
+        reach = backward_reach(_codes(region), actions, labels, depth, n)
         for d in range(depth + 1):
             expected = oracles.forward_depth_region(n, label, actions, region, d)
-            assert reach.depths[d] == expected, (n, d)
+            assert _words(reach.depths[d], n) == expected, (n, d)
     report(5, f"{len(sizes)} instances match forward simulation at every depth")
 
 
@@ -238,7 +250,9 @@ def test_criterion_11_forward_backward_consistency():
     for n in sizes:
         _, lds, label, actions, region = _boolean_instance(rng, n)
         k = rng.randint(1, 5)
-        reach = backward_reach(region, actions, label, k, n)
+        labels = [label(v) for v in all_vertices(n)]
+        reach = backward_reach(_codes(region), actions, labels, k, n)
+        cumulative = _words(reach.cumulative[k], n)
         specs = [
             ActionSpec(
                 action_id=f"a{i}",
@@ -258,7 +272,7 @@ def test_criterion_11_forward_backward_consistency():
             object_id = f"v{index:04d}"
             steps = run.steps_to_normal[object_id]
             converged_within_k = steps is not None and steps <= k
-            assert converged_within_k == (v in reach.cumulative[k]), (n, v)
+            assert converged_within_k == (v in cumulative), (n, v)
             total += 1
     report(11, f"{total} start states agree between run_car and backward reach")
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,6 @@ from carlab.boolcube import (
     Subcube,
     all_vertices,
     backward_reach,
-    backward_step,
     forall_exists_partition,
     multiclass_rdnf,
     reduced_dnf,
@@ -23,6 +23,21 @@ import oracles
 
 def pbf(n, pos, neg):
     return PartialBooleanFunction(n=n, positives=frozenset(pos), negatives=frozenset(neg))
+
+
+def codes(vertices):
+    """A word set as the ascending code array the region API takes."""
+    return np.array(sorted(int(v, 2) for v in vertices), dtype=np.int64)
+
+
+def words(codes, n):
+    """The word set a code array names."""
+    return {format(c, f"0{n}b") for c in codes.tolist()}
+
+
+def labels(label, n):
+    """The label of every vertex, in code order."""
+    return [label(v) for v in all_vertices(n)]
 
 
 class TestSubcube:
@@ -95,20 +110,20 @@ class TestPartition:
         part = forall_exists_partition(
             [Subcube("0*"), Subcube("*0")], [Subcube("1*")]
         )
-        assert part.exists_region == {"10"}
-        assert part.forall_region == {"00", "01"}
+        assert words(part.exists_region, 2) == {"10"}
+        assert words(part.forall_region, 2) == {"00", "01"}
         # "11" sits in the negative union, so nothing is uncovered here
-        assert part.uncovered == frozenset()
+        assert words(part.uncovered, 2) == frozenset()
 
     def test_empty_negative_side(self):
         part = forall_exists_partition([Subcube("0*")], [], n=2)
-        assert part.exists_region == frozenset()
-        assert part.forall_region == {"00", "01"}
+        assert words(part.exists_region, 2) == frozenset()
+        assert words(part.forall_region, 2) == {"00", "01"}
 
     def test_identical_sides(self):
         part = forall_exists_partition([Subcube("0*")], [Subcube("0*")])
-        assert part.forall_region == frozenset()
-        assert part.exists_region == {"00", "01"}
+        assert words(part.forall_region, 2) == frozenset()
+        assert words(part.exists_region, 2) == {"00", "01"}
 
     def test_dimension_mismatch(self):
         with pytest.raises(CarlabError, match="dimension"):
@@ -121,12 +136,14 @@ class TestPartition:
         pos_rdnf = reduced_dnf(f)
         neg_rdnf = reduced_dnf(g)
         part = forall_exists_partition(pos_rdnf, neg_rdnf, n=5)
+        forall, exists = words(part.forall_region, 5), words(part.exists_region, 5)
+        uncovered = words(part.uncovered, 5)
         for v in all_vertices(5):
             pos_cover = any(c.contains(v) for c in pos_rdnf)
             neg_cover = any(c.contains(v) for c in neg_rdnf)
-            assert (v in part.forall_region) == (pos_cover and not neg_cover)
-            assert (v in part.exists_region) == (pos_cover and neg_cover)
-            assert (v in part.uncovered) == (not pos_cover and not neg_cover)
+            assert (v in forall) == (pos_cover and not neg_cover)
+            assert (v in exists) == (pos_cover and neg_cover)
+            assert (v in uncovered) == (not pos_cover and not neg_cover)
 
 
 class TestBooleanAction:
@@ -145,6 +162,11 @@ class TestBooleanAction:
     def test_bad_expr_rejected(self):
         with pytest.raises(CarlabError, match="rule expression"):
             BooleanAction("a1", 2, exprs=("x3", "0"))
+
+    @pytest.mark.parametrize("token", ["x١", "x02", "~x02", "x+1", "x 1", "x1 ", "x1_0", "x-1", "x"])
+    def test_rule_index_must_be_canonical_decimal(self, token):
+        with pytest.raises(CarlabError, match="rule expression"):
+            BooleanAction("a1", 12, exprs=(token,) + ("0",) * 11)
 
     @pytest.mark.parametrize(
         "table, message",
@@ -165,42 +187,42 @@ class TestBackward:
     def test_flip_example(self):
         flip1 = BooleanAction("a1", 2, exprs=("~x1", "x2"))
         label = lambda v: 0 if v == "00" else 1
-        step = backward_step({"00"}, {1: flip1}, label, 2)
-        assert step.region == {"00", "10"}
+        reach = backward_reach(codes({"00"}), {1: flip1}, labels(label, 2), 1, 2)
+        assert words(reach.depths[1], 2) == {"00", "10"}
 
     def test_identity_actions_shrink_into_region(self):
         ident = BooleanAction("a1", 2, exprs=("x1", "x2"))
         label = lambda v: 0 if v.startswith("0") else 1
         region = {"00", "01", "10"}
-        step = backward_step(region, {1: ident}, label, 2)
-        assert step.region <= region
-        assert step.region == region  # everything determinately classified
+        reach = backward_reach(codes(region), {1: ident}, labels(label, 2), 1, 2)
+        assert words(reach.depths[1], 2) <= region
+        assert words(reach.depths[1], 2) == region  # everything determinately classified
 
     def test_empty_region(self):
         ident = BooleanAction("a1", 2, exprs=("x1", "x2"))
-        step = backward_step(set(), {1: ident}, lambda v: 1, 2)
-        assert step.region == frozenset()
+        reach = backward_reach(codes(set()), {1: ident}, labels(lambda v: 1, 2), 1, 2)
+        assert words(reach.depths[1], 2) == frozenset()
 
     def test_indeterminate_excluded_and_tallied(self):
         ident = BooleanAction("a1", 2, exprs=("x1", "x2"))
         label = lambda v: None if v == "11" else 0
-        reach = backward_reach({"11", "00"}, {1: ident}, label, 1, 2)
-        assert "11" in reach.depths[0]  # depth 0 echoes the input region
-        assert "11" not in reach.depths[1]
-        assert reach.indeterminate == {"11"}
+        reach = backward_reach(codes({"11", "00"}), {1: ident}, labels(label, 2), 1, 2)
+        assert "11" in words(reach.depths[0], 2)  # depth 0 echoes the input region
+        assert "11" not in words(reach.depths[1], 2)
+        assert words(reach.indeterminate, 2) == {"11"}
 
     def test_depth_zero_is_input(self):
         ident = BooleanAction("a1", 2, exprs=("x1", "x2"))
-        reach = backward_reach({"01"}, {1: ident}, lambda v: 1, 0, 2)
-        assert reach.depths == (frozenset({"01"}),)
+        reach = backward_reach(codes({"01"}), {1: ident}, labels(lambda v: 1, 2), 0, 2)
+        assert [words(d, 2) for d in reach.depths] == [frozenset({"01"})]
 
     def test_absorbing_construction(self):
         # every action maps into the region: one step back reaches all
         # determinately classified vertices
         const = BooleanAction("a1", 2, exprs=("0", "0"))
         label = lambda v: 0 if v == "00" else (None if v == "11" else 1)
-        reach = backward_reach({"00"}, {1: const}, label, 1, 2)
-        assert reach.cumulative[1] == {"00", "01", "10"}
+        reach = backward_reach(codes({"00"}), {1: const}, labels(label, 2), 1, 2)
+        assert words(reach.cumulative[1], 2) == {"00", "01", "10"}
 
     def test_matches_forward_simulation(self):
         rng = synth.default_rng(14)
@@ -216,10 +238,10 @@ class TestBackward:
             }
             region = {v for v in all_vertices(n) if label(v) == 0}
             depth = rng.randint(1, 4)
-            reach = backward_reach(region, actions, label, depth, n)
+            reach = backward_reach(codes(region), actions, labels(label, n), depth, n)
             for d in range(depth + 1):
                 expected = oracles.forward_depth_region(n, label, actions, region, d)
-                assert reach.depths[d] == expected, (n, d)
+                assert words(reach.depths[d], n) == expected, (n, d)
 
     def test_cumulative_monotone(self):
         rng = synth.default_rng(15)
@@ -229,8 +251,9 @@ class TestBackward:
         label = lambda v: classify([float(c) for c in v], lds).label
         actions = {1: synth.random_boolean_action(rng, "a1", n)}
         region = {v for v in all_vertices(n) if label(v) == 0}
-        reach = backward_reach(region, actions, label, 6, n)
-        for earlier, later in zip(reach.cumulative, reach.cumulative[1:]):
+        reach = backward_reach(codes(region), actions, labels(label, n), 6, n)
+        cumulative = [words(c, n) for c in reach.cumulative]
+        for earlier, later in zip(cumulative, cumulative[1:]):
             assert earlier <= later
 
     def test_cumulative_stabilizes_within_cube_size(self):
@@ -242,8 +265,8 @@ class TestBackward:
             label = lambda v: classify([float(c) for c in v], lds).label
             actions = {1: synth.random_boolean_action(rng, "a1", n)}
             region = {v for v in all_vertices(n) if label(v) == 0}
-            reach = backward_reach(region, actions, label, 2 ** n + 1, n)
-            assert reach.cumulative[2 ** n] == reach.cumulative[2 ** n + 1]
+            reach = backward_reach(codes(region), actions, labels(label, n), 2 ** n + 1, n)
+            assert words(reach.cumulative[2 ** n], n) == words(reach.cumulative[2 ** n + 1], n)
 
 
 class TestMulticlass:
@@ -292,7 +315,7 @@ class TestSubcubeCover:
             region = {
                 v for v in all_vertices(n) if rng.random() < 0.4
             }
-            cover = subcube_cover(region, n)
+            cover = subcube_cover(codes(region), n)
             covered = set()
             for c in cover:
                 vs = set(c.vertices())
@@ -334,7 +357,7 @@ def _greedy_cover_by_words(region, n):
 @settings(max_examples=40, deadline=None)
 def test_subcube_cover_matches_greedy_on_words(n, data):
     region = data.draw(st.sets(st.sampled_from(list(all_vertices(n)))))
-    assert subcube_cover(region, n) == _greedy_cover_by_words(region, n)
+    assert subcube_cover(codes(region), n) == _greedy_cover_by_words(region, n)
 
 
 RULE_TOKENS = st.integers(min_value=1, max_value=6).flatmap(
@@ -392,19 +415,49 @@ class TestVertexWordsChecked:
             action.apply(vertex)
 
     @pytest.mark.parametrize("vertex", BAD, ids=repr)
-    def test_backward_step_rejects_non_words(self, vertex):
-        with pytest.raises(CarlabError, match="bad vertex"):
-            backward_step({"00", vertex}, {1: self.RULE}, lambda v: 1, 2)
-
-    def test_backward_step_rejects_words_of_other_length(self):
-        with pytest.raises(CarlabError, match="bad vertex"):
-            backward_step({"00", "0110", "zz"}, {1: self.RULE}, lambda v: 1, 2)
-
-    @pytest.mark.parametrize("vertex", BAD, ids=repr)
     def test_reach_cover_and_contains_reject_non_words(self, vertex):
-        with pytest.raises(CarlabError, match="bad vertex"):
-            backward_reach({vertex}, {1: self.RULE}, lambda v: 1, 0, 2)
-        with pytest.raises(CarlabError, match="bad vertex"):
+        # Reach and cover take code arrays, so a set of words is refused whole.
+        with pytest.raises(CarlabError, match="vertex set"):
+            backward_reach({vertex}, {1: self.RULE}, [1] * 4, 0, 2)
+        with pytest.raises(CarlabError, match="vertex set"):
             subcube_cover({"00", vertex}, 2)
         with pytest.raises(CarlabError, match="bad vertex"):
             Subcube("0*").contains(vertex)
+
+
+class TestCodeArraysChecked:
+    RULE = BooleanAction("a1", 2, exprs=("~x1", "x2"))
+    BAD = {
+        "bool-mask": (np.array([True, False, False, True]), "vertex set"),
+        "float-array": (np.array([0.0, 3.0]), "vertex set"),
+        "float-list": ([0, 1.5], "vertex set"),
+        "2-d": (np.array([[0, 1], [2, 3]]), "vertex set"),
+        "scalar": (np.int64(1), "vertex set"),
+        "words": (["00", "11"], "vertex set"),
+        "none": ([0, None], "vertex set"),
+        "huge-int": ([2 ** 70], "vertex set"),
+        "negative": ([0, -1], "out of range"),
+        "past-cube": (np.array([0, 4]), "out of range"),
+        "past-cube-unsigned": (np.array([4], dtype=np.uint8), "out of range"),
+    }
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_reach_and_cover_reject_bad_code_arrays(self, name):
+        region, message = self.BAD[name]
+        with pytest.raises(CarlabError, match=message):
+            backward_reach(region, {1: self.RULE}, [1] * 4, 1, 2)
+        with pytest.raises(CarlabError, match=message):
+            subcube_cover(region, 2)
+
+    @pytest.mark.parametrize("size", [0, 3, 5])
+    def test_reach_rejects_labels_of_other_length(self, size):
+        with pytest.raises(CarlabError, match="one label per vertex"):
+            backward_reach([0], {1: self.RULE}, [1] * size, 1, 2)
+
+    def test_reach_and_cover_take_int_lists(self):
+        reach = backward_reach([3, 0, 0], {1: self.RULE}, [0, 1, 1, 0], 1, 2)
+        assert reach.depths[0].tolist() == [0, 3]
+        assert reach.depths[1].tolist() == [0, 1, 2, 3]
+        assert subcube_cover([], 2) == ()
+        region = np.array([3, 1, 0], dtype=np.uint8)
+        assert subcube_cover(region, 2) == (Subcube("0*"), Subcube("*1"))

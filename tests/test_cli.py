@@ -1,10 +1,16 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from carlab.boolcube import all_vertices, multiclass_rdnf, subcubes_to_ldset
+from carlab.carsim import ActionSpec, save_actions
 from carlab.cli import main
-from carlab.core import load_trace_log
+from carlab.core import load_trace_log, save_learning_set
+from carlab.lcpr import classify
 from carlab import synth
+
+import oracles
 
 
 def run(argv):
@@ -246,6 +252,56 @@ class TestInverse:
         assert len(payload["depths"]) == 4
         sizes = [len(d["cumulative"]) for d in payload["depths"]]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+    @given(
+        n=st.integers(2, 6),
+        classes=st.integers(2, 3),
+        depth=st.integers(0, 4),
+        seed=st.integers(0, 2 ** 16),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_vertex_lists_match_forward_simulation(self, tmp_path, n, classes, depth, seed, data):
+        per_class = data.draw(st.integers(1, min(4, 2 ** n // classes)), label="per_class")
+        rng = synth.default_rng(seed)
+        learning_set = synth.random_boolean_learning_set(rng, n, classes, per_class)
+        actions = {i: synth.random_boolean_action(rng, f"a{i}", n) for i in range(1, classes)}
+        specs = [
+            ActionSpec(
+                action_id=a.action_id, class_index=i, kind="table", n=n,
+                table={v: a.apply(v) for v in all_vertices(n)},
+            )
+            for i, a in actions.items()
+        ]
+        data_csv, actions_json, out = tmp_path / "bool.csv", tmp_path / "actions.json", tmp_path / "inv.json"
+        save_learning_set(learning_set, data_csv)
+        save_actions(specs, actions_json)
+        argv = ["inverse", "--data", data_csv, "--actions", actions_json, "--depth", depth, "--out", out]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+
+        cube = list(all_vertices(n))
+        lists = [payload[key] for key in ("forall", "exists", "uncovered", "indeterminate")]
+        for d in payload["depths"]:
+            lists += [d["region"], d["cumulative"], d["never_within"]]
+        for vertices in lists:
+            assert vertices == sorted(set(vertices))
+        # The three split the cube by cover side; deviated-only vertices are in none.
+        rdnfs = multiclass_rdnf(learning_set)
+        side = {}
+        for v in cube:
+            covered = {i for i in rdnfs if any(c.contains(v) for c in rdnfs[i])}
+            pos, neg = 0 in covered, bool(covered - {0})
+            side[v] = "forall" if pos and not neg else "exists" if pos else "uncovered" if not neg else None
+        for key in ("forall", "exists", "uncovered"):
+            assert payload[key] == [v for v in cube if side[v] == key]
+        lds = subcubes_to_ldset(rdnfs)
+        label = lambda v: classify([float(c) for c in v], lds).label
+        assert [d["depth"] for d in payload["depths"]] == list(range(depth + 1))
+        for d in payload["depths"]:
+            assert sorted(d["cumulative"] + d["never_within"]) == cube
+            expected = oracles.forward_depth_region(n, label, actions, set(payload["forall"]), d["depth"])
+            assert set(d["region"]) == expected, d["depth"]
 
 
 class TestReportAndConfig:
@@ -578,6 +634,26 @@ def test_simulate_rejects_action_without_a_name(contracting, tmp_path, capsys, v
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"action must be a nonempty string, got {value!r}" in err
     assert "Traceback" not in err and not out.exists() and not traces.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, text, line, value",
+    [
+        ("mine", "--data", "id,f1,class\na,0.5,0\nb,1.5,{}\n", 3, "+1"),
+        (
+            "fit-mdp", "--traces",
+            "id,step,timestamp,f1,class,action\no,0,0.0,1.0,1,a\no,{},1.0,0.5,0,\n", 3, "01",
+        ),
+        ("validate-poset", "--transitions", "from_class,action,to_class,count\n1,a1,0,{}\n", 2, "1_0"),
+    ],
+    ids=["mine-class", "fit-mdp-step", "validate-poset-count"],
+)
+def test_csv_integer_must_be_canonical_decimal(tmp_path, capsys, command, option, text, line, value):
+    path, out = write(tmp_path / "in.csv", text.format(value)), tmp_path / "out.json"
+    assert run([command, option, path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"in.csv:{line}: bad integer value {value!r}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("key", [" 1", "+1", "01", "1_0", "1 ", "١", "-1", ""])

@@ -18,7 +18,7 @@ from carlab.mdp import (
     save_mdp,
     value_iteration,
 )
-from carlab.poset import LevelDiagram, Transition, ClassTransitionGraph, build_level_diagram
+from carlab.poset import LevelDiagram, Transition, ClassTransitionGraph, build_level_diagram, extract_relation
 from carlab import synth
 
 import oracles
@@ -98,6 +98,15 @@ class TestEstimate:
                 for a in model.actions(s):
                     total = sum(p for _, p, _ in model.transitions[s][a])
                     assert abs(total - 1.0) <= 1e-12
+
+    def test_diagram_defaults_to_the_traces_own(self):
+        rng = synth.default_rng(31)
+        traces = synth.random_trace_log(rng, n_objects=30, classes=4)
+        diagram = build_level_diagram(extract_relation(traces))
+        for shape in ("level-diff", "neg-level"):
+            assert estimate_mdp(traces, reward_shape=shape) == estimate_mdp(
+                traces, diagram, reward_shape=shape
+            )
 
     def test_state_without_action_rejected(self):
         events = [
