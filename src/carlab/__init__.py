@@ -33,6 +33,7 @@ from .core import (
     LearningSample,
     LearningSet,
     TraceEvent,
+    TraceTable,
     load_learning_set,
     load_trace_log,
     save_learning_set,

@@ -100,14 +100,15 @@ class BooleanAction:
             raise CarlabError("exactly one of table/exprs must be given")
         n, codes = self.n, _all_codes(self.n)
         if self.table is not None:
+            keys, outputs = _word_codes(list(self.table), n), _word_codes(list(self.table.values()), n)
             # Keys are distinct, so 2^n n-bit keys are all the n-bit words.
-            if len(self.table) != codes.size or not all(_is_word(v, n) for v in self.table):
+            if len(self.table) != codes.size or keys is None:
                 raise CarlabError(f"table keys must cover all {n}-bit words")
+            if outputs is None:
+                out = next(out for out in self.table.values() if not _is_word(out, n))
+                raise CarlabError(f"bad table output {out!r} for n={n}")
             image = np.empty_like(codes)
-            for v, out in self.table.items():
-                if not _is_word(out, n):
-                    raise CarlabError(f"bad table output {out!r} for n={n}")
-                image[int(v, 2)] = int(out, 2)
+            image[keys] = outputs
         else:
             if len(self.exprs) != n:
                 raise CarlabError("rule must give one expression per coordinate")
@@ -165,6 +166,21 @@ def _all_codes(n: int) -> np.ndarray:
 
 def _is_word(vertex: object, n: int) -> bool:
     return isinstance(vertex, str) and len(vertex) == n and not vertex.strip("01")
+
+
+def _word_codes(words: list, n: int) -> Optional[np.ndarray]:
+    """The codes of n-bit binary words; None if an item is not one."""
+    try:
+        text = "".join(words)
+    except TypeError:  # an item that is not a string
+        return None
+    bits = np.frombuffer(text.encode(), np.uint8) - ord("0")  # any other byte wraps above 1
+    if set(map(len, words)) - {n} or (bits > 1).any():
+        return None
+    codes = np.zeros(len(words), np.int64)
+    for column in bits.reshape(len(words), n).T:  # most significant bit first
+        codes = codes << 1 | column
+    return codes
 
 
 def _code(vertex: str, n: int) -> int:

@@ -6,10 +6,13 @@ Dataset CSV      header ``id,f1,...,fn,class``; ``class`` is an integer
                  class index and 0 is the normal class.
 Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
                  ``action`` field is empty exactly when ``class`` is 0.
+                 It is read into a columnar ``TraceTable``.
 
 Every CSV file is read by ``_read_csv`` and written by ``_write_csv``,
-every JSON file by ``load_json`` and ``save_json``.  All values are
-immutable after construction; every function here is pure.
+every JSON file by ``load_json`` and ``save_json``.  CSV columns are
+checked whole, and ``_raise_first`` reports the row a row-at-a-time
+reader would stop at.  Values are not changed after construction; every
+function here is pure.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
+
+import numpy as np
 
 NORMAL_CLASS = 0
 
@@ -115,7 +121,8 @@ class TraceEvent:
     """One observation of an object: state, assigned class, applied action.
 
     ``applied_action`` is present exactly when the assigned class is
-    deviated; no action follows a normal classification.
+    deviated; no action follows a normal classification.  Events are
+    checked, with the rest of their trace, where they enter a TraceTable.
     """
 
     object_id: str
@@ -125,24 +132,60 @@ class TraceEvent:
     assigned_class: int
     applied_action: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.step < 0:
-            raise DataFormatError("step must be nonnegative")
-        if self.timestamp < 0:
-            raise DataFormatError("timestamp must be nonnegative")
-        if self.assigned_class == NORMAL_CLASS and self.applied_action is not None:
-            raise DataFormatError(
-                f"action present on a normal-class event ({self.object_id!r}, "
-                f"step {self.step})"
-            )
-        if self.assigned_class != NORMAL_CLASS and self.applied_action is None:
-            raise DataFormatError(
-                f"missing action on deviated-class event ({self.object_id!r}, "
-                f"step {self.step})"
-            )
-
 
 TraceMap = dict[str, tuple[TraceEvent, ...]]
+Traces = Union["TraceTable", TraceMap, Iterable[TraceEvent]]
+
+
+@dataclass(frozen=True, eq=False)
+class TraceTable:
+    """Trace events as columns, one row per event, checked as a trace log.
+
+    Rows are grouped by object, objects in order of first appearance, and
+    ordered by step within an object, where steps run 0, 1, ... and
+    timestamps strictly increase.  ``obj`` indexes ``object_ids``;
+    ``action`` indexes ``actions``, the distinct action names in ascending
+    order, and is -1 on the normal-class rows, which carry no action.
+    """
+
+    object_ids: tuple[str, ...]
+    obj: np.ndarray
+    step: np.ndarray
+    timestamp: np.ndarray
+    state: np.ndarray  # rows x n
+    label: np.ndarray
+    actions: tuple[str, ...]
+    action: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.obj)
+
+    @staticmethod
+    def from_events(traces: Traces) -> "TraceTable":
+        """The table of a TraceMap or of events in any order, under the
+        checks of ``load_trace_log``; a table is returned as it is."""
+        if isinstance(traces, TraceTable):
+            return traces
+        events = [e for v in traces.values() for e in v] if isinstance(traces, Mapping) else list(traces)
+        ids, step, timestamp, state, label, names = (
+            [getattr(e, name) for e in events] for name in TraceEvent.__dataclass_fields__
+        )
+        n = len(state[0]) if events else 0
+        return _trace_table(
+            ids, np.array(step, np.int64), np.array(timestamp, float),
+            np.array(state, float).reshape(len(events), n), np.array(label, np.int64),
+            [name or "" for name in names],
+        )
+
+
+def _count_rows(*columns: np.ndarray) -> list[tuple]:
+    """The distinct rows of int columns, ascending, each as (v1, ..., count):
+    one int key per row, over the sorted distinct values of each column."""
+    uniques, codes = zip(*(np.unique(column, return_inverse=True) for column in columns))
+    dims = tuple(map(len, uniques))
+    keys, counts = np.unique(np.ravel_multi_index(codes, dims), return_counts=True)
+    values = (u[c].tolist() for u, c in zip(uniques, np.unravel_index(keys, dims)))
+    return list(zip(*values, counts.tolist()))
 
 
 def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
@@ -209,31 +252,6 @@ def _parse_key(text: str, what: str) -> int:
     raise DataFormatError(f"{what} key must be a decimal integer, got {text!r}")
 
 
-def _parse_float(text: str, where: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DataFormatError(f"{where}: bad numeric value {text!r}") from None
-
-
-def _parse_finite(fields: Sequence[str], where: str, object_id: str) -> tuple[float, ...]:
-    """The fields of one row of ``object_id`` as finite floats."""
-    try:
-        values = tuple(map(float, fields))
-    except ValueError:  # parse again, one field at a time, to name the bad one
-        values = tuple(_parse_float(text, where) for text in fields)
-    if not all(map(math.isfinite, values)):
-        raise DataFormatError(f"{where}: non-finite value for {object_id!r}")
-    return values
-
-
-def _parse_int(text: str, where: str) -> int:
-    value = _decimal(text)
-    if value is None:
-        raise DataFormatError(f"{where}: bad integer value {text!r}")
-    return value
-
-
 def _check_feature_header(fields: Sequence[str]) -> int:
     n = len(fields)
     expected = [f"f{j}" for j in range(1, n + 1)]
@@ -242,27 +260,64 @@ def _check_feature_header(fields: Sequence[str]) -> int:
     return n
 
 
-def _read_csv(path: Path) -> tuple[list[str], Iterator[tuple[str, list[str]]]]:
-    """The header of a CSV file, which must not be empty, and its nonblank
-    rows as (``path:line``, fields); the rows are checked, as they are
-    read, to have as many fields as the header."""
+# A row check: the mask of the rows that fail it, and the message for row k.
+_Check = tuple[np.ndarray, Callable[[int], str]]
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]], Callable[[int], str], Optional[_Check]]:
+    """The header of a CSV file, which must not be empty, its nonblank rows,
+    ``where(k)``, the ``path:line`` of row k, and the check that each row
+    has as many fields as the header (None when all do).  A row that has
+    not is read as that many empty fields, so it fails this check first."""
     with path.open(newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise DataFormatError(f"{path}: empty file")
-    header = rows[0]
+    header, rows, lines = rows[0], rows[1:], None
+    if not all(rows):
+        lines = [line for line, row in enumerate(rows, start=2) if row]
+        rows = list(filter(None, rows))
+    where = lambda k: f"{path}:{k + 2 if lines is None else lines[k]}"
+    width, malformed = len(header), None
+    if set(map(len, rows)) - {width}:
+        bad = np.array([len(row) != width for row in rows])
+        rows = [[""] * width if b else row for row, b in zip(rows, bad)]
+        malformed = (bad, lambda k: f"{where(k)}: malformed row, expected {width} fields")
+    return header, rows, where, malformed
 
-    def body() -> Iterator[tuple[str, list[str]]]:
-        width, prefix = len(header), f"{path}:"
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            where = f"{prefix}{lineno}"
-            if len(row) != width:
-                raise DataFormatError(f"{where}: malformed row, expected {width} fields")
-            yield where, row
 
-    return header, body()
+def _float_or_none(text: str) -> Optional[float]:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _column(texts: list[str], kind: type, where: Callable[[int], str]) -> tuple[np.ndarray, Optional[_Check]]:
+    """``texts`` as an array of ``kind``, float or int, and the check that
+    each reads: as a number, or for int as canonical decimal int64 (None
+    when every one does).  A text that does not read is 0 in the array."""
+    try:
+        values = np.fromiter(map(kind, texts), kind, count=len(texts))
+        if kind is float or list(map(str, values.tolist())) == texts:
+            return values, None
+    except (ValueError, OverflowError):
+        pass
+    read = [_decimal(t) if kind is int else _float_or_none(t) for t in texts]
+    bad = np.array([v is None or kind is int and not -(2**63) <= v < 2**63 for v in read])
+    what = "integer" if kind is int else "numeric"
+    message = lambda k: f"{where(k)}: bad {what} value {texts[k]!r}"
+    return np.array([0 if b else v for v, b in zip(read, bad)], kind), (bad, message)
+
+
+def _raise_first(checks: Sequence[Optional[_Check]]) -> None:
+    """Raise the message of the first row that fails a check, for the first
+    check it fails; a check that is None passes every row."""
+    checks = [check for check in checks if check is not None]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        k = int(bad.argmax())
+        raise DataFormatError(next(message(k) for mask, message in checks if mask[k]))
 
 
 def _write_csv(dest: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -277,16 +332,18 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
     column is required and parsed if ``labelled``, else optional and ignored.
     A non-finite feature value is rejected with its ``path:line``."""
     path = Path(source)
-    header, rows = _read_csv(path)
+    header, rows, where, malformed = _read_csv(path)
     has_class = header[-1:] == ["class"]
     if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
         raise DataFormatError(f"{path}: bad header {header!r}")
     n = _check_feature_header(header[1 : len(header) - has_class])
-    return [
-        (row[0], _parse_finite(row[1 : n + 1], where, row[0]),
-         _parse_int(row[-1], where) if labelled else None)
-        for where, row in rows
-    ]
+    ids = [row[0] for row in rows]
+    values, unread = zip(*(_column([row[j] for row in rows], float, where) for j in range(1, n + 1)))
+    x = np.column_stack(values)
+    label, unread_label = _column([row[-1] for row in rows], int, where) if labelled else (None, None)
+    non_finite = (~np.isfinite(x).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
+    _raise_first([malformed, *unread, non_finite, unread_label])
+    return list(zip(ids, map(tuple, x.tolist()), label.tolist() if labelled else [None] * len(ids)))
 
 
 def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
@@ -317,77 +374,91 @@ def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
     save_dataset(((s.object_id, s.features, s.label) for s in ls.samples), ls.n, dest)
 
 
-def load_trace_log(source: Union[str, Path]) -> TraceMap:
-    """Read a trace log CSV, grouped per object id.
+def _trace_table(
+    ids: list[str], step: np.ndarray, timestamp: np.ndarray, state: np.ndarray, label: np.ndarray,
+    names: list[str], where: Optional[Callable[[int], str]] = None, unread: tuple = (None,), origin: str = "",
+) -> TraceTable:
+    """The checked table of trace rows given in input order.
 
-    Within each object the events are sorted by step; steps must be
-    consecutive from 0 and timestamps strictly increasing.  A non-finite
-    timestamp or state value is rejected with its ``path:line``.
+    The rows are checked as if one at a time, and the first to fail a
+    check raises: its fields must read (``unread``: a file's field count,
+    step and numeric columns, then class column), its values be finite,
+    step and timestamp nonnegative, an action given exactly when its class
+    is deviated, its class nonnegative and its object id nonempty.  Then
+    within each object steps must run 0, 1, ... and timestamps strictly
+    increase; the first object to break this raises, a gap before a
+    timestamp at the same step.  ``where(k)`` is the ``path:line`` of row
+    k of a file, and ``origin`` names the file.
+    """
+    index = {object_id: k for k, object_id in enumerate(dict.fromkeys(ids))}
+    obj = np.fromiter(map(index.__getitem__, ids), np.intp, count=len(ids))
+    actions = tuple(sorted(set(names) - {""}))
+    codes = {name: k for k, name in enumerate(actions)} | {"": -1}
+    action = np.fromiter(map(codes.__getitem__, names), np.int64, count=len(names))
+    at = (lambda k: "") if where is None else (lambda k: f"{where(k)}: ")
+    finite = np.isfinite(timestamp) & np.isfinite(state).all(axis=1)
+    normal, event = label == NORMAL_CLASS, lambda k: f"event ({ids[k]!r}, step {step[k]})"
+    *fields, class_field = unread
+    _raise_first([
+        *fields,
+        (~finite, lambda k: f"{at(k)}non-finite value for {ids[k]!r}"),
+        class_field,
+        (step < 0, lambda k: "step must be nonnegative"),
+        (timestamp < 0, lambda k: "timestamp must be nonnegative"),
+        (normal & (action >= 0), lambda k: f"action present on a normal-class {event(k)}"),
+        (~normal & (action < 0), lambda k: f"missing action on deviated-class {event(k)}"),
+        (label < 0, lambda k: f"{at(k)}negative class index {label[k]}"),
+        (obj == index.get("", -1), lambda k: f"{at(k)}object_id must be nonempty"),
+    ])
+    order = np.lexsort((step, obj))
+    obj, step, timestamp, state, label, action = (
+        column[order] for column in (obj, step, timestamp, state, label, action)
+    )
+    k = np.arange(len(obj)) - np.searchsorted(obj, obj)  # position within the object
+    object_id = lambda r: repr(list(index)[obj[r]])
+    gap = lambda r: f"{origin}gap in step numbering for {object_id(r)} (expected step {k[r]}, got {step[r]})"
+    late = lambda r: f"{origin}non-increasing timestamp for {object_id(r)} at step {k[r]}"
+    _raise_first([(step != k, gap), ((k > 0) & (timestamp <= np.roll(timestamp, 1)), late)])
+    return TraceTable(tuple(index), obj, step, timestamp, state, label, actions, action)
+
+
+def load_trace_log(source: Union[str, Path]) -> TraceTable:
+    """Read a trace log CSV into a TraceTable.
+
+    The rows are checked first to last, a field that does not read and a
+    non-finite timestamp or state value with its ``path:line``; then each
+    object's steps must be consecutive from 0 and its timestamps strictly
+    increasing.
     """
     path = Path(source)
-    header, rows = _read_csv(path)
-    if (
-        len(header) < 6
-        or header[:3] != ["id", "step", "timestamp"]
-        or header[-2:] != ["class", "action"]
-    ):
+    header, rows, where, malformed = _read_csv(path)
+    if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
         raise DataFormatError(f"{path}: bad header {header!r}")
-    _check_feature_header(header[3:-2])
-    by_object: dict[str, list[TraceEvent]] = {}
-    for where, row in rows:
-        step = _parse_int(row[1], where)
-        values = _parse_finite(row[2:-2], where, row[0])
-        event = TraceEvent(
-            object_id=row[0],
-            step=step,
-            timestamp=values[0],
-            state=values[1:],
-            assigned_class=_parse_int(row[-2], where),
-            applied_action=row[-1] or None,
-        )
-        by_object.setdefault(event.object_id, []).append(event)
-    traces: TraceMap = {}
-    for object_id, events in by_object.items():
-        events.sort(key=lambda e: e.step)
-        for k, event in enumerate(events):
-            if event.step != k:
-                raise DataFormatError(
-                    f"{path}: gap in step numbering for {object_id!r} "
-                    f"(expected step {k}, got {event.step})"
-                )
-            if k > 0 and event.timestamp <= events[k - 1].timestamp:
-                raise DataFormatError(
-                    f"{path}: non-increasing timestamp for {object_id!r} at step {k}"
-                )
-        traces[object_id] = tuple(events)
-    return traces
+    n = _check_feature_header(header[3:-2])
+    columns = [list(map(itemgetter(j), rows)) for j in range(len(header))]
+    del rows  # the strings live on in the columns
+    # Each text column goes once read, unless the check of a bad text keeps it.
+    kinds = [int] + [float] * (n + 1) + [int]
+    values, unread = zip(*(_column(columns.pop(1), kind, where) for kind in kinds))
+    ids, names = columns
+    state = np.column_stack(values[2:-1])
+    return _trace_table(ids, *values[:2], state, values[-1], names, where, (malformed, *unread), f"{path}: ")
 
 
-def save_trace_log(traces: Union[TraceMap, Iterable[TraceEvent]], dest: Union[str, Path]) -> None:
-    """Write a trace log CSV that round-trips through load_trace_log."""
-    grouped = group_traces(traces)
-    events = [e for object_id in sorted(grouped) for e in grouped[object_id]]
-    if not events:
+def save_trace_log(traces: Traces, dest: Union[str, Path]) -> None:
+    """Write a trace log CSV, objects in id order, that round-trips
+    through load_trace_log."""
+    table = TraceTable.from_events(traces)
+    if not len(table):
         raise DataFormatError("cannot save an empty trace log")
+    ids, actions = [table.object_ids[o] for o in table.obj.tolist()], table.actions + ("",)
+    order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: steps stay in order
+    columns = (c[order].tolist() for c in (table.step, table.timestamp, table.state, table.label, table.action))
     _write_csv(
         dest,
-        ["id", "step", "timestamp"]
-        + [f"f{j}" for j in range(1, len(events[0].state) + 1)]
-        + ["class", "action"],
+        ["id", "step", "timestamp"] + [f"f{j}" for j in range(1, table.state.shape[1] + 1)] + ["class", "action"],
         (
-            [e.object_id, e.step, repr(e.timestamp)]
-            + [repr(v) for v in e.state]
-            + [e.assigned_class, e.applied_action or ""]
-            for e in events
+            [ids[r], step, repr(t)] + [repr(v) for v in x] + [c, actions[a]]
+            for r, step, t, x, c, a in zip(order, *columns)
         ),
     )
-
-
-def group_traces(traces: Union[TraceMap, Iterable[TraceEvent]]) -> TraceMap:
-    """Normalize flat event iterables or per-object maps into a TraceMap."""
-    if isinstance(traces, Mapping):
-        return {k: tuple(v) for k, v in traces.items()}
-    by_object: dict[str, list[TraceEvent]] = {}
-    for event in traces:
-        by_object.setdefault(event.object_id, []).append(event)
-    return {k: tuple(sorted(v, key=lambda e: e.step)) for k, v in by_object.items()}

@@ -17,19 +17,19 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
 from .core import (
     CarlabError,
     NORMAL_CLASS,
-    TraceEvent,
-    TraceMap,
+    Traces,
+    TraceTable,
+    _count_rows,
     _parse_index,
     _parse_name,
     _parse_number,
-    group_traces,
     load_json,
     save_json,
 )
@@ -170,7 +170,7 @@ def _neg_level_reward(diagram: LevelDiagram):
 
 
 def estimate_mdp(
-    traces: Union[TraceMap, Iterable[TraceEvent]],
+    traces: Traces,
     diagram: Optional[LevelDiagram] = None,
     gamma: float = 0.9,
     smoothing: float = 0.0,
@@ -277,25 +277,15 @@ def policy_evaluation(
     return dict(zip(mdp.states, values.tolist()))
 
 
-def extract_observed_policy(
-    traces: Union[TraceMap, Iterable[TraceEvent]]
-) -> Policy:
+def extract_observed_policy(traces: Traces) -> Policy:
     """Empirical action frequencies per deviated state, plus the synthetic
     stay decision at the normal class."""
-    grouped = group_traces(traces)
-    counts: dict[int, dict[str, int]] = {}
-    for events in grouped.values():
-        for e in events:
-            if e.assigned_class == NORMAL_CLASS:
-                continue
-            row = counts.setdefault(e.assigned_class, {})
-            row[e.applied_action] = row.get(e.applied_action, 0) + 1
-    decision: dict[int, dict[str, float]] = {
-        NORMAL_CLASS: {STAY_ACTION: 1.0}
-    }
-    for s, row in sorted(counts.items()):
-        total = sum(row.values())
-        decision[s] = {a: c / total for a, c in sorted(row.items())}
+    table = TraceTable.from_events(traces)
+    deviated = table.label != NORMAL_CLASS
+    totals = dict(_count_rows(table.label[deviated]))
+    decision: dict[int, dict[str, float]] = {NORMAL_CLASS: {STAY_ACTION: 1.0}}
+    for s, a, c in _count_rows(table.label[deviated], table.action[deviated]):
+        decision.setdefault(s, {})[table.actions[a]] = c / totals[s]
     return Policy(decision=decision)
 
 

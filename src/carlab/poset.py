@@ -18,18 +18,21 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .core import (
     CarlabError,
     DataFormatError,
     NORMAL_CLASS,
-    TraceEvent,
-    TraceMap,
+    Traces,
+    TraceTable,
+    _column,
+    _count_rows,
     _parse_index,
-    _parse_int,
     _parse_key,
+    _raise_first,
     _read_csv,
     _write_csv,
-    group_traces,
 )
 
 _TRANSITION_HEADER = ["from_class", "action", "to_class", "count"]
@@ -49,6 +52,8 @@ class Transition:
             raise CarlabError("transition count must be >= 1")
         if not self.action:
             raise CarlabError("transition without action label")
+        if min(self.src, self.dst) < 0:
+            raise CarlabError(f"negative class index {min(self.src, self.dst)}")
 
 
 @dataclass(frozen=True)
@@ -162,36 +167,34 @@ def _graph(
     return ClassTransitionGraph.build(edges, classes=classes)
 
 
-def extract_relation(traces: Union[TraceMap, Iterable[TraceEvent]]) -> ClassTransitionGraph:
+def extract_relation(traces: Traces) -> ClassTransitionGraph:
     """Count the class transitions of consecutive trace events; every
     class a trace visits is a member of the graph."""
-    grouped = group_traces(traces)
-    counts: dict[tuple[int, str, int], int] = {}
-    classes: set[int] = set()
-    for object_id, events in grouped.items():
-        for e in events:
-            classes.add(e.assigned_class)
-        for prev, nxt in zip(events, events[1:]):
-            if prev.assigned_class == NORMAL_CLASS:
-                raise CarlabError(
-                    f"transition out of the normal class in trace {object_id!r} "
-                    f"at step {prev.step}"
-                )
-            key = (prev.assigned_class, prev.applied_action, nxt.assigned_class)
-            counts[key] = counts.get(key, 0) + 1
-    return _graph(counts, classes)
+    table = TraceTable.from_events(traces)
+    head = np.flatnonzero(table.obj[1:] == table.obj[:-1])  # row k of each step k -> k + 1
+    out_of_normal = head[table.label[head] == NORMAL_CLASS]
+    if out_of_normal.size:
+        k = out_of_normal[0]
+        raise CarlabError(
+            f"transition out of the normal class in trace {table.object_ids[table.obj[k]]!r} "
+            f"at step {table.step[k]}"
+        )
+    counts = _count_rows(table.label[head], table.action[head], table.label[head + 1])
+    classes = np.unique(table.label).tolist()
+    return _graph({(s, table.actions[a], d): c for s, a, d, c in counts}, classes)
 
 
 def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
     """Read a transition CSV with header from_class,action,to_class,count."""
     path = Path(source)
-    header, rows = _read_csv(path)
+    header, rows, where, malformed = _read_csv(path)
     if header != _TRANSITION_HEADER:
         raise DataFormatError(f"{path}: bad header {header!r}")
+    (src, dst, count), unread = zip(*(_column([row[j] for row in rows], int, where) for j in (0, 2, 3)))
+    _raise_first([malformed, *unread])
     counts: dict[tuple[int, str, int], int] = {}
-    for where, (src, action, dst, count) in rows:
-        key = (_parse_int(src, where), action, _parse_int(dst, where))
-        counts[key] = counts.get(key, 0) + _parse_int(count, where)
+    for key, c in zip(zip(src.tolist(), [row[1] for row in rows], dst.tolist()), count.tolist()):
+        counts[key] = counts.get(key, 0) + c
     return _graph(counts)
 
 

@@ -15,7 +15,7 @@ from .boolcube import BooleanAction
 from .carsim import ActionSpec
 from .core import LearningSample, LearningSet, TraceEvent, TraceMap
 from .mdp import STAY_ACTION, MDPModel
-from .poset import ClassTransitionGraph, Transition
+from .poset import ClassTransitionGraph, Transition, extract_relation
 
 ENV_SEED = "CARLAB_SEED"
 
@@ -209,12 +209,8 @@ def random_trace_log(
                 elif roll < 0.8 and current < classes - 1:
                     current += 1
             traces[object_id] = tuple(events)
-        observed = set()
-        sources = set()
-        for events in traces.values():
-            observed.update(e.assigned_class for e in events)
-            sources.update(e.assigned_class for e in events[:-1])
-        if sources and all(c in sources for c in observed if c != 0):
+        graph = extract_relation(traces)
+        if graph.edges and all(graph.successors[c] for c in graph.classes - {0}):
             return traces
 
 

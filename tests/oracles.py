@@ -7,7 +7,9 @@ so oracle and implementation can only agree by being right.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -363,3 +365,102 @@ def undirected_components(vertices: Iterable, edges: Iterable[tuple]) -> int:
             seen.add(cur)
             stack.extend(adjacency[cur] - seen)
     return count
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time trace log reading and transition counting
+
+
+def trace_log_oracle(path) -> tuple:
+    """Read a trace log CSV one row at a time, then count per object.
+
+    Returns (relation, policy).  The relation is the (s, a, s') -> count
+    map of consecutive events with the set of classes visited plus the
+    normal class 0, or, when an object steps out of the normal class, the
+    message of that error.  The policy is {s: {a: frequency}} over the
+    deviated events, with the stay decision at 0.  A file the format
+    rejects raises DataFormatError with the reader's message; negative
+    classes and empty object ids are not checked here.
+    """
+    from carlab.core import DataFormatError
+
+    def decimal(text):
+        try:
+            value = int(text)
+        except ValueError:
+            return None
+        return value if str(value) == text else None
+
+    def integer(text, where):
+        value = decimal(text)
+        if value is None:
+            raise DataFormatError(f"{where}: bad integer value {text!r}")
+        return value
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise DataFormatError(f"{path}: empty file")
+    header = records[0]
+    if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
+        raise DataFormatError(f"{path}: bad header {header!r}")
+    features = header[3:-2]
+    if features != [f"f{j}" for j in range(1, len(features) + 1)]:
+        raise DataFormatError(f"bad feature columns {features!r}")
+    by_object: dict[str, list[tuple]] = {}
+    for lineno, row in enumerate(records[1:], start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: malformed row, expected {len(header)} fields")
+        object_id, step = row[0], integer(row[1], where)
+        values = []
+        for text in row[2:-2]:
+            try:
+                values.append(float(text))
+            except ValueError:
+                raise DataFormatError(f"{where}: bad numeric value {text!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise DataFormatError(f"{where}: non-finite value for {object_id!r}")
+        label, action = integer(row[-2], where), row[-1] or None
+        if step < 0:
+            raise DataFormatError("step must be nonnegative")
+        if values[0] < 0:
+            raise DataFormatError("timestamp must be nonnegative")
+        if label == 0 and action is not None:
+            raise DataFormatError(
+                f"action present on a normal-class event ({object_id!r}, step {step})"
+            )
+        if label != 0 and action is None:
+            raise DataFormatError(
+                f"missing action on deviated-class event ({object_id!r}, step {step})"
+            )
+        by_object.setdefault(object_id, []).append((step, values[0], label, action))
+    counts: dict[tuple, int] = {}
+    classes = {0}
+    frequencies: dict[int, dict[str, int]] = {}
+    for object_id, events in by_object.items():
+        events.sort(key=lambda e: e[0])
+        for k, (step, timestamp, _, _) in enumerate(events):
+            if step != k:
+                raise DataFormatError(
+                    f"{path}: gap in step numbering for {object_id!r} (expected step {k}, got {step})"
+                )
+            if k > 0 and timestamp <= events[k - 1][1]:
+                raise DataFormatError(f"{path}: non-increasing timestamp for {object_id!r} at step {k}")
+    relation = None
+    for object_id, events in by_object.items():
+        for (step, _, label, action), (_, _, nxt, _) in zip(events, events[1:]):
+            if label == 0 and relation is None:
+                relation = f"transition out of the normal class in trace {object_id!r} at step {step}"
+            counts[label, action, nxt] = counts.get((label, action, nxt), 0) + 1
+        for _, _, label, action in events:
+            classes.add(label)
+            if label != 0:
+                row = frequencies.setdefault(label, {})
+                row[action] = row.get(action, 0) + 1
+    policy = {0: {"stay": 1.0}}
+    for s, row in sorted(frequencies.items()):
+        policy[s] = {a: c / sum(row.values()) for a, c in sorted(row.items())}
+    return relation or (counts, frozenset(classes)), policy

@@ -175,8 +175,15 @@ class TestBooleanAction:
             ({"00": "00", "01": "111", "10": "10", "11": "11"}, "bad table output"),
             ({"00": "00", "01": "zz", "10": "10", "11": "11"}, "bad table output"),
             ({"00": "00", "01": 1, "10": "10", "11": "11"}, "bad table output"),
+            ({"0": "00", "01": "01", "10": "10", "11": "11"}, "cover all"),
+            ({0: "00", "01": "01", "10": "10", "11": "11"}, "cover all"),
+            ({"00": "00", "01": None, "10": "zz", "11": "11"}, "bad table output None for n=2"),
+            ({"00": "00", "01": "1", "10": 7, "11": "11"}, "bad table output '1' for n=2"),
         ],
-        ids=["bad-keys", "long-output", "non-bit-output", "non-string-output"],
+        ids=[
+            "bad-keys", "long-output", "non-bit-output", "non-string-output", "short-key",
+            "non-string-key", "first-bad-output-non-string", "first-bad-output-short",
+        ],
     )
     def test_table_words_validated(self, table, message):
         with pytest.raises(CarlabError, match=message):

@@ -147,7 +147,7 @@ class TestSimulate:
         report = json.loads(report_path.read_text())
         assert report["metrics"]["terminal_fraction"] == 1.0
         traces = load_trace_log(trace_path)
-        assert len(traces) == 8
+        assert len(traces.object_ids) == 8
         assert emitted.read_text().startswith("id,f1,f2,class")
 
     def test_fit_mdp_and_eval_policy(self, contracting, tmp_path):
@@ -672,3 +672,36 @@ def test_json_key_must_be_canonical_decimal(tmp_path, capsys, key, command, doc,
     assert err.count("error:") == 1
     assert f"doc.json: {message} must be a decimal integer, got {key!r}" in err
     assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-mdp", "eval-policy"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("x,0,0.0,1.0,-1,a1\nx,1,1.0,0.0,0,\n", "traces.csv:2: negative class index -1"),
+        ("x,0,0.0,1.0,1,a1\n,0,1.0,0.0,0,\n", "traces.csv:3: object_id must be nonempty"),
+    ],
+    ids=["negative-class", "empty-id"],
+)
+def test_trace_class_and_id_checked_where_they_enter(tmp_path, capsys, command, rows, message):
+    argv, doc = VALID_JSON[command]
+    paths = {
+        "traces": write(tmp_path / "traces.csv", "id,step,timestamp,f1,class,action\n" + rows),
+        "doc": write(tmp_path / "doc.json", json.dumps(doc)),
+    }
+    out = tmp_path / "out.json"
+    assert run([a.format(**paths) for a in argv] + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diagram", "validate-poset"])
+@pytest.mark.parametrize("row", ["-1,a1,0,3", "1,a1,-1,3"])
+def test_transition_class_must_be_nonnegative(tmp_path, capsys, command, row):
+    path = write(tmp_path / "t.csv", f"from_class,action,to_class,count\n{row}\n")
+    out = tmp_path / "out.json"
+    assert run([command, "--transitions", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "negative class index -1" in err
+    assert "Traceback" not in err and not out.exists()

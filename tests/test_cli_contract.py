@@ -7,7 +7,8 @@ JSON, by dropping a key, giving a value the wrong type or giving an
 integer index a float or bool value, and runs ``main`` on the result.
 A non-finite CSV value and a non-integer index must exit 1, and so must
 a decimal JSON object key rewritten in a form ``int()`` reads but that
-is not canonical.
+is not canonical, and a trace log whose steps, timestamps or actions
+no longer form valid runs.
 """
 
 import contextlib
@@ -194,6 +195,46 @@ def test_malformed_input_keeps_the_cli_contract(valid_inputs, command, data):
         assert err.count("error:") == 1
     if kind == "value" and text != valid_inputs[target] and command != "report":
         assert code == 1, err
+
+
+@st.composite
+def trace_row_mutation(draw, text: str) -> str:
+    """Break one object's trace: swap the steps of two of its rows, give a
+    row the step of another, lower a timestamp to an earlier row's, or
+    blank the action of a deviated row."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    step, stamp = rows[0].index("step"), rows[0].index("timestamp")
+    kind = draw(st.sampled_from(["swap", "duplicate", "lower", "blank"]))
+    if kind == "blank":
+        rows[draw(st.sampled_from([r for r in range(1, len(rows)) if rows[r][-2] != "0"]))][-1] = ""
+    else:
+        runs: dict[str, list[int]] = {}
+        for r in range(1, len(rows)):
+            runs.setdefault(rows[r][0], []).append(r)
+        run = draw(st.sampled_from([rs for rs in runs.values() if len(rs) > 1]))
+        a, b = sorted(draw(st.lists(st.sampled_from(run), min_size=2, max_size=2, unique=True)))
+        if kind == "swap":
+            rows[a][step], rows[b][step] = rows[b][step], rows[a][step]
+        elif kind == "duplicate":
+            rows[b][step] = rows[a][step]
+        else:
+            rows[b][stamp] = rows[a][stamp]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["fit-mdp", "eval-policy"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_broken_trace_exits_one(valid_inputs, command, data):
+    argv = COMMANDS[command]
+    files = {name: valid_inputs[name] for name in argv if name in valid_inputs}
+    files["traces.csv"] = data.draw(trace_row_mutation(files["traces.csv"]))
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(argv, files, Path(workdir))
+    assert code == 1, err
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 @st.composite

@@ -6,7 +6,7 @@ from carlab.core import (
     LearningSample,
     LearningSet,
     TraceEvent,
-    group_traces,
+    TraceTable,
     load_learning_set,
     load_trace_log,
     save_learning_set,
@@ -64,9 +64,9 @@ class TestLoadTraceLog:
             "a,1,2.0,4.0,0,\n",
         )
         traces = load_trace_log(p)
-        assert set(traces) == {"a"}
-        assert len(traces["a"]) == 2
-        assert traces["a"][1].applied_action is None
+        assert traces.object_ids == ("a",)
+        assert len(traces) == 2
+        assert traces.action[1] == -1
 
     def test_non_increasing_timestamp(self, tmp_path):
         p = write(
@@ -143,13 +143,16 @@ def test_trace_round_trip(tmp_path):
     }
     path = tmp_path / "t.csv"
     save_trace_log(traces, path)
-    assert load_trace_log(path) == traces
+    loaded, expected = load_trace_log(path), TraceTable.from_events(traces)
+    assert (loaded.object_ids, loaded.actions) == (expected.object_ids, expected.actions)
+    for column in ("obj", "step", "timestamp", "state", "label", "action"):
+        assert getattr(loaded, column).tolist() == getattr(expected, column).tolist()
 
 
-def test_group_traces_sorts_flat_events():
+def test_from_events_sorts_flat_events():
     events = [
         TraceEvent("a", 1, 1.0, (1.0,), 0, None),
         TraceEvent("a", 0, 0.0, (2.0,), 1, "a1"),
     ]
-    grouped = group_traces(events)
-    assert [e.step for e in grouped["a"]] == [0, 1]
+    table = TraceTable.from_events(events)
+    assert table.step.tolist() == [0, 1]
