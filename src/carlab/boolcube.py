@@ -1,6 +1,8 @@
-"""Binary-domain engine: subcube covers of partial Boolean functions,
-always/sometimes region splits, and backward reachability of the normal
-class under per-class actions.
+"""Binary-domain engine: subcube covers of partial Boolean functions (one
+subset-lattice closure per positive, O(|pos| * n * 2^n)), always/sometimes
+region splits (``carlab inverse`` takes them from the vote's per-class
+counts), and backward reachability of the normal class under per-class
+actions.
 
 A vertex is its int code (coordinate 1 is the high bit, so code order is
 ``all_vertices`` order), a vertex set an ascending code array at the API and
@@ -31,7 +33,7 @@ class Subcube:
     word: str
 
     def __post_init__(self) -> None:
-        if not self.word or any(c not in "01*" for c in self.word):
+        if not self.word or self.word.strip("01*"):
             raise CarlabError(f"bad subcube word {self.word!r}")
         # Not a field, so equality, hashing and repr see only the word.
         mask, value = self.word.replace("0", "1").replace("*", "0"), self.word.replace("*", "0")
@@ -140,6 +142,15 @@ class RegionPartition:
     exists_region: np.ndarray
     uncovered: np.ndarray
 
+    @classmethod
+    def from_masks(cls, pos: np.ndarray, neg: np.ndarray) -> "RegionPartition":
+        """Split by two bool masks over all codes: positive and negative cover."""
+        return cls(
+            forall_region=np.flatnonzero(pos & ~neg),
+            exists_region=np.flatnonzero(pos & neg),
+            uncovered=np.flatnonzero(~(pos | neg)),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ReachResult:
@@ -202,46 +213,39 @@ def _region(codes: Sequence[int], n: int) -> np.ndarray:
     return mask
 
 
-def _minimal_transversals(sets: list[int]) -> list[int]:
-    """All minimal hitting sets of a family of nonempty bit sets.
-
-    Berge's method, one set s at a time: a minimal transversal of the sets
-    so far is kept if it hits s, else grown by each bit of s.  Kept ones
-    stay minimal, and a grown one is minimal unless it holds a kept one
-    (``u & t == u`` tests u ⊆ t): the transversals so far are pairwise
-    incomparable, and none that is grown meets s.
-    """
-    # Supersets are redundant: hitting a subset hits them too.
-    kernel = {s for s in sets if not any(t & s == t != s for t in sets)}
-    transversals = [0]
-    for s in sorted(kernel, key=lambda s: (s.bit_count(), s)):
-        bits = [1 << b for b in range(s.bit_length()) if s >> b & 1]
-        kept = [t for t in transversals if t & s]
-        grown = {t | bit for t in transversals if not t & s for bit in bits}
-        transversals = kept + [t for t in grown if not any(u & t == u for u in kept)]
-    return transversals
-
-
 def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
     """All maximal subcubes covering at least one positive and no negative.
 
-    For each positive p, the subcubes through p avoiding every negative q
-    correspond to free-position sets containing no full difference set
-    D(p, q); the maximal ones are complements of minimal transversals of
-    the D(p, q) family.
+    The subcubes through a positive p are its free-position sets F: the one
+    freeing F holds a negative q iff F contains the difference set p ^ q.
+    Marking every p ^ q and closing the marks upward over the subset
+    lattice, one bit at a time (the zeta transform), blocks exactly the F
+    whose cube holds a negative; the maximal cubes are the unblocked F whose
+    every one-bit extension is blocked.  Each cube's mask is ~F and its
+    value p & mask.  Cost O(|pos| * n * 2^n), whatever the output size.
     """
-    if f.n > MAX_EXACT_N:
+    n = f.n
+    if n > MAX_EXACT_N:
         raise CarlabError(f"exact computation capped at n={MAX_EXACT_N}")
-    result: set[Subcube] = set()
-    negatives = [int(q, 2) for q in f.negatives]
-    for p in f.positives:
-        code = int(p, 2)
-        for hit in _minimal_transversals([code ^ q for q in negatives]):
-            word = "".join(
-                c if hit >> (f.n - 1 - k) & 1 else "*" for k, c in enumerate(p)
-            )
-            result.add(Subcube(word))
-    return result
+    negatives = np.array([int(q, 2) for q in f.negatives], dtype=np.int64)
+    keys: set[int] = set()
+    for p in (int(p, 2) for p in f.positives):
+        blocked = np.zeros(1 << n, dtype=bool)
+        blocked[p ^ negatives] = True
+        # Bit b splits the sets into pairs (F without b, F with b).
+        for b in range(n):
+            blocked.reshape(-1, 2, 1 << b)[:, 1] |= blocked.reshape(-1, 2, 1 << b)[:, 0]
+        keep = ~blocked
+        for b in range(n):
+            keep.reshape(-1, 2, 1 << b)[:, 0] &= blocked.reshape(-1, 2, 1 << b)[:, 1]
+        masks = (1 << n) - 1 ^ np.flatnonzero(keep)
+        keys.update((masks << n | p & masks).tolist())
+    masks, values = np.divmod(np.fromiter(keys, np.int64, len(keys)), 1 << n)
+    # One ternary word per distinct cube, most significant bit first.
+    shifts = np.arange(n - 1, -1, -1)
+    fixed, bits = masks[:, None] >> shifts & 1, values[:, None] >> shifts & 1
+    text = np.where(fixed == 1, ord("0") + bits, ord("*")).astype(np.uint8).tobytes().decode()
+    return {Subcube(text[k * n : (k + 1) * n]) for k in range(masks.size)}
 
 
 def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
@@ -249,6 +253,8 @@ def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
     codes = _all_codes(n)
     counts = np.zeros(1 << n, dtype=np.int64)
     for cube in cubes:
+        if cube.n != n:
+            raise CarlabError(f"dimension mismatch: subcube {cube.word!r} for n={n}")
         mask, value = cube.mask_value()
         counts += codes & mask == value
     return counts
@@ -271,21 +277,11 @@ def forall_exists_partition(
 ) -> RegionPartition:
     """Split vertices by cover side: positive-only (certain), both
     (ambiguous), neither (uncovered)."""
-    pos_rdnf = list(pos_rdnf)
-    neg_rdnf = list(neg_rdnf)
-    dims = {c.n for c in pos_rdnf} | {c.n for c in neg_rdnf}
-    if n is not None:
-        dims.add(n)
-    if len(dims) != 1:
-        raise CarlabError(f"dimension mismatch or unknown: {sorted(dims)}")
-    n = dims.pop()
-    pos = cover_counts(pos_rdnf, n) > 0
-    neg = cover_counts(neg_rdnf, n) > 0
-    return RegionPartition(
-        forall_region=np.flatnonzero(pos & ~neg),
-        exists_region=np.flatnonzero(pos & neg),
-        uncovered=np.flatnonzero(~(pos | neg)),
-    )
+    pos_rdnf, neg_rdnf = list(pos_rdnf), list(neg_rdnf)
+    if n is None and not pos_rdnf + neg_rdnf:
+        raise CarlabError("dimension unknown: no cubes and no n")
+    n = (pos_rdnf + neg_rdnf)[0].n if n is None else n
+    return RegionPartition.from_masks(cover_counts(pos_rdnf, n) > 0, cover_counts(neg_rdnf, n) > 0)
 
 
 def backward_reach(

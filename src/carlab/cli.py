@@ -181,10 +181,11 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
             raise CarlabError("inverse requires Boolean actions")
         actions[spec.class_index] = spec.boolean
     rdnfs = boolcube.multiclass_rdnf(learning_set)
-    labels = boolcube.vote_vertices(rdnfs, n).labels
-
-    neg_union = set().union(*(rdnfs[i] for i in rdnfs if i != 0))
-    partition = boolcube.forall_exists_partition(rdnfs[0], neg_union, n=n)
+    votes = boolcube.vote_vertices(rdnfs, n)
+    covered = votes.counts > 0  # column 0 is the normal class
+    partition = boolcube.RegionPartition.from_masks(covered[:, 0], covered[:, 1:].any(axis=1))
+    labels = votes.labels
+    del votes, covered  # 2^n rows of counts and reasons, freed before the output is built
 
     reach = boolcube.backward_reach(partition.forall_region, actions, labels, depth, n)
     # Code order is word order, so each list comes out sorted.

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .boolcube import BooleanAction
 from .carsim import ActionSpec
-from .core import LearningSample, LearningSet, TraceEvent, TraceMap
+from .core import CarlabError, LearningSample, LearningSet, TraceEvent, TraceMap
 from .mdp import STAY_ACTION, MDPModel
 from .poset import ClassTransitionGraph, Transition, extract_relation
 
@@ -187,6 +187,8 @@ def random_trace_log(
     Regenerates until every observed deviated class has at least one
     recorded outgoing transition, so the result is always estimable.
     """
+    if n_objects < 1 or classes < 2 or max_len < 2:
+        raise CarlabError("no transition is recorded unless n_objects >= 1, classes >= 2, max_len >= 2")
     while True:
         traces: TraceMap = {}
         for k in range(n_objects):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +11,13 @@ from carlab.boolcube import (
     Subcube,
     all_vertices,
     backward_reach,
+    cover_counts,
     forall_exists_partition,
     multiclass_rdnf,
     reduced_dnf,
     subcube_cover,
     subcubes_to_ldset,
+    vote_vertices,
 )
 from carlab import synth
 from carlab.lcpr import classify
@@ -92,6 +96,18 @@ class TestReducedDnf:
             expected = oracles.brute_force_rdnf(space, f.positives, f.negatives)
             assert got == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_on_every_small_function(self, n):
+        # Each vertex is a positive, a negative or open: all 3^(2^n)
+        # functions, empty positives and empty negatives among them.
+        space = oracles.SubcubeSpace(n)
+        vertices = list(all_vertices(n))
+        for roles in itertools.product((None, True, False), repeat=len(vertices)):
+            pos = [v for v, role in zip(vertices, roles) if role is True]
+            neg = [v for v, role in zip(vertices, roles) if role is False]
+            got = {c.word for c in reduced_dnf(pbf(n, pos, neg))}
+            assert got == oracles.brute_force_rdnf(space, pos, neg), (pos, neg)
+
     def test_each_cube_consistent_and_maximal(self):
         rng = synth.default_rng(5)
         f = synth.random_partial_boolean_function(rng, n=6, positives=8, negatives=8)
@@ -128,6 +144,13 @@ class TestPartition:
     def test_dimension_mismatch(self):
         with pytest.raises(CarlabError, match="dimension"):
             forall_exists_partition([Subcube("0*")], [Subcube("0**")])
+
+    def test_cover_counts_rejects_cubes_of_another_width(self):
+        assert cover_counts([Subcube("0*")], 2).tolist() == [1, 1, 0, 0]
+        with pytest.raises(CarlabError, match="dimension"):
+            cover_counts([Subcube("0*1")], 2)
+        with pytest.raises(CarlabError, match="dimension"):
+            vote_vertices({0: [Subcube("0*")], 1: [Subcube("1**")]}, 2)
 
     def test_soundness_by_enumeration(self):
         rng = synth.default_rng(6)

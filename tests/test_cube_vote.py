@@ -5,9 +5,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from carlab.boolcube import (
+    RegionPartition,
     Subcube,
     all_vertices,
     cover_counts,
+    forall_exists_partition,
     multiclass_rdnf,
     subcubes_to_ldset,
     vertex_to_vector,
@@ -52,7 +54,15 @@ def boolean_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(boolean_sets())
 def test_cube_vote_matches_box_vote(learning_set):
-    assert_cube_vote_matches_box_vote(multiclass_rdnf(learning_set), learning_set.n)
+    rdnfs, n = multiclass_rdnf(learning_set), learning_set.n
+    votes = assert_cube_vote_matches_box_vote(rdnfs, n)
+    # The always/sometimes split that `carlab inverse` takes from the counts.
+    covered = votes.counts > 0
+    split = RegionPartition.from_masks(covered[:, 0], covered[:, 1:].any(axis=1))
+    rest = set().union(*(cubes for c, cubes in rdnfs.items() if c != 0))
+    expected = forall_exists_partition(rdnfs[0], rest, n=n)
+    for name in ("forall_region", "exists_region", "uncovered"):
+        assert np.array_equal(getattr(split, name), getattr(expected, name)), name
 
 
 def test_tied_all_zero_and_empty_class():

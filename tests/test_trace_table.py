@@ -131,3 +131,12 @@ def test_in_memory_events_get_the_file_checks():
         TraceTable.from_events(events)
     with pytest.raises(DataFormatError, match="negative class index -1"):
         TraceTable.from_events([TraceEvent("a", 0, 1.0, (0.0,), -1, "a1")])
+
+
+@pytest.mark.parametrize(
+    "n_objects, classes, max_len", [(0, 4, 8), (20, 1, 8), (20, 0, 8), (20, 4, 1), (20, 4, 0)]
+)
+def test_generator_rejects_sizes_that_record_no_transition(n_objects, classes, max_len):
+    rng = synth.default_rng(0)
+    with pytest.raises(CarlabError, match="max_len >= 2"):
+        synth.random_trace_log(rng, n_objects=n_objects, classes=classes, max_len=max_len)
