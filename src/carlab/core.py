@@ -11,8 +11,14 @@ Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
 Every CSV file is read by ``_read_csv`` and written by ``_write_csv``,
 every JSON file by ``load_json`` and ``save_json``.  CSV columns are
 checked whole, and ``_raise_first`` reports the row a row-at-a-time
-reader would stop at.  Values are not changed after construction; every
-function here is pure.
+reader would stop at.  ``save_json`` writes the bytes of
+``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
+pure-Python indent encoder: every scalar and every container of scalars
+is encoded by json's C encoder, whose item separator is the newline and
+indent of its depth, so only the brackets of those containers and the
+containers that hold containers are written here, in the order and with
+the key conversion of the indent encoder.  Values are not changed after
+construction; every function here is pure.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
@@ -191,22 +198,89 @@ def _count_rows(*columns: np.ndarray) -> list[tuple]:
 def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
     """Build an object from the JSON document at ``source`` with ``parse``.
 
-    Invalid JSON, a missing key, a value of the wrong type and a value
-    the object rejects each raise one DataFormatError naming the file.
+    Invalid JSON, a document nested too deep to read, a missing key, a
+    value of the wrong type and a value the object rejects each raise one
+    DataFormatError naming the file.
     """
     path = Path(source)
     try:
         return parse(json.loads(path.read_text(encoding="utf-8")))
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc}") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: nested too deep") from None
     except (CarlabError, AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented_json(doc: Any) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, made by json's C encoder.
+
+    The containers that hold containers are walked on an explicit stack,
+    with no Python frame per level, so any depth ``json.loads`` reads is
+    written.  Items are visited, keys sorted and converted, and cycles
+    refused in the pure-Python indent encoder's order, so an unserialisable
+    document raises the same exception type.
+    """
+    make, string = json.encoder.c_make_encoder, json.encoder.encode_basestring_ascii
+    refuse = json.JSONEncoder().default  # raises json's TypeError for an unserialisable value
+    pads = ["\n"]  # pads[d]: a newline and the indent of depth d
+    encoders = []  # encoders[d]: the C encoder of the items of a container at depth d
+
+    def deeper() -> None:
+        pads.append(pads[-1] + "  ")
+        encoders.append(make(None, refuse, string, None, ": ", "," + pads[-1], True, False, True))
+
+    def key(k: Any) -> str:
+        if isinstance(k, str):
+            return string(k) + ": "
+        if isinstance(k, (int, float)) or k is None:
+            return f'"{scalar(k, 0)[0]}": '
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+    deeper()
+    scalar, containers = encoders[0], repeat(_CONTAINERS)
+    out: list[str] = []
+    opened: set[int] = set()  # ids of the containers being written, to refuse a cycle
+    stack = [(iter([("", doc)]), 0, "", None)]  # (heads and values, depth, closer, id)
+    while stack:
+        items, depth, closer, mark = stack[-1]
+        for head, value in items:
+            if not isinstance(value, _CONTAINERS) or not value:
+                out += (head, scalar(value, 0)[0])
+                continue
+            if len(pads) < depth + 2:
+                deeper()
+            inner, is_dict = depth + 1, isinstance(value, dict)
+            if not any(map(issubclass, set(map(type, value.values() if is_dict else value)), containers)):
+                text = "".join(encoders[depth](value, 0))  # a long one comes in chunks
+                out += (head, text[0], pads[inner], text[1:-1], pads[depth], text[-1])
+                continue
+            if id(value) in opened:
+                raise ValueError("Circular reference detected")
+            opened.add(id(value))
+            leads = chain((pads[inner],), repeat("," + pads[inner]))
+            if is_dict:
+                items = ((lead + key(k), v) for lead, (k, v) in zip(leads, sorted(value.items())))
+            else:
+                items = zip(leads, value)
+            out += (head, "{" if is_dict else "[")
+            stack.append((items, inner, pads[depth] + ("}" if is_dict else "]"), id(value)))
+            break
+        else:
+            stack.pop()
+            out.append(closer)
+            opened.discard(mark)
+    return "".join(out)
 
 
 def save_json(doc: Any, dest: Union[str, Path, None]) -> None:
     """Write ``doc`` as key-sorted, indented JSON with a trailing newline;
     to stdout when ``dest`` is None or empty."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _indented_json(doc) + "\n"
     if not dest:
         sys.stdout.write(text)
     else:

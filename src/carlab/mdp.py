@@ -184,8 +184,8 @@ def estimate_mdp(
     synthetic absorbing row.  Rewards follow ``diagram``, by default the
     level diagram of that same relation.
     """
-    if smoothing < 0:
-        raise CarlabError("smoothing must be >= 0")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        raise CarlabError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
     graph = extract_relation(traces)
     if diagram is None:
         diagram = build_level_diagram(graph)

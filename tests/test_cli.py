@@ -613,6 +613,19 @@ def test_fit_mdp_neg_level_reward(tmp_path):
     }
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_mdp_rejects_non_finite_smoothing(tmp_path, capsys, value):
+    traces = write(
+        tmp_path / "traces.csv",
+        "id,step,timestamp,f1,class,action\nx,0,0.0,1.0,1,a1\nx,1,1.0,0.0,0,\n",
+    )
+    out = tmp_path / "mdp.json"
+    assert run(["fit-mdp", "--traces", traces, "--smoothing", value, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: smoothing must be a finite number >= 0, got {value}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [7, "", None, ["a1"]])
 def test_mdp_action_must_be_a_name(tmp_path, capsys, value):
     doc = json.loads(json.dumps(VALID_JSON["eval-policy"][1]))

@@ -285,3 +285,24 @@ def test_valid_inputs_run_clean(valid_inputs):
         with tempfile.TemporaryDirectory() as workdir:
             code, err = _run(argv, dict(valid_inputs), Path(workdir))
         assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("report", "mdp.json"),
+        ("classify", "lds.json"),
+        ("simulate", "actions.json"),
+        ("fit-mdp", "diagram.json"),
+        ("eval-policy", "mdp.json"),
+    ],
+)
+def test_json_nested_too_deep_exits_one(valid_inputs, command, target):
+    argv = COMMANDS[command]
+    files = {name: valid_inputs[name] for name in argv if name in valid_inputs}
+    files[target] = "[" * 10_000 + "]" * 10_000
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(argv, files, Path(workdir))
+    assert code == 1, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.endswith(f"{target}: nested too deep\n")

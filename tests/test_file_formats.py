@@ -1,11 +1,24 @@
 """Every file format has one reader and one writer: a file the writer made
-reads back and writes out again byte for byte."""
+reads back and writes out again byte for byte.  The one JSON writer makes
+the bytes of ``json.dumps(doc, sort_keys=True, indent=2)`` and is the only
+JSON encoder entry point in the package."""
+
+import contextlib
+import inspect
+import io
+import json
+import re
+import tokenize
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlab import synth
+from carlab import core
 from carlab.boolcube import all_vertices
 from carlab.carsim import ActionSpec, load_actions, register_actions, run_car, save_actions
+from carlab.cli import main
 from carlab.core import (
     load_json,
     load_learning_set,
@@ -75,3 +88,142 @@ def test_read_then_write_is_byte_identical(tmp_path, name):
     save(load(first), second)
     assert second.read_bytes() == first.read_bytes()
     assert first.stat().st_size > 0
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        save_json(doc, None)
+    return out.getvalue()
+
+
+# Any code point, lone surrogates and control characters included.
+TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["\ud800", "a\udfffb", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600"]
+)
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), -float("inf")]
+)
+INTS = st.integers() | st.integers(min_value=2**63).map(lambda v: v**3) | st.integers(max_value=-(2**63))
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT
+
+
+def _containers(inner):
+    """Lists, tuples and dicts of ``inner``; a dict's keys are strings, or
+    numbers (ints, floats and bools mixed), or None: str and number keys
+    do not sort together."""
+    return (
+        st.lists(inner, max_size=6)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, inner, max_size=5)
+        | st.dictionaries(INTS | FLOATS | st.booleans(), inner, max_size=5)
+        | st.dictionaries(st.none(), inner, max_size=1)
+    )
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(doc=st.recursive(SCALARS, _containers, max_leaves=40))
+def test_json_writer_matches_the_indent_encoder(doc):
+    assert _written(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        list(range(120_000)),
+        {"k": [f"{i:06d}" for i in range(120_000)]},
+        {"k": {f"{i:06d}": i * 0.5 for i in range(60_000)}},
+    ],
+    ids=["list", "nested-list", "nested-dict"],
+)
+def test_json_writer_matches_the_indent_encoder_on_long_containers(doc):
+    """json's C encoder returns a long container in several chunks."""
+    assert _written(doc) == _reference(doc)
+
+
+def _cycle():
+    doc = {"a": [1, {"b": []}]}
+    doc["a"][1]["b"].append(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        b"bytes",
+        {"a": 1, 2: "b"},
+        [1, {"k": [b"x"]}],
+        {"x": {"a": [1], 2: []}},
+        {"x": [{1.5: {}, "y": 0}]},
+        {"x": {(1, 2): [3]}},
+        {"x": {(1, 2): 3}},
+        _cycle(),
+    ],
+    ids=["set", "bytes", "mixed-keys", "nested-bytes", "nested-mixed-keys", "flat-mixed-keys",
+         "tuple-key", "flat-tuple-key", "cycle"],
+)
+def test_json_writer_raises_as_the_indent_encoder(tmp_path, doc):
+    with pytest.raises(Exception) as expected:
+        _reference(doc)
+    dest = tmp_path / "out.json"
+    with pytest.raises(expected.type):
+        save_json(doc, dest)
+    assert expected.type in (TypeError, ValueError)
+    assert not dest.exists()
+
+
+def _nested_text(depth: int) -> str:
+    """``depth`` containers, dicts and lists in turn, each with a scalar
+    next to the container it holds."""
+    heads = ['{"k": ' if i % 2 == 0 else f"[{i}, " for i in range(depth)]
+    tails = [f', "n": {i}}}' if i % 2 == 0 else "]" for i in reversed(range(depth))]
+    return "".join(heads) + '"leaf"' + "".join(tails)
+
+
+def test_report_writes_the_deepest_document_the_reader_accepts(tmp_path, capsys):
+    """Binary-search the deepest nesting ``carlab report`` reads, then
+    compare what it writes with the indent encoder's bytes."""
+    path, out = tmp_path / "deep.json", tmp_path / "out.json"
+
+    def report(depth: int) -> int:
+        path.write_text(_nested_text(depth), encoding="utf-8")
+        return main(["report", str(path), "--out", str(out)])
+
+    low, high = 1, 100_000  # report(low) reads, report(high) does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if report(mid) == 0 else (low, mid)
+    assert low > 500
+    capsys.readouterr()
+    assert report(high) == 1
+    assert capsys.readouterr().err == f"error: {path}: nested too deep\n"
+    assert report(low) == 0
+    expected = _reference({"deep": json.loads(_nested_text(low))})
+    assert out.read_text(encoding="utf-8") == expected
+
+
+def _encoder_entries(source: str) -> list[str]:
+    """The JSON encoder names the code of ``source`` uses; strings,
+    docstrings and comments do not count."""
+    code = " ".join(
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type in (tokenize.NAME, tokenize.OP)
+    )
+    return re.findall(r"\bjson \. dumps?\b|\bJSONEncoder\b|\bc_make_encoder\b", code)
+
+
+def test_one_json_encoder_entry_point():
+    """No module but ``core``'s writer calls or builds a JSON encoder."""
+    writer = inspect.getsource(core._indented_json)
+    assert sorted(_encoder_entries(writer)) == ["JSONEncoder", "c_make_encoder"]
+    for module in sorted(Path(core.__file__).parent.glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        if module.name == "core.py":
+            source = source.replace(writer, "")
+        assert _encoder_entries(source) == [], module.name
