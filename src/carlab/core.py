@@ -9,9 +9,11 @@ Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
                  It is read into a columnar ``TraceTable``.
 
 Every CSV file is read by ``_read_csv`` and written by ``_write_csv``,
-every JSON file by ``load_json`` and ``save_json``.  CSV columns are
-checked whole, and ``_raise_first`` reports the row a row-at-a-time
-reader would stop at.  ``save_json`` writes the bytes of
+every JSON file by ``load_json`` and ``save_json``.  ``_read_csv`` returns
+columns: a file with no quote (nor a line break ``csv`` does not know) is
+split at newlines and commas, any other is read by ``csv.reader``.
+Columns are checked whole, and ``_raise_first`` reports the row a
+row-at-a-time reader would stop at.  ``save_json`` writes the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
 pure-Python indent encoder: every scalar and every container of scalars
 is encoded by json's C encoder, whose item separator is the newline and
@@ -24,12 +26,12 @@ construction; every function here is pure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
@@ -337,27 +339,45 @@ def _check_feature_header(fields: Sequence[str]) -> int:
 # A row check: the mask of the rows that fail it, and the message for row k.
 _Check = tuple[np.ndarray, Callable[[int], str]]
 
+# A quote, which only csv.reader parses, and the line breaks of str.splitlines
+# that are not line breaks to csv.reader.
+_NOT_SPLIT = '"\v\f\x1c\x1d\x1e\x85\u2028\u2029'
+
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]], Callable[[int], str], Optional[_Check]]:
-    """The header of a CSV file, which must not be empty, its nonblank rows,
-    ``where(k)``, the ``path:line`` of row k, and the check that each row
-    has as many fields as the header (None when all do).  A row that has
-    not is read as that many empty fields, so it fails this check first."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """The header of a CSV file, which must not be empty, the columns of its
+    nonblank rows, ``where(k)``, the ``path:line`` of row k, and the check
+    that each row has as many fields as the header (None when all do).  A
+    row that has not is read as that many empty fields, so it fails this
+    check first.  A file with none of ``_NOT_SPLIT`` is split into lines
+    and at commas, which is what ``csv.reader`` makes of it; any other file
+    goes through ``csv.reader``, and its errors name the file."""
+    text = path.read_bytes().decode("utf-8")
+    if any(c in text for c in _NOT_SPLIT):
+        try:
+            records = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+        commas, pad = (lambda rows: (len(row) - 1 for row in rows)), (lambda width: [""] * width)
+        flatten = lambda rows: list(chain.from_iterable(rows))
+    else:
+        records = text.splitlines()
+        commas, pad = (lambda lines: map(str.count, lines, repeat(","))), (lambda width: "," * (width - 1))
+        flatten = lambda lines: ",".join(lines).split(",") if lines else []
+    if not records:
         raise DataFormatError(f"{path}: empty file")
-    header, rows, lines = rows[0], rows[1:], None
-    if not all(rows):
-        lines = [line for line, row in enumerate(rows, start=2) if row]
-        rows = list(filter(None, rows))
+    header, records, lines = flatten(records[:1]) if records[0] else [], records[1:], None
+    if not all(records):
+        lines = [line for line, record in enumerate(records, start=2) if record]
+        records = list(filter(None, records))
     where = lambda k: f"{path}:{k + 2 if lines is None else lines[k]}"
     width, malformed = len(header), None
-    if set(map(len, rows)) - {width}:
-        bad = np.array([len(row) != width for row in rows])
-        rows = [[""] * width if b else row for row, b in zip(rows, bad)]
+    bad = np.fromiter(commas(records), np.intp, count=len(records)) != width - 1
+    if bad.any():
+        records = [pad(width) if b else record for record, b in zip(records, bad.tolist())]
         malformed = (bad, lambda k: f"{where(k)}: malformed row, expected {width} fields")
-    return header, rows, where, malformed
+    fields = flatten(records)
+    return header, [fields[j::width] for j in range(width)], where, malformed
 
 
 def _float_or_none(text: str) -> Optional[float]:
@@ -371,11 +391,10 @@ def _column(texts: list[str], kind: type, where: Callable[[int], str]) -> tuple[
     """``texts`` as an array of ``kind``, float or int, and the check that
     each reads: as a number, or for int as canonical decimal int64 (None
     when every one does).  A text that does not read is 0 in the array."""
-    try:
-        values = np.fromiter(map(kind, texts), kind, count=len(texts))
-        if kind is float or list(map(str, values.tolist())) == texts:
-            return values, None
-    except (ValueError, OverflowError):
+    try:  # int texts are decoded once per distinct text; fromiter refuses a None with TypeError
+        read = {text: _decimal(text) for text in set(texts)}.__getitem__ if kind is int else float
+        return np.fromiter(map(read, texts), kind, count=len(texts)), None
+    except (ValueError, OverflowError, TypeError):
         pass
     read = [_decimal(t) if kind is int else _float_or_none(t) for t in texts]
     bad = np.array([v is None or kind is int and not -(2**63) <= v < 2**63 for v in read])
@@ -406,15 +425,15 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
     column is required and parsed if ``labelled``, else optional and ignored.
     A non-finite feature value is rejected with its ``path:line``."""
     path = Path(source)
-    header, rows, where, malformed = _read_csv(path)
+    header, columns, where, malformed = _read_csv(path)
     has_class = header[-1:] == ["class"]
     if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
         raise DataFormatError(f"{path}: bad header {header!r}")
     n = _check_feature_header(header[1 : len(header) - has_class])
-    ids = [row[0] for row in rows]
-    values, unread = zip(*(_column([row[j] for row in rows], float, where) for j in range(1, n + 1)))
+    ids = columns[0]
+    values, unread = zip(*(_column(columns[j], float, where) for j in range(1, n + 1)))
     x = np.column_stack(values)
-    label, unread_label = _column([row[-1] for row in rows], int, where) if labelled else (None, None)
+    label, unread_label = _column(columns[-1], int, where) if labelled else (None, None)
     non_finite = (~np.isfinite(x).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
     _raise_first([malformed, *unread, non_finite, unread_label])
     return list(zip(ids, map(tuple, x.tolist()), label.tolist() if labelled else [None] * len(ids)))
@@ -505,12 +524,10 @@ def load_trace_log(source: Union[str, Path]) -> TraceTable:
     increasing.
     """
     path = Path(source)
-    header, rows, where, malformed = _read_csv(path)
+    header, columns, where, malformed = _read_csv(path)
     if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
         raise DataFormatError(f"{path}: bad header {header!r}")
     n = _check_feature_header(header[3:-2])
-    columns = [list(map(itemgetter(j), rows)) for j in range(len(header))]
-    del rows  # the strings live on in the columns
     # Each text column goes once read, unless the check of a bad text keeps it.
     kinds = [int] + [float] * (n + 1) + [int]
     values, unread = zip(*(_column(columns.pop(1), kind, where) for kind in kinds))

@@ -187,13 +187,13 @@ def extract_relation(traces: Traces) -> ClassTransitionGraph:
 def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
     """Read a transition CSV with header from_class,action,to_class,count."""
     path = Path(source)
-    header, rows, where, malformed = _read_csv(path)
+    header, columns, where, malformed = _read_csv(path)
     if header != _TRANSITION_HEADER:
         raise DataFormatError(f"{path}: bad header {header!r}")
-    (src, dst, count), unread = zip(*(_column([row[j] for row in rows], int, where) for j in (0, 2, 3)))
+    (src, dst, count), unread = zip(*(_column(columns[j], int, where) for j in (0, 2, 3)))
     _raise_first([malformed, *unread])
     counts: dict[tuple[int, str, int], int] = {}
-    for key, c in zip(zip(src.tolist(), [row[1] for row in rows], dst.tolist()), count.tolist()):
+    for key, c in zip(zip(src.tolist(), columns[1], dst.tolist()), count.tolist()):
         counts[key] = counts.get(key, 0) + c
     return _graph(counts)
 

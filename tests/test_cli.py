@@ -12,6 +12,8 @@ from carlab import synth
 
 import oracles
 
+LONG_ID = "x" * 200_000  # past csv.reader's default field limit of 131,072 characters
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -103,10 +105,11 @@ class TestMineClassify:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("\nid,f1,f2\nx,1.0,2.0\n", "bad header"),
+            ("\nid,f1,f2\nx,1.0,2.0\n", "bad header []"),
             ("id,f1,f2,class\nx,1.0,2.0,0\ny,1.0,abc,0\n", "vectors.csv:3: bad numeric"),
+            (f'id,f1,f2\n"{LONG_ID}",1.0,2.0\n', "vectors.csv: field larger than field limit"),
         ],
-        ids=["blank-first-line", "non-numeric"],
+        ids=["blank-first-line", "non-numeric", "quoted-field-past-csv-limit"],
     )
     def test_classify_bad_vectors_exit_one(
         self, contracting, tmp_path, capsys, text, message
@@ -718,3 +721,12 @@ def test_transition_class_must_be_nonnegative(tmp_path, capsys, command, row):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "negative class index -1" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_unquoted_field_past_the_csv_limit_reads(tmp_path):
+    """A file with no quote is split, not parsed, so no field limit applies."""
+    data = write(tmp_path / "big.csv", f"id,f1,class\n{LONG_ID},0.5,0\nb,1.5,1\n")
+    lds, table = tmp_path / "lds.json", tmp_path / "table.json"
+    assert run(["mine", "--data", data, "--out", lds]) == 0
+    assert run(["classify", "--lds", lds, "--data", data, "--out", table]) == 0
+    assert LONG_ID in {entry["id"] for entry in json.loads(table.read_text())["results"]}

@@ -227,3 +227,25 @@ def test_one_json_encoder_entry_point():
         if module.name == "core.py":
             source = source.replace(writer, "")
         assert _encoder_entries(source) == [], module.name
+
+
+def _csv_reader_entries(source: str) -> list[str]:
+    """The names of ``csv``'s reader in the code of ``source``; strings,
+    docstrings and comments do not count."""
+    code = " ".join(
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type in (tokenize.NAME, tokenize.OP)
+    )
+    return re.findall(r"\bcsv \. (?:reader|DictReader)\b|\bfrom csv import\b", code)
+
+
+def test_one_csv_reader_entry_point():
+    """No code but ``core._read_csv`` names ``csv.reader``."""
+    reader = inspect.getsource(core._read_csv)
+    assert _csv_reader_entries(reader) == ["csv . reader"]
+    for module in sorted(Path(core.__file__).parent.glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        if module.name == "core.py":
+            source = source.replace(reader, "")
+        assert _csv_reader_entries(source) == [], module.name
