@@ -3,18 +3,23 @@
 Each object is classified, then updated by the action bound to its
 assigned class, until it reaches the normal class, stalls on an
 indeterminate classification, revisits a (state, class) pair (a provable
-cycle under deterministic dynamics), or exhausts the step budget.
+cycle under deterministic dynamics), or exhausts the step budget.  A run
+report stores each object's trace, its steps to the normal class (None if
+it stalled) and its stall; ``converged``, the convergence curve and the
+mean steps are read-only properties of the steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .boolcube import BooleanAction, vector_to_vertex, vertex_to_vector
 from .core import (
     CarlabError,
+    DataFormatError,
     FeatureVector,
     LearningSample,
     NORMAL_CLASS,
@@ -22,6 +27,7 @@ from .core import (
     _parse_index,
     _parse_name,
     _parse_number,
+    _parse_strings,
     load_json,
     save_json,
 )
@@ -92,11 +98,23 @@ class StallInfo:
 class CarRunReport:
     max_steps: int
     traces: dict[str, tuple[TraceEvent, ...]]
-    converged: dict[str, bool]
     steps_to_normal: dict[str, Optional[int]]
     stalls: dict[str, StallInfo]
-    fraction_normal_within: tuple[float, ...]
-    mean_steps: Optional[float]
+
+    @cached_property
+    def converged(self) -> dict[str, bool]:
+        return {object_id: s is not None for object_id, s in self.steps_to_normal.items()}
+
+    @cached_property
+    def fraction_normal_within(self) -> tuple[float, ...]:
+        steps, total = range(self.max_steps + 1), len(self.steps_to_normal)
+        reached = [s for s in self.steps_to_normal.values() if s is not None]
+        return tuple(sum(s <= k for s in reached) / total for k in steps) if total else ()
+
+    @cached_property
+    def mean_steps(self) -> Optional[float]:
+        reached = [s for s in self.steps_to_normal.values() if s is not None]
+        return sum(reached) / len(reached) if reached else None
 
 
 def check_action_sizes(specs: Sequence[ActionSpec], n: int) -> None:
@@ -204,24 +222,11 @@ def run_car(
         active = still_active
     for object_id in active:
         stalled[object_id] = StallInfo(kind="exhausted", step=max_steps)
-    ids = [object_id for object_id, _ in items]
-    steps_to_normal = {object_id: reached.get(object_id) for object_id in ids}
-    total = len(items)
-    curve = []
-    if total:
-        for k in range(max_steps + 1):
-            hit = sum(
-                1 for s in steps_to_normal.values() if s is not None and s <= k
-            )
-            curve.append(hit / total)
-    return CarRunReport(
+    return CarRunReport(  # events holds every object, in id order
         max_steps=max_steps,
-        traces={object_id: tuple(events[object_id]) for object_id in ids},
-        converged={object_id: object_id in reached for object_id in ids},
-        steps_to_normal=steps_to_normal,
-        stalls={object_id: stalled[object_id] for object_id in ids if object_id in stalled},
-        fraction_normal_within=tuple(curve),
-        mean_steps=sum(reached.values()) / len(reached) if reached else None,
+        traces={object_id: tuple(trace) for object_id, trace in events.items()},
+        steps_to_normal={object_id: reached.get(object_id) for object_id in events},
+        stalls={object_id: stalled[object_id] for object_id in events if object_id in stalled},
     )
 
 
@@ -278,9 +283,11 @@ def actions_from_json(data: list[dict]) -> list[ActionSpec]:
         if kind == "affine":
             fields = {k: tuple(_parse_number(v, k) for v in entry[k]) for k in ("alpha", "beta")}
         elif kind == "table":
-            fields = {"n": _parse_index(entry["n"], "n"), "table": dict(entry["map"])}
+            if not isinstance(entry["map"], dict):
+                raise DataFormatError(f"map must be an object, got {entry['map']!r}")
+            fields = {"n": _parse_index(entry["n"], "n"), "table": entry["map"]}
         elif kind == "rule":
-            fields = {"n": _parse_index(entry["n"], "n"), "exprs": tuple(entry["exprs"])}
+            fields = {"n": _parse_index(entry["n"], "n"), "exprs": _parse_strings(entry["exprs"], "exprs")}
         specs.append(
             ActionSpec(
                 action_id=_parse_name(entry["action"], "action"),

@@ -20,7 +20,8 @@ is encoded by json's C encoder, whose item separator is the newline and
 indent of its depth, so only the brackets of those containers and the
 containers that hold containers are written here, in the order and with
 the key conversion of the indent encoder.  Values are not changed after
-construction; every function here is pure.
+construction, a constructor checks what it stores and a value read off
+stored fields is a read-only property; every function here is pure.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
@@ -69,16 +71,44 @@ class LearningSample:
 
 @dataclass(frozen=True)
 class LearningSet:
-    """A labeled sample collection with n features.
-
-    Labels run from 0 (the designated normal class) through
-    ``deviated_count``; every class share must be nonempty.
+    """A labeled sample collection with n features, each finite (0 or 1 in
+    boolean mode); labels run from 0 (the designated normal class) through
+    ``deviated_count``, and every class share must be nonempty.
     """
 
     samples: tuple[LearningSample, ...]
-    n: int
-    deviated_count: int
     mode: str  # "real" | "boolean"
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("real", "boolean"):
+            raise DataFormatError(f"unknown mode {self.mode!r}")
+        if not self.samples:
+            raise DataFormatError("learning set has no samples")
+        if not self.n:
+            raise DataFormatError("feature count must be positive")
+        for s in self.samples:
+            if len(s.features) != self.n:
+                raise DataFormatError(
+                    f"inconsistent feature count for {s.object_id!r}: "
+                    f"expected {self.n}, got {len(s.features)}"
+                )
+            if not all(math.isfinite(v) for v in s.features):
+                raise DataFormatError(f"non-finite value for {s.object_id!r}")
+            if self.mode == "boolean":
+                for v in s.features:
+                    if v not in (0.0, 1.0):
+                        raise DataFormatError(f"non-Boolean value {v!r} for {s.object_id!r}")
+        empty = set(range(self.deviated_count + 1)) - {s.label for s in self.samples}
+        if empty:
+            raise DataFormatError(f"empty class share {min(empty)}")
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.samples[0].features)
+
+    @cached_property
+    def deviated_count(self) -> int:
+        return max(s.label for s in self.samples)
 
     @property
     def m(self) -> int:
@@ -89,40 +119,8 @@ class LearningSet:
 
     @staticmethod
     def build(samples: Sequence[LearningSample], mode: str = "real") -> "LearningSet":
-        """Validate samples and derive the feature and class counts.
-
-        Raises DataFormatError on inconsistent feature counts, empty class
-        shares, non-finite values, or non-Boolean values in boolean mode.
-        """
-        mode = mode.lower()
-        if mode not in ("real", "boolean"):
-            raise DataFormatError(f"unknown mode {mode!r}")
-        samples = tuple(samples)
-        if not samples:
-            raise DataFormatError("learning set has no samples")
-        n = len(samples[0].features)
-        if n == 0:
-            raise DataFormatError("feature count must be positive")
-        for s in samples:
-            if len(s.features) != n:
-                raise DataFormatError(
-                    f"inconsistent feature count for {s.object_id!r}: "
-                    f"expected {n}, got {len(s.features)}"
-                )
-            if not all(math.isfinite(v) for v in s.features):
-                raise DataFormatError(f"non-finite value for {s.object_id!r}")
-            if mode == "boolean":
-                for v in s.features:
-                    if v not in (0.0, 1.0):
-                        raise DataFormatError(
-                            f"non-Boolean value {v!r} for {s.object_id!r}"
-                        )
-        deviated_count = max(s.label for s in samples)
-        present = {s.label for s in samples}
-        for i in range(deviated_count + 1):
-            if i not in present:
-                raise DataFormatError(f"empty class share {i}")
-        return LearningSet(samples=samples, n=n, deviated_count=deviated_count, mode=mode)
+        """The LearningSet of ``samples``, with the mode in any case."""
+        return LearningSet(samples=tuple(samples), mode=mode.lower())
 
 
 @dataclass(frozen=True)
@@ -310,6 +308,13 @@ def _parse_name(value: Any, what: str) -> str:
     raise DataFormatError(f"{what} must be a nonempty string, got {value!r}")
 
 
+def _parse_strings(value: Any, what: str) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise DataFormatError(f"{what} must be a list of strings, got {value!r}")
+
+
 def _decimal(text: str) -> Optional[int]:
     """The int ``text`` spells in canonical decimal, else None: "-1" and "10"
     are read, "+1", " 1", "01", "1_0" and non-ASCII digits are not."""
@@ -352,7 +357,10 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]], Callable[[int], s
     check first.  A file with none of ``_NOT_SPLIT`` is split into lines
     and at commas, which is what ``csv.reader`` makes of it; any other file
     goes through ``csv.reader``, and its errors name the file."""
-    text = path.read_bytes().decode("utf-8")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if any(c in text for c in _NOT_SPLIT):
         try:
             records = list(csv.reader(io.StringIO(text, newline="")))

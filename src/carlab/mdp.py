@@ -9,6 +9,8 @@ Value iteration, policy evaluation and policy comparison share one
 Bellman backup over the model compiled once into flat outcome rows, and
 every backup sums its terms in model order, so each value rounds exactly
 as a scalar loop over states, sorted actions and listed outcomes would.
+A comparison's ``max_regret`` and ``verdict`` are read-only properties of
+its regret and agreement, under the tolerance that picks optimal actions.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .poset import LevelDiagram, build_level_diagram, distance_to_normal, extrac
 
 STAY_ACTION = "stay"
 ROW_SUM_TOL = 1e-12
+OPTIMAL_ATOL = 1e-8  # values within this of the best count as optimal
 
 # (destination, probability, reward) triples per (state, action)
 Outcomes = tuple[tuple[int, float, float], ...]
@@ -149,8 +152,15 @@ class ComparisonReport:
     regret: ValueFunction
     optimal_actions: dict[int, tuple[str, ...]]
     agreement: dict[int, bool]
-    max_regret: float
-    verdict: str  # "matches-optimal" | "suboptimal"
+
+    @property
+    def max_regret(self) -> float:
+        return max(self.regret.values(), default=0.0)
+
+    @property
+    def verdict(self) -> str:
+        matches = all(self.agreement.values()) and self.max_regret <= OPTIMAL_ATOL
+        return "matches-optimal" if matches else "suboptimal"
 
 
 def reward_from_levels(diagram: LevelDiagram):
@@ -299,33 +309,20 @@ def compare_policies(
     """
     vi = value_iteration(mdp, tol=tol)
     v_obs = policy_evaluation(mdp, observed, tol=tol)
-    atol = 1e-8
     backup = mdp._backup
     q = backup(np.array([vi.values[s] for s in mdp.states]))
     best = np.maximum.reduceat(q, backup.first_pair)
-    near_best = q >= (best - atol)[backup.pair_state]
+    near_best = q >= (best - OPTIMAL_ATOL)[backup.pair_state]
     optimal_actions: dict[int, tuple[str, ...]] = {}
     for (s, a), near in zip(backup.pairs, near_best):
         if near:
             optimal_actions[s] = optimal_actions.get(s, ()) + (a,)
-    regret = {s: vi.values[s] - v_obs[s] for s in mdp.states}
-    agreement = {
-        s: set(observed.support(s)) <= set(optimal_actions[s]) for s in mdp.states
-    }
-    max_regret = max(regret.values(), default=0.0)
-    verdict = (
-        "matches-optimal"
-        if all(agreement.values()) and max_regret <= atol
-        else "suboptimal"
-    )
     return ComparisonReport(
         v_optimal=vi.values,
         v_observed=v_obs,
-        regret=regret,
+        regret={s: vi.values[s] - v_obs[s] for s in mdp.states},
         optimal_actions=optimal_actions,
-        agreement=agreement,
-        max_regret=max_regret,
-        verdict=verdict,
+        agreement={s: set(observed.support(s)) <= set(optimal_actions[s]) for s in mdp.states},
     )
 
 

@@ -6,7 +6,9 @@ the steps generate, so reflexivity and transitivity hold by construction;
 antisymmetry and the unique minimum are read off the step relation itself
 with one strongly-connected-component pass.  The level diagram roots the
 normal class at level 0 and assigns every other class its shortest
-directed distance to it.
+directed distance to it.  A report stores what was found, and its
+pass/fail is a read-only property of that, as a diagram's ``height`` and
+``complete`` are of its levels.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     _count_rows,
     _parse_index,
     _parse_key,
+    _parse_strings,
     _raise_first,
     _read_csv,
     _write_csv,
@@ -105,18 +108,22 @@ class ClassTransitionGraph:
 class PosetReport:
     """Antisymmetry of the generated order, the one axiom that can fail."""
 
-    antisymmetric: bool
     counterexample_cycle: Optional[tuple[int, ...]]
 
     @property
-    def passed(self) -> bool:
-        return self.antisymmetric
+    def antisymmetric(self) -> bool:
+        return self.counterexample_cycle is None
+
+    passed = antisymmetric
 
 
 @dataclass(frozen=True)
 class MinimumReport:
-    passed: bool
     minimal: tuple[int, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.minimal == (NORMAL_CLASS,)
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,6 @@ class LevelDiagram:
     """
 
     levels: dict[int, int]
-    complete: bool
-    height: int
     unleveled: tuple[int, ...]
     warnings: tuple[str, ...] = ()
 
@@ -140,20 +145,31 @@ class LevelDiagram:
                 raise CarlabError(f"class {c} has level {level!r}, expected a nonnegative int")
         if self.levels.get(NORMAL_CLASS) != 0:
             raise CarlabError("the normal class must be at level 0")
-        if self.height != max(self.levels.values()):
-            raise CarlabError(f"height {self.height!r} is not the largest level")
-        if self.complete != (not self.unleveled):
-            raise CarlabError(f"complete is {self.complete!r}, unleveled {list(self.unleveled)!r}")
+
+    @property
+    def height(self) -> int:
+        return max(self.levels.values())
+
+    @property
+    def complete(self) -> bool:
+        return not self.unleveled
 
 
 @dataclass(frozen=True)
 class ValidationVerdict:
-    passed: bool
-    verdict: str  # "pass" | "pass-with-warnings" | "fail"
     poset: PosetReport
     minimum: MinimumReport
     diagram: LevelDiagram
     nondeterministic: dict[tuple[int, str], tuple[int, ...]]
+
+    @property
+    def passed(self) -> bool:
+        return self.poset.passed and self.minimum.passed and self.diagram.complete
+
+    @property
+    def verdict(self) -> str:
+        warned = self.nondeterministic or self.diagram.warnings
+        return "fail" if not self.passed else "pass-with-warnings" if warned else "pass"
 
 
 def _graph(
@@ -271,10 +287,10 @@ def check_poset(g: ClassTransitionGraph) -> PosetReport:
     """
     cyclic = [sorted(c) for c in _components(g.successors) if len(c) > 1]
     if not cyclic:
-        return PosetReport(antisymmetric=True, counterexample_cycle=None)
+        return PosetReport(counterexample_cycle=None)
     a, b = min(cyclic)[:2]
     cycle = _path(g.successors, a, b) + _path(g.successors, b, a)[1:]
-    return PosetReport(antisymmetric=False, counterexample_cycle=tuple(cycle))
+    return PosetReport(counterexample_cycle=tuple(cycle))
 
 
 def has_unique_minimum(g: ClassTransitionGraph) -> MinimumReport:
@@ -285,10 +301,7 @@ def has_unique_minimum(g: ClassTransitionGraph) -> MinimumReport:
     reaches no other class, which holds exactly when it has no step
     successor besides itself.  No acyclicity is assumed.
     """
-    minimal = tuple(
-        sorted(c for c, succ in g.successors.items() if set(succ) <= {c})
-    )
-    return MinimumReport(passed=minimal == (NORMAL_CLASS,), minimal=minimal)
+    return MinimumReport(tuple(sorted(c for c, succ in g.successors.items() if set(succ) <= {c})))
 
 
 def build_level_diagram(g: ClassTransitionGraph) -> LevelDiagram:
@@ -316,37 +329,18 @@ def build_level_diagram(g: ClassTransitionGraph) -> LevelDiagram:
             warnings.append(
                 f"edge {s}->{d} spans levels {levels[s]}->{levels[d]}"
             )
-    return LevelDiagram(
-        levels=levels,
-        complete=not unleveled,
-        height=max(levels.values(), default=0),
-        unleveled=unleveled,
-        warnings=tuple(warnings),
-    )
+    return LevelDiagram(levels=levels, unleveled=unleveled, warnings=tuple(warnings))
 
 
 def validate_to_normal(g: ClassTransitionGraph) -> ValidationVerdict:
     """Combined verdict: order axioms, unique normal minimum, complete
     diagram.  Nondeterministic (class, action) pairs downgrade a pass to
     pass-with-warnings and point at the stochastic workflow."""
-    poset = check_poset(g)
-    minimum = has_unique_minimum(g)
-    diagram = build_level_diagram(g)
-    nondet = g.nondeterministic()
-    passed = poset.passed and minimum.passed and diagram.complete
-    if not passed:
-        verdict = "fail"
-    elif nondet or diagram.warnings:
-        verdict = "pass-with-warnings"
-    else:
-        verdict = "pass"
     return ValidationVerdict(
-        passed=passed,
-        verdict=verdict,
-        poset=poset,
-        minimum=minimum,
-        diagram=diagram,
-        nondeterministic=nondet,
+        poset=check_poset(g),
+        minimum=has_unique_minimum(g),
+        diagram=build_level_diagram(g),
+        nondeterministic=g.nondeterministic(),
     )
 
 
@@ -400,14 +394,20 @@ def diagram_to_json(diagram: LevelDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> LevelDiagram:
-    levels = data["levels"].items()
-    return LevelDiagram(
+    """The diagram of a JSON document, which must state its levels' ``height`` and ``complete``."""
+    levels, complete = data["levels"].items(), data["complete"]
+    if not isinstance(complete, bool):
+        raise DataFormatError(f"complete must be a boolean, got {complete!r}")
+    diagram = LevelDiagram(
         levels={_parse_key(c, "level"): _parse_index(v, f"level of class {c}") for c, v in levels},
-        complete=bool(data["complete"]),
-        height=_parse_index(data["height"], "height"),
         unleveled=tuple(_parse_index(c, "unleveled class") for c in data.get("unleveled", ())),
-        warnings=tuple(data.get("warnings", ())),
+        warnings=_parse_strings(data.get("warnings", []), "warnings"),
     )
+    if _parse_index(data["height"], "height") != diagram.height:
+        raise CarlabError(f"height {data['height']!r} is not the largest level")
+    if complete != diagram.complete:
+        raise CarlabError(f"complete is {complete!r}, unleveled {list(diagram.unleveled)!r}")
+    return diagram
 
 
 def verdict_to_json(v: ValidationVerdict) -> dict:

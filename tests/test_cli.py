@@ -730,3 +730,61 @@ def test_unquoted_field_past_the_csv_limit_reads(tmp_path):
     assert run(["mine", "--data", data, "--out", lds]) == 0
     assert run(["classify", "--lds", lds, "--data", data, "--out", table]) == 0
     assert LONG_ID in {entry["id"] for entry in json.loads(table.read_text())["results"]}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("complete", "no", "complete must be a boolean, got 'no'"),
+        ("complete", 1, "complete must be a boolean, got 1"),
+        ("warnings", "abc", "warnings must be a list of strings, got 'abc'"),
+        ("warnings", [1], "warnings must be a list of strings, got [1]"),
+    ],
+    ids=["complete-string", "complete-int", "warnings-string", "warnings-int"],
+)
+def test_fit_mdp_diagram_values_must_have_their_json_type(tmp_path, capsys, key, value, message):
+    doc = dict(VALID_JSON["fit-mdp"][1], **{key: value})
+    assert _run_json(tmp_path, "fit-mdp", doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["inverse", "simulate"])
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "rule", "exprs": "0"}, "exprs must be a list of strings, got '0'"),
+        ({"kind": "rule", "exprs": [0]}, "exprs must be a list of strings, got [0]"),
+        ({"kind": "table", "map": [["0", "0"], ["1", "0"]]}, "map must be an object, got [['0', '0'], ['1', '0']]"),
+    ],
+    ids=["exprs-string", "exprs-int", "map-pairs"],
+)
+def test_boolean_action_values_must_have_their_json_type(contracting, tmp_path, capsys, command, fields, message):
+    actions = write(tmp_path / "bad_actions.json", json.dumps([{"action": "a1", "class": 1, "n": 1, **fields}]))
+    argv = {
+        "inverse": ["inverse", "--data", write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n")],
+        "simulate": ["simulate", "--data", contracting["data"], "--lds", contracting["lds"]],
+    }[command]
+    out = tmp_path / "out.json"
+    assert run(argv + ["--actions", actions, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"bad_actions.json: {message}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, data",
+    [
+        ("mine", "--data", b"id,f1,class\na,0.5,0\nb,1.5,1\xff\n"),
+        ("fit-mdp", "--traces", b"id,step,timestamp,f1,class,action\nx,0,0.0,1.0,1,a\xff\nx,1,1.0,0.0,0,\n"),
+    ],
+    ids=["mine", "fit-mdp"],
+)
+def test_csv_that_is_not_utf8_is_one_error_naming_the_file(tmp_path, capsys, command, option, data):
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    path.write_bytes(data)
+    assert run([command, option, path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"error: {path}: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err and not out.exists()

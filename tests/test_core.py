@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +56,52 @@ class TestLoadLearningSet:
         p = write(tmp_path / "d.csv", "id,x1,class\na,1.0,0\n")
         with pytest.raises(DataFormatError, match="bad feature columns"):
             load_learning_set(p)
+
+
+@pytest.mark.parametrize("make", [LearningSet, LearningSet.build], ids=["constructor", "build"])
+@pytest.mark.parametrize(
+    "rows, mode, message",
+    [
+        ([("a", (1.0, 2.0), 0), ("b", (1.0,), 1)], "real", "inconsistent feature count for 'b': expected 2, got 1"),
+        ([("a", (float("nan"),), 0), ("b", (1.0,), 1)], "real", "non-finite value for 'a'"),
+        ([("a", (0.5,), 0), ("b", (1.0,), 1)], "boolean", "non-Boolean value 0.5 for 'a'"),
+        ([("a", (1.0,), 1)], "real", "empty class share 0"),
+        ([("a", (1.0,), 0)], "weird", "unknown mode 'weird'"),
+        ([], "real", "learning set has no samples"),
+        ([("a", (), 0)], "real", "feature count must be positive"),
+    ],
+    ids=["mixed-feature-counts", "non-finite", "non-boolean", "empty-share", "unknown-mode", "no-samples", "no-features"],
+)
+def test_learning_set_checks_itself(make, rows, mode, message):
+    """A direct constructor call rejects what build rejects, with the same message."""
+    samples = tuple(LearningSample(*row) for row in rows)
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        make(samples, mode)
+
+
+def test_learning_set_counts_are_read_off_the_samples():
+    rows = [("a", (0.0, 1.0), 0), ("b", (1.0, 1.0), 2), ("c", (1.0, 0.0), 1)]
+    ls = LearningSet(tuple(LearningSample(*row) for row in rows), "boolean")
+    assert (ls.n, ls.deviated_count, ls.m) == (2, 2, 3)
+
+
+def test_results_store_each_fact_once():
+    """A value that follows from stored fields is a property, not a field,
+    so no constructor call can contradict it."""
+    from carlab.carsim import CarRunReport
+    from carlab.mdp import ComparisonReport
+    from carlab.poset import LevelDiagram, MinimumReport, PosetReport, ValidationVerdict
+
+    stored = {
+        LearningSet: ["samples", "mode"],
+        LevelDiagram: ["levels", "unleveled", "warnings"],
+        PosetReport: ["counterexample_cycle"],
+        MinimumReport: ["minimal"],
+        ValidationVerdict: ["poset", "minimum", "diagram", "nondeterministic"],
+        CarRunReport: ["max_steps", "traces", "steps_to_normal", "stalls"],
+        ComparisonReport: ["v_optimal", "v_observed", "regret", "optimal_actions", "agreement"],
+    }
+    assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in stored} == stored
 
 
 class TestLoadTraceLog:

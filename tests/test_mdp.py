@@ -118,7 +118,7 @@ class TestEstimate:
 
     def test_class_missing_from_diagram_rejected(self):
         traces = one_step_traces([(0, 1)])
-        diagram = LevelDiagram(levels={0: 0}, complete=True, height=0, unleveled=())
+        diagram = LevelDiagram(levels={0: 0}, unleveled=())
         with pytest.raises(CarlabError, match="missing from the level diagram"):
             estimate_mdp(traces, diagram)
 
