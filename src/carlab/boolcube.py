@@ -7,8 +7,9 @@ actions.
 A vertex is its int code (coordinate 1 is the high bit, so code order is
 ``all_vertices`` order), a vertex set an ascending code array at the API and
 a bool mask over all codes inside, an action an array of image codes, a
-subcube a (mask, value) pair.  Binary words like "0110" and ternary words
-like "0*1" (``*`` frees a coordinate) are checked where they enter.
+subcube its stored (mask, value) pair.  Binary words like "0110" are
+checked where they enter; a subcube's ternary word like "0*1" (``*`` frees
+a coordinate) is only derived, for the JSON edge.
 Exact computations are capped at n = 20 and refuse larger inputs.
 """
 
@@ -28,40 +29,37 @@ MAX_EXACT_N = 20
 
 @dataclass(frozen=True)
 class Subcube:
-    """Ternary word over {0,1,*}; fixed positions select a cube face."""
+    """A face of the n-cube: vertex code v lies in it iff ``v & mask == value``,
+    with position 0 as the most significant bit, as in ``all_vertices``."""
 
-    word: str
+    n: int
+    mask: int
+    value: int
 
     def __post_init__(self) -> None:
-        if not self.word or self.word.strip("01*"):
-            raise CarlabError(f"bad subcube word {self.word!r}")
-        # Not a field, so equality, hashing and repr see only the word.
-        mask, value = self.word.replace("0", "1").replace("*", "0"), self.word.replace("*", "0")
-        object.__setattr__(self, "_mask_value", (int(mask, 2), int(value, 2)))
+        if not (self.n >= 1 and 0 <= self.mask < 1 << self.n and self.value & ~self.mask == 0):
+            raise CarlabError(f"bad subcube (n={self.n!r}, mask={self.mask!r}, value={self.value!r})")
 
     @property
-    def n(self) -> int:
-        return len(self.word)
+    def word(self) -> str:
+        """Ternary word over {0,1,*}; ``*`` frees a coordinate."""
+        bits = format(self.value, f"0{self.n}b")
+        return "".join(b if self.mask >> (self.n - 1 - k) & 1 else "*" for k, b in enumerate(bits))
 
     def fixed_positions(self) -> tuple[int, ...]:
-        return tuple(k for k, c in enumerate(self.word) if c != "*")
-
-    def mask_value(self) -> tuple[int, int]:
-        """Int form: vertex code v lies in the cube iff ``v & mask == value``,
-        with position 0 as the most significant bit, as in ``all_vertices``."""
-        return self._mask_value
+        return tuple(k for k in range(self.n) if self.mask >> (self.n - 1 - k) & 1)
 
     def contains(self, vertex: str) -> bool:
-        mask, value = self._mask_value
-        return _code(vertex, self.n) & mask == value
+        return _code(vertex, self.n) & self.mask == self.value
 
     def vertices(self) -> Iterable[str]:
-        free = [k for k, c in enumerate(self.word) if c == "*"]
-        chars = list(self.word)
-        for bits in product("01", repeat=len(free)):
-            for k, b in zip(free, bits):
-                chars[k] = b
-            yield "".join(chars)
+        """Member words in ascending code order: the submasks of the free bits."""
+        free, sub = (1 << self.n) - 1 ^ self.mask, 0
+        while True:
+            yield format(self.value | sub, f"0{self.n}b")
+            sub = (sub - free) & free
+            if not sub:
+                return
 
 
 @dataclass(frozen=True)
@@ -240,12 +238,7 @@ def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
             keep.reshape(-1, 2, 1 << b)[:, 0] &= blocked.reshape(-1, 2, 1 << b)[:, 1]
         masks = (1 << n) - 1 ^ np.flatnonzero(keep)
         keys.update((masks << n | p & masks).tolist())
-    masks, values = np.divmod(np.fromiter(keys, np.int64, len(keys)), 1 << n)
-    # One ternary word per distinct cube, most significant bit first.
-    shifts = np.arange(n - 1, -1, -1)
-    fixed, bits = masks[:, None] >> shifts & 1, values[:, None] >> shifts & 1
-    text = np.where(fixed == 1, ord("0") + bits, ord("*")).astype(np.uint8).tobytes().decode()
-    return {Subcube(text[k * n : (k + 1) * n]) for k in range(masks.size)}
+    return {Subcube(n, key >> n, key & (1 << n) - 1) for key in keys}
 
 
 def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
@@ -255,8 +248,7 @@ def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
     for cube in cubes:
         if cube.n != n:
             raise CarlabError(f"dimension mismatch: subcube {cube.word!r} for n={n}")
-        mask, value = cube.mask_value()
-        counts += codes & mask == value
+        counts += codes & cube.mask == cube.value
     return counts
 
 
@@ -352,7 +344,7 @@ def subcubes_to_ldset(rdnfs: Mapping[int, Iterable[Subcube]]) -> LDSet:
     for index in sorted(rdnfs):
         lds = []
         for cube in rdnfs[index]:
-            bounds = {k + 1: float(cube.word[k]) for k in cube.fixed_positions()}
+            bounds = {k + 1: float(cube.value >> (cube.n - 1 - k) & 1) for k in cube.fixed_positions()}
             lds.append(
                 LogicalDependency(class_index=index, lower=dict(bounds), upper=dict(bounds))
             )
@@ -387,11 +379,11 @@ def subcube_cover(region: Sequence[int], n: int) -> tuple[Subcube, ...]:
     for v in np.flatnonzero(inside).tolist():
         if covered[v]:
             continue
-        cube, word = np.array([v]), list(format(v, f"0{n}b"))
+        cube, mask = np.array([v]), (1 << n) - 1
         for k in range(n):
             flipped = cube ^ 1 << (n - 1 - k)
             if inside[flipped].all():
-                cube, word[k] = np.concatenate([cube, flipped]), "*"
-        cover.append(Subcube("".join(word)))
+                cube, mask = np.concatenate([cube, flipped]), mask ^ 1 << (n - 1 - k)
+        cover.append(Subcube(n, mask, v & mask))
         covered[cube] = True
     return tuple(cover)

@@ -308,6 +308,13 @@ def _parse_name(value: Any, what: str) -> str:
     raise DataFormatError(f"{what} must be a nonempty string, got {value!r}")
 
 
+def _parse_indices(value: Any, what: str) -> tuple[int, ...]:
+    """A JSON list of indices, as a tuple; ``what`` names one item."""
+    if isinstance(value, list):
+        return tuple(_parse_index(v, what) for v in value)
+    raise DataFormatError(f"{what} indices must be a list, got {value!r}")
+
+
 def _parse_strings(value: Any, what: str) -> tuple[str, ...]:
     """A JSON list of strings, as a tuple."""
     if isinstance(value, list) and all(isinstance(v, str) for v in value):

@@ -30,6 +30,7 @@ from .core import (
     TraceTable,
     _count_rows,
     _parse_index,
+    _parse_indices,
     _parse_name,
     _parse_number,
     load_json,
@@ -55,8 +56,12 @@ class MDPModel:
         if not 0.0 <= self.gamma < 1.0:
             raise CarlabError("gamma must lie in [0, 1)")
         members = set(self.states)
+        if len(members) != len(self.states):
+            raise CarlabError(f"states {list(self.states)} list a state twice")
+        if set(self.transitions) != members:
+            raise CarlabError(f"transition sources {sorted(self.transitions)} are not the states {sorted(members)}")
         for s in self.states:
-            if s not in self.transitions or not self.transitions[s]:
+            if not self.transitions[s]:
                 raise CarlabError(f"state {s} has no actions")
             for a, outcomes in self.transitions[s].items():
                 total = 0.0
@@ -343,7 +348,7 @@ def mdp_from_json(data: dict) -> MDPModel:
         s, a = _parse_index(row["s"], "s"), _parse_name(row["a"], "a")
         transitions.setdefault(s, {}).setdefault(a, []).append((_parse_index(row["s'"], "s'"), p, r))
     return MDPModel(
-        states=tuple(_parse_index(s, "state") for s in data["states"]),
+        states=_parse_indices(data["states"], "state"),
         gamma=_parse_number(data["gamma"], "gamma"),
         transitions={
             s: {a: tuple(outs) for a, outs in acts.items()}

@@ -31,6 +31,7 @@ from .core import (
     _column,
     _count_rows,
     _parse_index,
+    _parse_indices,
     _parse_key,
     _parse_strings,
     _raise_first,
@@ -145,6 +146,8 @@ class LevelDiagram:
                 raise CarlabError(f"class {c} has level {level!r}, expected a nonnegative int")
         if self.levels.get(NORMAL_CLASS) != 0:
             raise CarlabError("the normal class must be at level 0")
+        if not set(self.levels).isdisjoint(self.unleveled):
+            raise CarlabError(f"unleveled {list(self.unleveled)} lists a leveled class")
 
     @property
     def height(self) -> int:
@@ -400,7 +403,7 @@ def diagram_from_json(data: dict) -> LevelDiagram:
         raise DataFormatError(f"complete must be a boolean, got {complete!r}")
     diagram = LevelDiagram(
         levels={_parse_key(c, "level"): _parse_index(v, f"level of class {c}") for c, v in levels},
-        unleveled=tuple(_parse_index(c, "unleveled class") for c in data.get("unleveled", ())),
+        unleveled=_parse_indices(data.get("unleveled", []), "unleveled class"),
         warnings=_parse_strings(data.get("warnings", []), "warnings"),
     )
     if _parse_index(data["height"], "height") != diagram.height:

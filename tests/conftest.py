@@ -1,5 +1,6 @@
 import pytest
 
+from carlab.boolcube import Subcube
 from carlab.core import LearningSample, LearningSet
 
 # Acceptance tests append their PASS/FAIL lines here; the summary hook
@@ -12,6 +13,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def cube(word: str) -> Subcube:
+    """The subcube a ternary word like "0*1" names; ``*`` frees a coordinate."""
+    mask = int(word.replace("0", "1").replace("*", "0"), 2)
+    return Subcube(len(word), mask, int(word.replace("*", "0"), 2))
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from carlab import synth
 from carlab.lcpr import classify
 
 import oracles
+from conftest import cube
 
 
 def pbf(n, pos, neg):
@@ -46,16 +47,32 @@ def labels(label, n):
 
 class TestSubcube:
     def test_contains(self):
-        c = Subcube("0*1")
+        c = cube("0*1")
         assert c.contains("001") and c.contains("011")
         assert not c.contains("101")
 
     def test_vertices(self):
-        assert sorted(Subcube("*0*").vertices()) == ["000", "001", "100", "101"]
+        assert sorted(cube("*0*").vertices()) == ["000", "001", "100", "101"]
 
-    def test_bad_word(self):
-        with pytest.raises(CarlabError):
-            Subcube("01x")
+    @pytest.mark.parametrize(
+        "n, mask, value",
+        [(0, 0, 0), (2, 4, 0), (2, -1, 0), (2, 2, 1), (2, 2, -2)],
+        ids=["n-zero", "mask-past-cube", "mask-negative", "value-off-mask", "value-negative"],
+    )
+    def test_bad_pair(self, n, mask, value):
+        with pytest.raises(CarlabError, match="bad subcube"):
+            Subcube(n, mask, value)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_pair_matches_the_oracle_space(self, n):
+        space = oracles.SubcubeSpace(n)
+        for mask, bits in space.cubes:
+            c = Subcube(n, mask, bits)
+            assert c.word == space.word(mask, bits)
+            members = list(c.vertices())
+            assert members == sorted(members)
+            assert members == [v for v in all_vertices(n) if c.contains(v)]
+            assert c.fixed_positions() == tuple(k for k in range(n) if mask >> (n - 1 - k) & 1)
 
 
 class TestReducedDnf:
@@ -117,14 +134,14 @@ class TestReducedDnf:
             assert covered & f.positives
             assert not covered & f.negatives
             for k in c.fixed_positions():
-                freed = Subcube(c.word[:k] + "*" + c.word[k + 1 :])
+                freed = cube(c.word[:k] + "*" + c.word[k + 1 :])
                 assert set(freed.vertices()) & f.negatives, (c.word, k)
 
 
 class TestPartition:
     def test_example_split(self):
         part = forall_exists_partition(
-            [Subcube("0*"), Subcube("*0")], [Subcube("1*")]
+            [cube("0*"), cube("*0")], [cube("1*")]
         )
         assert words(part.exists_region, 2) == {"10"}
         assert words(part.forall_region, 2) == {"00", "01"}
@@ -132,25 +149,25 @@ class TestPartition:
         assert words(part.uncovered, 2) == frozenset()
 
     def test_empty_negative_side(self):
-        part = forall_exists_partition([Subcube("0*")], [], n=2)
+        part = forall_exists_partition([cube("0*")], [], n=2)
         assert words(part.exists_region, 2) == frozenset()
         assert words(part.forall_region, 2) == {"00", "01"}
 
     def test_identical_sides(self):
-        part = forall_exists_partition([Subcube("0*")], [Subcube("0*")])
+        part = forall_exists_partition([cube("0*")], [cube("0*")])
         assert words(part.forall_region, 2) == frozenset()
         assert words(part.exists_region, 2) == {"00", "01"}
 
     def test_dimension_mismatch(self):
         with pytest.raises(CarlabError, match="dimension"):
-            forall_exists_partition([Subcube("0*")], [Subcube("0**")])
+            forall_exists_partition([cube("0*")], [cube("0**")])
 
     def test_cover_counts_rejects_cubes_of_another_width(self):
-        assert cover_counts([Subcube("0*")], 2).tolist() == [1, 1, 0, 0]
+        assert cover_counts([cube("0*")], 2).tolist() == [1, 1, 0, 0]
         with pytest.raises(CarlabError, match="dimension"):
-            cover_counts([Subcube("0*1")], 2)
+            cover_counts([cube("0*1")], 2)
         with pytest.raises(CarlabError, match="dimension"):
-            vote_vertices({0: [Subcube("0*")], 1: [Subcube("1**")]}, 2)
+            vote_vertices({0: [cube("0*")], 1: [cube("1**")]}, 2)
 
     def test_soundness_by_enumeration(self):
         rng = synth.default_rng(6)
@@ -360,11 +377,11 @@ def test_subcube_membership_consistency(n, data):
     word = "".join(
         data.draw(st.sampled_from("01*"), label=f"c{k}") for k in range(n)
     )
-    cube = Subcube(word)
-    members = set(cube.vertices())
+    c = cube(word)
+    members = set(c.vertices())
     assert len(members) == 2 ** word.count("*")
     for v in all_vertices(n):
-        assert cube.contains(v) == (v in members)
+        assert c.contains(v) == (v in members)
 
 
 def _greedy_cover_by_words(region, n):
@@ -376,9 +393,9 @@ def _greedy_cover_by_words(region, n):
         chars = list(v)
         for k in range(n):
             saved, chars[k] = chars[k], "*"
-            if not set(Subcube("".join(chars)).vertices()) <= region:
+            if not set(cube("".join(chars)).vertices()) <= region:
                 chars[k] = saved
-        cover.append(Subcube("".join(chars)))
+        cover.append(cube("".join(chars)))
         covered.update(cover[-1].vertices())
     return tuple(cover)
 
@@ -452,7 +469,7 @@ class TestVertexWordsChecked:
         with pytest.raises(CarlabError, match="vertex set"):
             subcube_cover({"00", vertex}, 2)
         with pytest.raises(CarlabError, match="bad vertex"):
-            Subcube("0*").contains(vertex)
+            cube("0*").contains(vertex)
 
 
 class TestCodeArraysChecked:
@@ -490,4 +507,4 @@ class TestCodeArraysChecked:
         assert reach.depths[1].tolist() == [0, 1, 2, 3]
         assert subcube_cover([], 2) == ()
         region = np.array([3, 1, 0], dtype=np.uint8)
-        assert subcube_cover(region, 2) == (Subcube("0*"), Subcube("*1"))
+        assert subcube_cover(region, 2) == (cube("0*"), cube("*1"))

@@ -517,6 +517,30 @@ def test_fit_mdp_rejects_inconsistent_diagram(tmp_path, capsys, diagram, message
 
 
 @pytest.mark.parametrize(
+    "command, change, message",
+    [
+        ("fit-mdp", {"unleveled": {}}, "unleveled class indices must be a list, got {}"),
+        ("fit-mdp", {"unleveled": "2"}, "unleveled class indices must be a list, got '2'"),
+        ("fit-mdp", {"unleveled": [1], "complete": False}, "unleveled [1] lists a leveled class"),
+        ("eval-policy", {"states": "012"}, "state indices must be a list, got '012'"),
+        ("eval-policy", {"states": [0, 1, 1]}, "states [0, 1, 1] list a state twice"),
+        (
+            "eval-policy",
+            {"transitions": VALID_JSON["eval-policy"][1]["transitions"] + [{"s": 9, "a": "zz", "s'": 0, "p": 5.0, "r": 0}]},
+            "transition sources [0, 1, 9] are not the states [0, 1]",
+        ),
+    ],
+    ids=["unleveled-object", "unleveled-string", "unleveled-leveled", "states-string", "states-twice", "stray-source"],
+)
+def test_json_index_lists_are_checked(tmp_path, capsys, command, change, message):
+    doc = dict(VALID_JSON[command][1], **change)
+    assert _run_json(tmp_path, command, doc) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"doc.json: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(
     "command, path, value, message",
     [
         ("eval-policy", ("gamma",), False, "gamma must be a number, got False"),

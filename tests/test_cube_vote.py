@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from carlab.boolcube import (
     RegionPartition,
-    Subcube,
     all_vertices,
     cover_counts,
     forall_exists_partition,
@@ -17,6 +16,7 @@ from carlab.boolcube import (
 )
 from carlab.core import LearningSample, LearningSet
 from carlab.lcpr import classify_batch
+from conftest import cube
 
 
 def assert_cube_vote_matches_box_vote(rdnfs, n):
@@ -67,8 +67,8 @@ def test_cube_vote_matches_box_vote(learning_set):
 
 def test_tied_all_zero_and_empty_class():
     rdnfs = {
-        0: {Subcube("00*"), Subcube("111")},
-        1: {Subcube("0**"), Subcube("*0*"), Subcube("011"), Subcube("010")},
+        0: {cube("00*"), cube("111")},
+        1: {cube("0**"), cube("*0*"), cube("011"), cube("010")},
         2: set(),
     }
     votes = vote_vertices(rdnfs, 3)

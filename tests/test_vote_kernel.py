@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlab import synth
-from carlab.boolcube import Subcube, all_vertices
+from carlab.boolcube import all_vertices
 from carlab.carsim import register_actions, run_car
 from carlab.core import CarlabError
 from carlab.lcpr import (
@@ -21,6 +21,7 @@ from carlab.lcpr import (
 )
 
 import oracles
+from conftest import cube
 
 
 def ld(class_index, lower=None, upper=None):
@@ -139,10 +140,10 @@ class TestExactVoting:
         assert_matches_oracle(rows, lds)
 
     def test_subcube_mask_value(self):
-        cube = Subcube("1*0*")
-        mask, value = cube.mask_value()
+        c = cube("1*0*")
+        assert (c.n, c.mask, c.value) == (4, 0b1010, 0b1000)
         for code, vertex in enumerate(all_vertices(4)):
-            assert (code & mask == value) == cube.contains(vertex)
+            assert (code & c.mask == c.value) == c.contains(vertex)
 
 
 class TestBadInput:
