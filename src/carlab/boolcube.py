@@ -9,14 +9,17 @@ A vertex is its int code (coordinate 1 is the high bit, so code order is
 a bool mask over all codes inside, an action an array of image codes, a
 subcube its stored (mask, value) pair.  Binary words like "0110" are
 checked where they enter; a subcube's ternary word like "0*1" (``*`` frees
-a coordinate) is only derived, for the JSON edge.
+a coordinate) is only derived, for the JSON edge.  The vote tests a code
+against a cube as two half-tests, on its high and on its low bits, and
+counts every code at once as a chunked matrix product of those tests,
+exact by construction (``cover_counts``).
 Exact computations are capped at n = 20 and refuse larger inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ from .core import CarlabError, LearningSet, _decimal
 from .lcpr import LDSet, LogicalDependency, VoteBatch, vote
 
 MAX_EXACT_N = 20
+_CUBE_CHUNK = 8192  # cubes per matrix product in cover_counts: bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -242,24 +246,29 @@ def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
 
 
 def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
-    """How many of ``cubes`` hold each vertex, in ``all_vertices`` order."""
-    codes = _all_codes(n)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for cube in cubes:
-        if cube.n != n:
-            raise CarlabError(f"dimension mismatch: subcube {cube.word!r} for n={n}")
-        counts += codes & cube.mask == cube.value
-    return counts
+    """How many of ``cubes`` hold each vertex, in ``all_vertices`` order:
+    on the grid of (high n // 2 bits, low bits) codes, the sum of ``A.T @ B``
+    over chunks of cubes, A and B their 0/1 tests on each half.  Exact: a
+    float64 sum is an integer at most the cube count, and no list nears 2^53."""
+    grid, cubes = _all_codes(n).reshape(1 << n // 2, -1), iter(cubes)  # a row per high half
+    counts = np.zeros(grid.shape)
+    while chunk := list(islice(cubes, _CUBE_CHUNK)):
+        for cube in chunk:
+            if cube.n != n:
+                raise CarlabError(f"dimension mismatch: subcube {cube.word!r} for n={n}")
+        mask, value = np.array([(c.mask, c.value) for c in chunk]).T[..., None]
+        # The last code of each half has all of that half's bits set.
+        half = lambda codes: (codes & mask == value & codes[-1]).astype(float)
+        counts += half(grid[:, 0]).T @ half(grid[0])
+    return counts.astype(np.int64).ravel()
 
 
 def vote_vertices(rdnfs: Mapping[int, Collection[Subcube]], n: int) -> VoteBatch:
     """Votes of all 2^n vertices, in ``all_vertices`` order, by the
     fraction of each class's cubes holding them, as ``classify`` votes."""
     classes = tuple(sorted(rdnfs))
-    counts = np.zeros((1 << n, len(classes)), dtype=np.int64)
-    for c, index in enumerate(classes):
-        counts[:, c] = cover_counts(rdnfs[index], n)
-    return vote(classes, tuple(len(rdnfs[i]) for i in classes), counts)
+    counts = np.array([cover_counts(rdnfs[i], n) for i in classes], np.int64)  # a row per class
+    return vote(classes, tuple(len(rdnfs[i]) for i in classes), counts.reshape(-1, 1 << n).T)
 
 
 def forall_exists_partition(
@@ -324,30 +333,21 @@ def multiclass_rdnf(learning_set: LearningSet) -> dict[int, set[Subcube]]:
     """One-vs-rest subcube covers, one per class (Boolean mode only)."""
     if learning_set.mode != "boolean":
         raise CarlabError("multiclass_rdnf requires a Boolean-mode learning set")
-    n = learning_set.n
     words = {
         i: frozenset(vector_to_vertex(s.features) for s in learning_set.class_share(i))
         for i in range(learning_set.deviated_count + 1)
     }
-    result = {}
-    for i in range(learning_set.deviated_count + 1):
-        rest = frozenset().union(*(words[j] for j in words if j != i))
-        f = PartialBooleanFunction(n=n, positives=words[i], negatives=rest)
-        result[i] = reduced_dnf(f)
-    return result
+    rest = lambda i: frozenset().union(*(words[j] for j in words if j != i))
+    return {i: reduced_dnf(PartialBooleanFunction(learning_set.n, words[i], rest(i))) for i in words}
 
 
 def subcubes_to_ldset(rdnfs: Mapping[int, Iterable[Subcube]]) -> LDSet:
     """Convert per-class subcube covers into box predicates so the voting
     classifier applies unchanged in the Boolean domain."""
+    bounds = lambda c: {k + 1: float(c.value >> (c.n - 1 - k) & 1) for k in c.fixed_positions()}
     by_class = {}
     for index in sorted(rdnfs):
-        lds = []
-        for cube in rdnfs[index]:
-            bounds = {k + 1: float(cube.value >> (cube.n - 1 - k) & 1) for k in cube.fixed_positions()}
-            lds.append(
-                LogicalDependency(class_index=index, lower=dict(bounds), upper=dict(bounds))
-            )
+        lds = (LogicalDependency(index, bounds(c), bounds(c)) for c in rdnfs[index])
         by_class[index] = tuple(sorted(lds, key=LogicalDependency.key))
     return LDSet(by_class=by_class)
 
@@ -357,12 +357,10 @@ def vertex_to_vector(vertex: str) -> tuple[float, ...]:
 
 
 def vector_to_vertex(vector: Sequence[float]) -> str:
-    chars = []
-    for v in vector:
-        if v not in (0.0, 1.0):
-            raise CarlabError(f"non-Boolean coordinate {v!r}")
-        chars.append(str(int(v)))
-    return "".join(chars)
+    bad = [v for v in vector if v not in (0.0, 1.0)]
+    if bad:
+        raise CarlabError(f"non-Boolean coordinate {bad[0]!r}")
+    return "".join(str(int(v)) for v in vector)
 
 
 def subcube_cover(region: Sequence[int], n: int) -> tuple[Subcube, ...]:

@@ -184,10 +184,9 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     votes = boolcube.vote_vertices(rdnfs, n)
     covered = votes.counts > 0  # column 0 is the normal class
     partition = boolcube.RegionPartition.from_masks(covered[:, 0], covered[:, 1:].any(axis=1))
-    labels = votes.labels
-    del votes, covered  # 2^n rows of counts and reasons, freed before the output is built
+    reach = boolcube.backward_reach(partition.forall_region, actions, votes.labels, depth, n)
+    del votes, covered  # 2^n rows of counts, labels and reasons, freed before the output is built
 
-    reach = boolcube.backward_reach(partition.forall_region, actions, labels, depth, n)
     # Code order is word order, so each list comes out sorted.
     names = list(boolcube.all_vertices(n))
     words = lambda codes: [names[c] for c in codes.tolist()]

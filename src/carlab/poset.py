@@ -148,6 +148,8 @@ class LevelDiagram:
             raise CarlabError("the normal class must be at level 0")
         if not set(self.levels).isdisjoint(self.unleveled):
             raise CarlabError(f"unleveled {list(self.unleveled)} lists a leveled class")
+        if len(set(self.unleveled)) < len(self.unleveled) or min(self.unleveled, default=0) < 0:
+            raise CarlabError(f"unleveled {list(self.unleveled)} repeats a class or names a negative one")
 
     @property
     def height(self) -> int:

@@ -522,6 +522,8 @@ def test_fit_mdp_rejects_inconsistent_diagram(tmp_path, capsys, diagram, message
         ("fit-mdp", {"unleveled": {}}, "unleveled class indices must be a list, got {}"),
         ("fit-mdp", {"unleveled": "2"}, "unleveled class indices must be a list, got '2'"),
         ("fit-mdp", {"unleveled": [1], "complete": False}, "unleveled [1] lists a leveled class"),
+        ("fit-mdp", {"unleveled": [2, 2], "complete": False}, "unleveled [2, 2] repeats a class"),
+        ("fit-mdp", {"unleveled": [2, -3], "complete": False}, "unleveled [2, -3] repeats a class or names a negative one"),
         ("eval-policy", {"states": "012"}, "state indices must be a list, got '012'"),
         ("eval-policy", {"states": [0, 1, 1]}, "states [0, 1, 1] list a state twice"),
         (
@@ -530,7 +532,16 @@ def test_fit_mdp_rejects_inconsistent_diagram(tmp_path, capsys, diagram, message
             "transition sources [0, 1, 9] are not the states [0, 1]",
         ),
     ],
-    ids=["unleveled-object", "unleveled-string", "unleveled-leveled", "states-string", "states-twice", "stray-source"],
+    ids=[
+        "unleveled-object",
+        "unleveled-string",
+        "unleveled-leveled",
+        "unleveled-twice",
+        "unleveled-negative",
+        "states-string",
+        "states-twice",
+        "stray-source",
+    ],
 )
 def test_json_index_lists_are_checked(tmp_path, capsys, command, change, message):
     doc = dict(VALID_JSON[command][1], **change)

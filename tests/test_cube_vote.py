@@ -1,11 +1,15 @@
 """The cube vote by (mask, value) codes against the float-box vote of the
 same subcube covers."""
 
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from carlab import boolcube
 from carlab.boolcube import (
     RegionPartition,
+    Subcube,
     all_vertices,
     cover_counts,
     forall_exists_partition,
@@ -79,3 +83,43 @@ def test_tied_all_zero_and_empty_class():
     assert verdicts["111"] == (0, None) and verdicts["101"] == (1, None)
     assert votes.sizes == (2, 4, 0)
     assert_cube_vote_matches_box_vote(rdnfs, 3)
+
+
+def loop_counts(cubes, n):
+    """The per-cube reference: one compare-and-add over all codes per cube."""
+    codes, counts = np.arange(1 << n), np.zeros(1 << n, dtype=np.int64)
+    for c in cubes:
+        counts += codes & c.mask == c.value
+    return counts
+
+
+def subcubes(n):
+    pairs = st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+    return pairs.map(lambda mv: Subcube(n, mv[0], mv[1] & mv[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(st.just(n), st.lists(subcubes(n), max_size=12))))
+def test_cover_counts_matches_the_cube_loop(case):
+    n, cubes = case
+    expected = loop_counts(cubes, n)
+    counts = cover_counts(cubes, n)
+    assert counts.dtype == np.int64 and counts.tolist() == expected.tolist()
+    assert cover_counts((c for c in cubes), n).tolist() == expected.tolist()
+    assert cover_counts(cubes + cubes[::-1], n).tolist() == (2 * expected).tolist()
+
+
+def test_cover_counts_of_no_cubes():
+    for n in (1, 2, 7):
+        assert cover_counts([], n).tolist() == [0] * 2**n
+        assert cover_counts(iter(()), n).tolist() == [0] * 2**n
+
+
+def test_cover_counts_across_chunks():
+    rng = random.Random(16)
+    for n in (6, 7):
+        masks = [rng.randrange(2**n) for _ in range(2 * boolcube._CUBE_CHUNK + 5)]
+        cubes = [Subcube(n, m, rng.randrange(2**n) & m) for m in masks]
+        expected = loop_counts(cubes, n).tolist()
+        assert cover_counts(cubes, n).tolist() == expected
+        assert cover_counts((c for c in cubes), n).tolist() == expected

@@ -1,0 +1,75 @@
+"""Relations the cube vote must keep at sizes the brute-force oracles
+cannot reach (n = 12-16): they follow from the definitions, so no oracle
+is needed."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from carlab import synth
+from carlab.boolcube import multiclass_rdnf, vote_vertices
+from carlab.core import LearningSample, LearningSet
+
+
+def code_of(sample):
+    return int("".join(str(int(x)) for x in sample.features), 2)
+
+
+def relabel(learning_set, vertex=lambda v: v, label=lambda c: c):
+    """The learning set with every point moved by ``vertex`` (a code map)
+    and every class renamed by ``label``."""
+    n = learning_set.n
+    samples = [
+        LearningSample(
+            s.object_id,
+            tuple(float(vertex(code_of(s)) >> (n - 1 - j) & 1) for j in range(n)),
+            label(s.label),
+        )
+        for s in learning_set.samples
+    ]
+    return LearningSet.build(samples, mode="boolean")
+
+
+def votes_of(learning_set):
+    return vote_vertices(multiclass_rdnf(learning_set), learning_set.n)
+
+
+@st.composite
+def automorphisms(draw):
+    """A cube automorphism: complement the bits of ``flip``, then move the
+    bit at position i (0 = high bit) to position ``perm[i]``."""
+    n = draw(st.integers(12, 16))
+    perm, flip = draw(st.permutations(range(n))), draw(st.integers(0, 2**n - 1))
+    codes = np.arange(1 << n) ^ flip
+    image = np.zeros_like(codes)
+    for i, j in enumerate(perm):
+        image |= (codes >> (n - 1 - i) & 1) << (n - 1 - j)
+    return n, image
+
+
+@settings(max_examples=6, deadline=None)
+@given(automorphisms(), st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_cube_automorphism_moves_the_vote(automorphism, seed, per_class):
+    n, image = automorphism
+    base = synth.random_boolean_learning_set(synth.default_rng(seed), n, 3, per_class)
+    before = votes_of(base)
+    after = votes_of(relabel(base, vertex=lambda v: int(image[v])))
+    assert before.sizes == after.sizes
+    assert np.array_equal(after.counts[image], before.counts)
+    moved = image.tolist()
+    assert [after.labels[v] for v in moved] == before.labels
+    assert [after.reasons[v] for v in moved] == before.reasons
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(12, 16), st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (1, 3), (2, 3)]))
+def test_renaming_deviated_classes_swaps_their_columns(n, seed, pair):
+    a, b = pair
+    swap = lambda c: {a: b, b: a}.get(c, c)
+    base = synth.random_boolean_learning_set(synth.default_rng(seed), n, 4, 2)
+    before, after = votes_of(base), votes_of(relabel(base, label=swap))
+    columns = [swap(c) for c in range(4)]
+    assert after.sizes == tuple(before.sizes[c] for c in columns)
+    assert np.array_equal(after.counts, before.counts[:, columns])
+    assert after.labels == [None if c is None else swap(c) for c in before.labels]
+    # Every tie stays a tie, and every all-zero row stays all-zero.
+    assert after.reasons == before.reasons

@@ -3,6 +3,7 @@ import pytest
 from carlab.core import CarlabError, TraceEvent
 from carlab.poset import (
     ClassTransitionGraph,
+    LevelDiagram,
     Transition,
     build_level_diagram,
     check_poset,
@@ -141,6 +142,11 @@ class TestLevelDiagram:
             )
         )
         assert any("1->3" in w for w in diagram.warnings)
+
+    @pytest.mark.parametrize("unleveled", [(2, 2, -3), (2, 2), (-3,)])
+    def test_unleveled_classes_are_distinct_and_nonnegative(self, unleveled):
+        with pytest.raises(CarlabError, match="repeats a class or names a negative one"):
+            LevelDiagram(levels={0: 0, 1: 1}, unleveled=unleveled)
 
     def test_every_leveled_class_steps_down(self):
         rng = synth.default_rng(21)
