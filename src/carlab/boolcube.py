@@ -352,10 +352,6 @@ def subcubes_to_ldset(rdnfs: Mapping[int, Iterable[Subcube]]) -> LDSet:
     return LDSet(by_class=by_class)
 
 
-def vertex_to_vector(vertex: str) -> tuple[float, ...]:
-    return tuple(float(c) for c in vertex)
-
-
 def vector_to_vertex(vector: Sequence[float]) -> str:
     bad = [v for v in vector if v not in (0.0, 1.0)]
     if bad:

@@ -3,10 +3,14 @@
 Each object is classified, then updated by the action bound to its
 assigned class, until it reaches the normal class, stalls on an
 indeterminate classification, revisits a (state, class) pair (a provable
-cycle under deterministic dynamics), or exhausts the step budget.  A run
-report stores each object's trace, its steps to the normal class (None if
-it stalled) and its stall; ``converged``, the convergence curve and the
-mean steps are read-only properties of the steps.
+cycle under deterministic dynamics), or exhausts the step budget.  The
+active objects advance in lockstep as the rows of one float state matrix,
+in id order: one classification round per step, then each class's action
+applied to its rows at once (``ActionSpec.apply_rows``).  A run report
+stores the trace as one columnar ``TraceTable``, each object's steps to
+the normal class (None if it stalled) and its stall; the per-object
+``TraceEvent`` tuples (``traces``), ``converged``, the convergence curve
+and the mean steps are read-only views of those.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .boolcube import BooleanAction, vector_to_vertex, vertex_to_vector
+import numpy as np
+
+from .boolcube import BooleanAction
 from .core import (
     CarlabError,
     DataFormatError,
@@ -24,10 +30,12 @@ from .core import (
     LearningSample,
     NORMAL_CLASS,
     TraceEvent,
+    TraceTable,
     _parse_index,
     _parse_name,
     _parse_number,
     _parse_strings,
+    _trace_table,
     load_json,
     save_json,
 )
@@ -81,11 +89,29 @@ class ActionSpec:
 
     def apply(self, x: FeatureVector) -> FeatureVector:
         """The state after one application of the action to ``x``."""
-        if self.boolean is not None:
-            return vertex_to_vector(self.boolean.apply(vector_to_vertex(x)))
-        if len(x) != len(self.alpha):
-            raise CarlabError("affine action dimension mismatch")
-        return tuple(a * v + b for a, v, b in zip(self.alpha, x, self.beta))
+        return tuple(self.apply_rows(np.array([x], dtype=float))[0].tolist())
+
+    def apply_rows(self, X: np.ndarray) -> np.ndarray:
+        """The states after one application of the action to each row of
+        the float matrix ``X``: ``X * alpha + beta`` for an affine action,
+        rounded twice as ``a * v + b`` is, and bits -> code -> image ->
+        bits for a Boolean one.  The first row that fails raises."""
+        if self.boolean is None:
+            if X.shape[1] != len(self.alpha):
+                raise CarlabError("affine action dimension mismatch")
+            with np.errstate(over="ignore", invalid="ignore"):
+                return X * self.alpha + self.beta
+        n, bad = self.n, (X != 0.0) & (X != 1.0)
+        fails = bad.any(axis=1) | (X.shape[1] != n)
+        if fails.any():
+            row, wrong = X[fails.argmax()], bad[fails.argmax()]  # the first failing row
+            if wrong.any():
+                raise CarlabError(f"non-Boolean coordinate {row[wrong][0].item()!r}")
+            word = "".join(str(int(v)) for v in row.tolist())
+            raise CarlabError(f"bad vertex {word!r} for n={n}")
+        shifts = np.arange(n - 1, -1, -1)
+        image = self.boolean.image[X.astype(np.int64) @ (1 << shifts)]
+        return (image[:, None] >> shifts & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -97,9 +123,24 @@ class StallInfo:
 @dataclass(frozen=True)
 class CarRunReport:
     max_steps: int
-    traces: dict[str, tuple[TraceEvent, ...]]
+    table: TraceTable
     steps_to_normal: dict[str, Optional[int]]
     stalls: dict[str, StallInfo]
+
+    @cached_property
+    def traces(self) -> dict[str, tuple[TraceEvent, ...]]:
+        """Each object's trace as events, in id order; () for an object
+        with no classified step."""
+        t, names = self.table, self.table.actions + (None,)
+        events = list(map(
+            TraceEvent, [t.object_ids[o] for o in t.obj.tolist()], t.step.tolist(), t.timestamp.tolist(),
+            map(tuple, t.state.tolist()), t.label.tolist(), [names[a] for a in t.action.tolist()],
+        ))
+        # The rows come grouped by object, objects in index order.
+        starts = np.searchsorted(t.obj, np.arange(len(t.object_ids) + 1)).tolist()
+        traces = dict.fromkeys(self.steps_to_normal, ())
+        traces.update((o, tuple(events[a:b])) for o, a, b in zip(t.object_ids, starts, starts[1:]))
+        return traces
 
     @cached_property
     def converged(self) -> dict[str, bool]:
@@ -107,9 +148,10 @@ class CarRunReport:
 
     @cached_property
     def fraction_normal_within(self) -> tuple[float, ...]:
-        steps, total = range(self.max_steps + 1), len(self.steps_to_normal)
-        reached = [s for s in self.steps_to_normal.values() if s is not None]
-        return tuple(sum(s <= k for s in reached) / total for k in steps) if total else ()
+        total = len(self.steps_to_normal)
+        reached = np.array([s for s in self.steps_to_normal.values() if s is not None], dtype=np.int64)
+        within = np.cumsum(np.bincount(reached, minlength=self.max_steps + 1))[: self.max_steps + 1]
+        return tuple((within / total).tolist()) if total else ()
 
     @cached_property
     def mean_steps(self) -> Optional[float]:
@@ -158,7 +200,22 @@ def _population_items(
     ids = [i for i, _ in items]
     if len(set(ids)) != len(ids):
         raise CarlabError("population object ids must be unique")
+    widths = {len(x) for _, x in items}
+    if len(widths) > 1 or 0 in widths:
+        raise CarlabError("population states must be nonempty and of one length")
     return items
+
+
+def _raise_first_failure(rows: np.ndarray, label: list, deviated: np.ndarray, applies: np.ndarray,
+                         actions: Mapping[int, ActionSpec]) -> None:
+    """Raise for the first deviated row, in id order, whose class has no
+    action or whose action cannot be applied to it."""
+    for r in np.flatnonzero(deviated).tolist():
+        action = actions.get(label[r])
+        if action is None:
+            raise CarlabError(f"no action bound to class {label[r]}")
+        if applies[r]:
+            action.apply_rows(rows[r : r + 1])
 
 
 def run_car(
@@ -172,61 +229,72 @@ def run_car(
 
     Convergence at step k means the k-th classification (after k applied
     actions) is the normal class.  Stalls are data, not errors.  The
-    active objects advance in lockstep: one classification round per
-    step, a single call when the classifier has a ``batch`` method (as
-    ``ld_classifier``'s does) and one call per object otherwise.
+    active objects advance in lockstep as rows of one state matrix, in id
+    order: one classification round per step, a single call when the
+    classifier has a ``batch`` method (as ``ld_classifier``'s does) and
+    one call per object, with a tuple of floats, otherwise.  A (state,
+    class) pair is compared by the bytes of the state with -0.0 read as
+    0.0, so equal states match.  The first object in id order that has no
+    action for its class, whose action cannot apply to it, or whose state
+    is not finite raises.
     """
     if max_steps < 0:
         raise CarlabError("max_steps must be >= 0")
     items = sorted(_population_items(population))
+    ids = [object_id for object_id, _ in items]
+    X = np.array([x for _, x in items], dtype=float) if items else np.zeros((0, 0))
     batch = getattr(classifier, "batch", None)
-    states = dict(items)
-    events: dict[str, list[TraceEvent]] = {object_id: [] for object_id, _ in items}
-    seen: dict[str, set[tuple[FeatureVector, int]]] = {o: set() for o, _ in items}
-    reached: dict[str, int] = {}
-    stalled: dict[str, StallInfo] = {}
-    active = [object_id for object_id, _ in items]
+    action_ids = {c: spec.action_id for c, spec in actions.items()}
+    key_type = np.dtype((np.void, X.dtype.itemsize * (X.shape[1] + 2)))
+    seen: set[bytes] = set()  # the (object, class, state) bytes of every deviated row so far
+    reached = np.full(len(ids), -1)
+    stalled: dict[int, StallInfo] = {}
+    blocks = []  # per step: the object, state and class of each classified row
+    active = np.arange(len(ids))
     for step in range(max_steps + 1):
-        if not active:
-            break
-        rows = [states[object_id] for object_id in active]
+        rows = X[active]
         if batch is not None:
             labels = batch(rows).labels
         else:
-            labels = [classifier(state).label for state in rows]
-        still_active = []
-        for object_id, state, label in zip(active, rows, labels):
-            if label is None:
-                stalled[object_id] = StallInfo(kind="indeterminate", step=step)
-                continue
-            if label == NORMAL_CLASS:
-                events[object_id].append(
-                    TraceEvent(object_id, step, float(step), state, label, None)
-                )
-                reached[object_id] = step
-                continue
-            action = actions.get(label)
-            if action is None:
-                raise CarlabError(f"no action bound to class {label}")
-            events[object_id].append(
-                TraceEvent(object_id, step, float(step), state, label, action.action_id)
-            )
-            key = (state, label)
-            if key in seen[object_id]:
-                stalled[object_id] = StallInfo(kind="cycle", step=step)
-                continue
-            seen[object_id].add(key)
-            if step < max_steps:
-                states[object_id] = action.apply(state)
-            still_active.append(object_id)
-        active = still_active
-    for object_id in active:
-        stalled[object_id] = StallInfo(kind="exhausted", step=max_steps)
-    return CarRunReport(  # events holds every object, in id order
+            labels = [classifier(state).label for state in map(tuple, rows.tolist())]
+        abstain = np.fromiter((c is None for c in labels), bool, len(labels))
+        label = np.fromiter((-1 if c is None else c for c in labels), np.int64, len(labels))
+        normal = label == NORMAL_CLASS
+        deviated = ~abstain & ~normal
+        blocks.append((active[~abstain], rows[~abstain], label[~abstain]))
+        stalled.update(dict.fromkeys(active[abstain].tolist(), StallInfo(kind="indeterminate", step=step)))
+        reached[active[normal]] = step
+        dev = np.flatnonzero(deviated)  # -0.0 + 0.0 is 0.0, so equal states get equal keys
+        keys = np.column_stack((active[dev], label[dev], rows[dev] + 0.0)).view(key_type).ravel().tolist()
+        cycle = np.zeros_like(deviated)
+        cycle[dev] = np.fromiter(map(seen.__contains__, keys), bool, len(keys))
+        seen.update(keys)
+        stalled.update(dict.fromkeys(active[cycle].tolist(), StallInfo(kind="cycle", step=step)))
+        applies = deviated & ~cycle & (step < max_steps)
+        if not all(c in actions for c in set(label[deviated].tolist())):
+            _raise_first_failure(rows, label.tolist(), deviated, applies, actions)
+        try:
+            for c in np.unique(label[applies]).tolist():
+                at = active[applies & (label == c)]
+                X[at] = actions[c].apply_rows(X[at])
+        except CarlabError:
+            _raise_first_failure(rows, label.tolist(), deviated, applies, actions)
+            raise
+        active = active[deviated & ~cycle]
+        if not active.size:
+            break
+    stalled.update(dict.fromkeys(active.tolist(), StallInfo(kind="exhausted", step=max_steps)))
+    obj, state, label = (np.concatenate(column) for column in zip(*blocks))
+    step = np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
+    table = _trace_table(
+        [ids[o] for o in obj.tolist()], step, step.astype(float), state, label,
+        [action_ids.get(c, "") for c in label.tolist()],
+    )
+    return CarRunReport(
         max_steps=max_steps,
-        traces={object_id: tuple(trace) for object_id, trace in events.items()},
-        steps_to_normal={object_id: reached.get(object_id) for object_id in events},
-        stalls={object_id: stalled[object_id] for object_id in events if object_id in stalled},
+        table=table,
+        steps_to_normal={object_id: None if s < 0 else s for object_id, s in zip(ids, reached.tolist())},
+        stalls={ids[o]: stalled[o] for o in sorted(stalled)},
     )
 
 
@@ -308,14 +376,15 @@ def load_actions(source: Union[str, Path]) -> list[ActionSpec]:
 
 
 def report_to_json(report: CarRunReport) -> dict:
-    objects = {}
-    for object_id in sorted(report.traces):
-        stall = report.stalls.get(object_id)
-        objects[object_id] = {
-            "converged": report.converged[object_id],
-            "steps_to_normal": report.steps_to_normal[object_id],
-            "stall": None if stall is None else {"kind": stall.kind, "step": stall.step},
+    stall = lambda info: None if info is None else {"kind": info.kind, "step": info.step}
+    objects = {
+        object_id: {
+            "converged": steps is not None,
+            "steps_to_normal": steps,
+            "stall": stall(report.stalls.get(object_id)),
         }
+        for object_id, steps in report.steps_to_normal.items()
+    }
     return {
         "max_steps": report.max_steps,
         "objects": objects,

@@ -156,16 +156,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         learning_set.samples, lcpr.ld_classifier(lds), actions, max_steps
     )
     save_json(carsim.report_to_json(report), args.out)
-    if args.trace_out and any(report.traces.values()):
-        save_trace_log(report.traces, args.trace_out)
+    table = report.table
+    if args.trace_out and len(table):
+        save_trace_log(table, args.trace_out)
     if args.emit_dataset:
         # Raw emission: validation happens when the file is re-ingested.
-        rows = (
-            (f"{object_id}.{e.step}", e.state, e.assigned_class)
-            for object_id in sorted(report.traces)
-            for e in report.traces[object_id]
-        )
-        save_dataset(rows, learning_set.n, args.emit_dataset)
+        order = table.id_order()
+        steps = zip(table.obj[order].tolist(), table.step[order].tolist())
+        ids = [f"{table.object_ids[o]}.{step}" for o, step in steps]
+        save_dataset(ids, table.state[order], table.label[order], args.emit_dataset)
     return 0
 
 

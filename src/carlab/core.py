@@ -167,6 +167,19 @@ class TraceTable:
     def __len__(self) -> int:
         return len(self.obj)
 
+    def __eq__(self, other: object) -> bool:
+        """Tables are equal when their names and columns are equal."""
+        if not isinstance(other, TraceTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
+
+    def id_order(self) -> np.ndarray:
+        """The row indices that put the objects in id order, each object's
+        rows still in step order."""
+        rank = np.empty(len(self.object_ids), np.intp)
+        rank[sorted(range(len(self.object_ids)), key=self.object_ids.__getitem__)] = np.arange(len(rank))
+        return np.argsort(rank[self.obj], kind="stable")
+
     @staticmethod
     def from_events(traces: Traces) -> "TraceTable":
         """The table of a TraceMap or of events in any order, under the
@@ -195,16 +208,21 @@ def _count_rows(*columns: np.ndarray) -> list[tuple]:
     return list(zip(*values, counts.tolist()))
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
     """Build an object from the JSON document at ``source`` with ``parse``.
 
-    Invalid JSON, a document nested too deep to read, a missing key, a
+    Invalid JSON, the non-standard literals ``NaN``, ``Infinity`` and
+    ``-Infinity``, a document nested too deep to read, a missing key, a
     value of the wrong type and a value the object rejects each raise one
     DataFormatError naming the file.
     """
     path = Path(source)
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8")))
+        return parse(json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant))
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc}") from None
     except RecursionError:
@@ -468,18 +486,28 @@ def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
     return [row[:2] for row in _read_dataset(source, labelled=False)]
 
 
-def save_dataset(rows: Iterable[tuple], n: int, dest: Union[str, Path]) -> None:
-    """Write (id, features, class) rows as a dataset CSV, unvalidated."""
+def _reprs(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each value of a numeric column, as written to a CSV
+    file: computed once per distinct bit pattern, so -0.0 stays -0.0."""
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    return np.array(list(map(repr, bits.view(column.dtype).tolist())), dtype=object)[inverse].tolist()
+
+
+def save_dataset(ids: Sequence[str], x: np.ndarray, labels: np.ndarray, dest: Union[str, Path]) -> None:
+    """Write a dataset CSV, unvalidated: one row per id, its features a
+    row of the (rows x n) matrix ``x`` and its class a label."""
     _write_csv(
         dest,
-        ["id"] + [f"f{j}" for j in range(1, n + 1)] + ["class"],
-        ([object_id] + [repr(v) for v in x] + [label] for object_id, x, label in rows),
+        ["id"] + [f"f{j}" for j in range(1, x.shape[1] + 1)] + ["class"],
+        zip(ids, *map(_reprs, x.T), _reprs(labels)),
     )
 
 
 def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
     """Write a dataset CSV that round-trips through load_learning_set."""
-    save_dataset(((s.object_id, s.features, s.label) for s in ls.samples), ls.n, dest)
+    samples = ls.samples
+    x, labels = np.array([s.features for s in samples]), np.array([s.label for s in samples])
+    save_dataset([s.object_id for s in samples], x, labels, dest)
 
 
 def _trace_table(
@@ -557,14 +585,14 @@ def save_trace_log(traces: Traces, dest: Union[str, Path]) -> None:
     table = TraceTable.from_events(traces)
     if not len(table):
         raise DataFormatError("cannot save an empty trace log")
-    ids, actions = [table.object_ids[o] for o in table.obj.tolist()], table.actions + ("",)
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: steps stay in order
-    columns = (c[order].tolist() for c in (table.step, table.timestamp, table.state, table.label, table.action))
+    order, names = table.id_order(), table.actions + ("",)
+    numbers = (table.step[order], table.timestamp[order], *table.state[order].T, table.label[order])
     _write_csv(
         dest,
         ["id", "step", "timestamp"] + [f"f{j}" for j in range(1, table.state.shape[1] + 1)] + ["class", "action"],
-        (
-            [ids[r], step, repr(t)] + [repr(v) for v in x] + [c, actions[a]]
-            for r, step, t, x, c, a in zip(order, *columns)
+        zip(
+            [table.object_ids[o] for o in table.obj[order].tolist()],
+            *map(_reprs, numbers),
+            [names[a] for a in table.action[order].tolist()],
         ),
     )

@@ -1,8 +1,12 @@
-import pytest
+from types import SimpleNamespace
 
-from carlab.core import CarlabError, LearningSample
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carlab.core import CarlabError, LearningSample, TraceEvent
 from carlab.carsim import (
     ActionSpec,
+    StallInfo,
     convergence_metrics,
     register_actions,
     report_to_json,
@@ -10,7 +14,7 @@ from carlab.carsim import (
     actions_from_json,
     actions_to_json,
 )
-from carlab.boolcube import all_vertices, multiclass_rdnf, subcubes_to_ldset
+from carlab.boolcube import all_vertices, multiclass_rdnf, subcubes_to_ldset, vector_to_vertex
 from carlab.lcpr import ClassifyOutcome, classify, ld_classifier, mine_lds
 from carlab import synth
 
@@ -259,3 +263,120 @@ def test_report_json_shape():
     assert payload["max_steps"] == 3
     assert set(payload["objects"]) == set(report.traces)
     assert payload["metrics"]["converged"] == len(learning_set.samples)
+
+
+def scalar_apply(spec, x):
+    """One action on one state tuple, a coordinate at a time."""
+    if spec.boolean is None:
+        if len(x) != len(spec.alpha):
+            raise CarlabError("affine action dimension mismatch")
+        return tuple(a * v + b for a, v, b in zip(spec.alpha, x, spec.beta))
+    return tuple(float(c) for c in spec.boolean.apply(vector_to_vertex(x)))
+
+
+def reference_run(population, label_of, actions, max_steps):
+    """The classify-act loop one object at a time, states as float tuples
+    and (state, class) pairs compared as tuples: traces, steps to the
+    normal class and stalls, each by id."""
+    items = sorted((f"v{k:04d}", tuple(float(v) for v in x)) for k, x in enumerate(population))
+    states = dict(items)
+    traces = {o: [] for o in states}
+    seen = {o: set() for o in states}
+    steps, stalls = dict.fromkeys(states), {}
+    active = list(states)
+    for step in range(max_steps + 1):
+        still = []
+        for o in active:
+            state = states[o]
+            label = label_of(state)
+            if label is None:
+                stalls[o] = StallInfo("indeterminate", step)
+                continue
+            if label == 0:
+                traces[o].append(TraceEvent(o, step, float(step), state, 0, None))
+                steps[o] = step
+                continue
+            action = actions.get(label)
+            if action is None:
+                raise CarlabError(f"no action bound to class {label}")
+            traces[o].append(TraceEvent(o, step, float(step), state, label, action.action_id))
+            if (state, label) in seen[o]:
+                stalls[o] = StallInfo("cycle", step)
+                continue
+            seen[o].add((state, label))
+            if step < max_steps:
+                states[o] = scalar_apply(action, state)
+            still.append(o)
+        active = still
+    for o in active:
+        stalls[o] = StallInfo("exhausted", max_steps)
+    return {o: tuple(t) for o, t in traces.items()}, steps, dict(sorted(stalls.items()))
+
+
+VALUES = [-0.0, 0.0, 1.0, 0.5, 2.0, -1.5]
+
+
+@st.composite
+def action_specs(draw, class_index, n):
+    kind = draw(st.sampled_from(["affine", "table", "rule"]))
+    action_id = f"a{class_index}"
+    if kind == "affine":
+        alpha = tuple(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=n, max_size=n)))
+        beta = tuple(draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0, -1.0]), min_size=n, max_size=n)))
+        return affine_spec(class_index, alpha, beta)
+    if kind == "table":
+        words = list(all_vertices(n))
+        table = dict(zip(words, draw(st.lists(st.sampled_from(words), min_size=len(words), max_size=len(words)))))
+        return ActionSpec(action_id=action_id, class_index=class_index, kind="table", n=n, table=table)
+    tokens = ["0", "1"] + [f"{neg}x{k}" for neg in ("", "~") for k in range(1, n + 1)]
+    exprs = tuple(draw(st.lists(st.sampled_from(tokens), min_size=n, max_size=n)))
+    return ActionSpec(action_id=action_id, class_index=class_index, kind="rule", n=n, exprs=exprs)
+
+
+@st.composite
+def car_instances(draw):
+    """A population (Boolean or not, with repeated rows and -0.0), a label
+    for each state hash, actions for some of the deviated classes, a
+    classifier with or without ``batch`` and a step budget."""
+    n, deviated = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    values = [-0.0, 0.0, 1.0] if draw(st.booleans()) else VALUES
+    population = draw(st.lists(st.tuples(*[st.sampled_from(values)] * n), max_size=8))
+    assign = draw(st.lists(st.sampled_from([None, *range(deviated + 1)]), min_size=1, max_size=6))
+    label_of = lambda x: assign[hash(x) % len(assign)]  # -0.0 and 0.0 hash alike
+    bound = draw(st.sets(st.integers(1, deviated), min_size=deviated - 1)) if draw(st.booleans()) else range(1, deviated + 1)
+    actions = {c: draw(action_specs(c, n)) for c in bound}
+    outcome = lambda x: ClassifyOutcome(label=label_of(tuple(x)), reason=None, scores={})
+    if draw(st.booleans()):
+        classifier = outcome
+    else:
+        classifier = SimpleNamespace(batch=lambda rows: SimpleNamespace(labels=[label_of(tuple(r)) for r in rows.tolist()]))
+    return population, label_of, actions, classifier, draw(st.integers(0, 6))
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except CarlabError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(car_instances())
+def test_lockstep_run_matches_per_object_stepping(instance):
+    population, label_of, actions, classifier, max_steps = instance
+
+    def lockstep():
+        report = run_car(population, classifier, actions, max_steps)
+        return report.traces, report.steps_to_normal, report.stalls
+
+    assert _outcome(lockstep) == _outcome(lambda: reference_run(population, label_of, actions, max_steps))
+
+
+@pytest.mark.parametrize("start", [(-0.0,), (0.0,)])
+def test_a_zero_and_its_negative_are_one_state(start):
+    # x -> 1.0 * x + 0.0 maps -0.0 to 0.0 and 0.0 to itself: either way
+    # the object is back in the same state, a cycle at step 1.
+    actions = register_actions([affine_spec(1, (1.0,), (0.0,))], deviated_count=1)
+    report = run_car([start], threshold_classifier(cut=-1.0), actions, 5)
+    assert report.stalls["v0000"] == StallInfo("cycle", 1)
+    assert [repr(e.state) for e in report.traces["v0000"]] == [repr(start), "(0.0,)"]

@@ -361,7 +361,40 @@ def test_classify_rejects_nan_rule_bound(tmp_path, capsys):
     out = tmp_path / "table.json"
     assert run(["classify", "--lds", lds, "--data", data, "--out", out]) == 1
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "NaN bound on feature 1" in err
+    assert err.count("error:") == 1 and "lds.json: non-finite number NaN" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["-Infinity", "Infinity"])
+def test_classify_rejects_infinite_rule_bound(tmp_path, capsys, literal):
+    lds = write(tmp_path / "lds.json", '[{"class": 0, "lower": {"1": %s}, "upper": {}}]' % literal)
+    data = write(tmp_path / "vectors.csv", "id,f1\nq,-100.0\n")
+    out = tmp_path / "table.json"
+    assert run(["classify", "--lds", lds, "--data", data, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"lds.json: non-finite number {literal}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("key, literal", [("alpha", "Infinity"), ("beta", "NaN")])
+def test_simulate_rejects_non_finite_affine_coefficient(contracting, tmp_path, capsys, key, literal):
+    specs = json.loads(contracting["actions"].read_text())
+    specs[0][key][0] = "coefficient"
+    actions = write(tmp_path / "bad_actions.json", json.dumps(specs).replace('"coefficient"', literal))
+    out = tmp_path / "run.json"
+    argv = ["simulate", "--data", contracting["data"], "--lds", contracting["lds"], "--actions", actions]
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"bad_actions.json: non-finite number {literal}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_report_rejects_non_finite_literal(tmp_path, capsys):
+    doc = write(tmp_path / "doc.json", '{"mean_steps": NaN}')
+    out = tmp_path / "summary.json"
+    assert run(["report", "--out", out, doc]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "doc.json: non-finite number NaN" in err
     assert "Traceback" not in err and not out.exists()
 
 

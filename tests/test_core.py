@@ -98,7 +98,7 @@ def test_results_store_each_fact_once():
         PosetReport: ["counterexample_cycle"],
         MinimumReport: ["minimal"],
         ValidationVerdict: ["poset", "minimum", "diagram", "nondeterministic"],
-        CarRunReport: ["max_steps", "traces", "steps_to_normal", "stalls"],
+        CarRunReport: ["max_steps", "table", "steps_to_normal", "stalls"],
         ComparisonReport: ["v_optimal", "v_observed", "regret", "optimal_actions", "agreement"],
     }
     assert {cls: [f.name for f in dataclasses.fields(cls)] for cls in stored} == stored

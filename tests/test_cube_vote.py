@@ -15,7 +15,6 @@ from carlab.boolcube import (
     forall_exists_partition,
     multiclass_rdnf,
     subcubes_to_ldset,
-    vertex_to_vector,
     vote_vertices,
 )
 from carlab.core import LearningSample, LearningSet
@@ -28,7 +27,7 @@ def assert_cube_vote_matches_box_vote(rdnfs, n):
     for cubes in rdnfs.values():
         expected = [sum(c.contains(v) for c in cubes) for v in vertices]
         assert cover_counts(cubes, n).tolist() == expected
-    rows = np.array([vertex_to_vector(v) for v in vertices])
+    rows = np.array([[float(c) for c in v] for v in vertices])
     boxes = classify_batch(rows, subcubes_to_ldset(rdnfs))
     cube = vote_vertices(rdnfs, n)
     assert (cube.classes, cube.sizes) == (boxes.classes, boxes.sizes)

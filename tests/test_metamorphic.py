@@ -1,6 +1,8 @@
 """Relations the cube vote must keep at sizes the brute-force oracles
-cannot reach (n = 12-16): they follow from the definitions, so no oracle
-is needed."""
+cannot reach (n = 12-16), and one that mining must keep on noisy real
+data: they follow from the definitions, so no oracle is needed."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from carlab import synth
 from carlab.boolcube import multiclass_rdnf, vote_vertices
 from carlab.core import LearningSample, LearningSet
+from carlab.lcpr import MiningConfig, ldset_to_json, mine_lds
 
 
 def code_of(sample):
@@ -73,3 +76,25 @@ def test_renaming_deviated_classes_swaps_their_columns(n, seed, pair):
     assert after.labels == [None if c is None else swap(c) for c in before.labels]
     # Every tie stays a tie, and every all-zero row stays all-zero.
     assert after.reasons == before.reasons
+
+
+@st.composite
+def noisy_learning_sets(draw):
+    """Points on a coarse grid with random labels, so points repeat within
+    and across classes and some seeds cannot be separated."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(3, 60))
+    grid = st.sampled_from([0.0, 1.0, 2.5, 3.0, 4.0, 7.5])
+    points = draw(st.lists(st.tuples(*[grid] * n), min_size=m, max_size=m))
+    labels = [0, 1, 2] + draw(st.lists(st.integers(0, 2), min_size=m - 3, max_size=m - 3))
+    return LearningSet.build([LearningSample(f"s{k:02d}", x, c) for k, (x, c) in enumerate(zip(points, labels))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(noisy_learning_sets(), st.integers(0, 2), st.data())
+def test_row_order_leaves_the_mined_lds_unchanged(learning_set, budget, data):
+    order = data.draw(st.permutations(range(learning_set.m)))
+    shuffled = LearningSet.build([learning_set.samples[k] for k in order])
+    config = MiningConfig(violation_budget=budget)
+    before, after = mine_lds(learning_set, config), mine_lds(shuffled, config)
+    assert json.dumps(ldset_to_json(after)) == json.dumps(ldset_to_json(before))
+    assert sorted(after.warnings) == sorted(before.warnings)
