@@ -12,6 +12,7 @@ fixes the randomized dataset-generation helpers in carlab.synth.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -77,17 +78,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     lds = lcpr.load_ldset(_require(args, "lds"))
     rows = load_vectors(_require(args, "data"))
     votes = lcpr.classify_batch([x for _, x in rows], lds)
-    results = []
-    for k, (object_id, _) in enumerate(rows):
-        outcome = votes.outcome(k)
-        results.append(
-            {
-                "id": object_id,
-                "label": outcome.label,
-                "reason": outcome.reason,
-                "scores": {str(i): v for i, v in sorted(outcome.scores.items())},
-            }
-        )
+    names = [str(i) for i in votes.classes]
+    columns = zip((object_id for object_id, _ in rows), votes.labels, votes.reasons, votes.scores().tolist())
+    results = [
+        {"id": object_id, "label": label, "reason": reason, "scores": dict(zip(names, row))}
+        for object_id, label, reason, row in columns
+    ]
     save_json({"results": results}, args.out)
     return 0
 
@@ -225,6 +221,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carlab",

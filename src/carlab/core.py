@@ -16,24 +16,31 @@ Columns are checked whole, and ``_raise_first`` reports the row a
 row-at-a-time reader would stop at.  ``save_json`` writes the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
 pure-Python indent encoder: every scalar and every container of scalars
-is encoded by json's C encoder, whose item separator is the newline and
-indent of its depth, so only the brackets of those containers and the
-containers that hold containers are written here, in the order and with
-the key conversion of the indent encoder.  Values are not changed after
-construction, a constructor checks what it stores and a value read off
-stored fields is a read-only property; every function here is pure.
+(a leaf) is encoded by json's C encoder, whose item separator is the
+newline and indent of its depth.  A list or dict of leaves of one kind
+is one C call, and a table (a list or dict of more plain dicts than
+they have keys, all with the same str keys, holding scalars and leaves)
+is written column by column; only the brackets of the leaves and the
+other containers that hold containers are written here, in the order
+and with the key conversion of the indent encoder.  Values are not
+changed after construction, a constructor checks what it stores and a
+value read off stored fields is a read-only property; every function
+here is pure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
@@ -234,13 +241,36 @@ def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
 _CONTAINERS = (dict, list, tuple)
 
 
+def _holds_container(boxes: Sequence, kinds: set) -> bool:
+    """Whether a dict, list or tuple is inside one of ``boxes``, the exact
+    dicts, lists and tuples of the types ``kinds``."""
+    if kinds == {dict}:
+        items = chain.from_iterable(map(dict.values, boxes))
+    else:
+        items = chain.from_iterable(box.values() if type(box) is dict else box for box in boxes)
+    return any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
+
+
 def _indented_json(doc: Any) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, made by json's C encoder.
 
-    The containers that hold containers are walked on an explicit stack,
-    with no Python frame per level, so any depth ``json.loads`` reads is
-    written.  Items are visited, keys sorted and converted, and cycles
-    refused in the pure-Python indent encoder's order, so an unserialisable
+    Two shapes of container are written in bulk, made only of plain
+    dicts, lists and tuples.  A list or dict of leaf containers of one
+    kind (dicts, or lists and tuples, with no container inside) is one C
+    call.  A table, a list or dict of more dicts than they have keys, all
+    with the same str keys and holding only scalars and leaf containers,
+    is written column by column: one C call for a column's scalars, one
+    for its leaf containers, and each row from one %-template (``%``
+    escaped in the keys).  The C text of many leaves is cut between them
+    without parsing: json escapes every newline inside a string, and a
+    separator inside a leaf is followed by a scalar, so ``]`` or ``}``,
+    the separator and ``[`` or ``{`` occur only between leaves.
+
+    Any other container that holds containers is walked on an explicit
+    stack, with no Python frame per level, so any depth ``json.loads``
+    reads is written.  Items are visited, keys sorted and converted, and
+    cycles refused in the pure-Python indent encoder's order, and a bulk
+    shape that fails to encode is walked instead, so an unserialisable
     document raises the same exception type.
     """
     make, string = json.encoder.c_make_encoder, json.encoder.encode_basestring_ascii
@@ -248,18 +278,78 @@ def _indented_json(doc: Any) -> str:
     pads = ["\n"]  # pads[d]: a newline and the indent of depth d
     encoders = []  # encoders[d]: the C encoder of the items of a container at depth d
 
-    def deeper() -> None:
-        pads.append(pads[-1] + "  ")
-        encoders.append(make(None, refuse, string, None, ": ", "," + pads[-1], True, False, True))
+    def reach(depth: int) -> None:  # makes pads[depth] and encoders[depth - 1]
+        while len(pads) <= depth:
+            pads.append(pads[-1] + "  ")
+            encoders.append(make(None, refuse, string, None, ": ", "," + pads[-1], True, False, True))
 
     def key(k: Any) -> str:
         if isinstance(k, str):
-            return string(k) + ": "
+            return string(k)
         if isinstance(k, (int, float)) or k is None:
-            return f'"{scalar(k, 0)[0]}": '
+            return f'"{scalar(k, 0)[0]}"'
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
-    deeper()
+    def scalars(cells: Sequence) -> list[str]:
+        return "".join(scalar(cells, 0))[1:-1].split("," + pads[1])
+
+    def leaves(boxes: Sequence, depth: int) -> list[str]:
+        """The texts of the leaf containers ``boxes`` written at ``depth``."""
+        inner, outer = pads[depth + 1], pads[depth]
+        cut = re.split(",%s(?=[{\\[])" % inner, "".join(encoders[depth](boxes, 0))[1:-1])
+        return [t if len(t) == 2 else t[0] + inner + t[1:-1] + outer + t[-1] for t in cut]
+
+    def column(cells: list, depth: int) -> Optional[list[str]]:
+        """The texts of a table column written at ``depth``; None unless
+        each cell is a scalar or an exact leaf container."""
+        kinds = set(map(type, cells))
+        boxes = kinds.intersection(_CONTAINERS)
+        if sum(map(issubclass, kinds, containers)) > len(boxes):
+            return None  # a subclass of dict, list or tuple
+        if not boxes:
+            return scalars(cells)
+        flags = list(map(isinstance, cells, repeat(_CONTAINERS)))
+        boxed = list(compress(cells, flags))
+        if _holds_container(boxed, boxes):
+            return None
+        if len(boxed) == len(cells):
+            return leaves(cells, depth)
+        texts = iter(scalars([c for c, flag in zip(cells, flags) if not flag])), iter(leaves(boxed, depth))
+        return [next(texts[flag]) for flag in flags]
+
+    def bulk(value: Any, kinds: set, depth: int) -> Optional[str]:
+        """The text of ``value`` written at ``depth`` if it is a list or
+        dict of leaf containers of one kind, or a table; None otherwise."""
+        if kinds != {dict} and not kinds <= {list, tuple}:
+            return None
+        reach(depth + 3)
+        inner = pads[depth + 1]
+        is_dict = isinstance(value, dict)
+        heads, cells = zip(*sorted(value.items())) if is_dict else ((), value)
+        if not _holds_container(cells, kinds):
+            items = leaves(cells, depth + 1)
+        elif kinds != {dict}:
+            return None
+        else:
+            names = cells[0].keys()
+            if len(cells) <= len(names) or set(map(len, cells)) != {len(names)} or set(map(type, names)) != {str}:
+                return None
+            names = sorted(names)  # a row without one of them raises KeyError
+            columns = []
+            for k in names:
+                columns.append(column(list(map(itemgetter(k), cells)), depth + 2))
+                if columns[-1] is None:
+                    return None
+            cell = "," + pads[depth + 2]
+            row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names)
+            items = map((row + inner + "}").__mod__, zip(*columns))
+        if is_dict:
+            heads = map(string if set(map(type, heads)) == {str} else key, heads)
+            items = map("%s: %s".__mod__, zip(heads, items))
+        opener, closer = ("{", "}") if is_dict else ("[", "]")
+        return opener + inner + ("," + inner).join(items) + pads[depth] + closer
+
+    reach(1)
     scalar, containers = encoders[0], repeat(_CONTAINERS)
     out: list[str] = []
     opened: set[int] = set()  # ids of the containers being written, to refuse a cycle
@@ -270,19 +360,26 @@ def _indented_json(doc: Any) -> str:
             if not isinstance(value, _CONTAINERS) or not value:
                 out += (head, scalar(value, 0)[0])
                 continue
-            if len(pads) < depth + 2:
-                deeper()
+            reach(depth + 1)
             inner, is_dict = depth + 1, isinstance(value, dict)
-            if not any(map(issubclass, set(map(type, value.values() if is_dict else value)), containers)):
+            kinds = set(map(type, value.values() if is_dict else value))
+            if not any(map(issubclass, kinds, containers)):
                 text = "".join(encoders[depth](value, 0))  # a long one comes in chunks
                 out += (head, text[0], pads[inner], text[1:-1], pads[depth], text[-1])
+                continue
+            try:
+                text = bulk(value, kinds, depth)
+            except (KeyError, TypeError, ValueError):
+                text = None  # walked below, to raise in the indent encoder's order
+            if text is not None:
+                out += (head, text)
                 continue
             if id(value) in opened:
                 raise ValueError("Circular reference detected")
             opened.add(id(value))
             leads = chain((pads[inner],), repeat("," + pads[inner]))
             if is_dict:
-                items = ((lead + key(k), v) for lead, (k, v) in zip(leads, sorted(value.items())))
+                items = ((lead + key(k) + ": ", v) for lead, (k, v) in zip(leads, sorted(value.items())))
             else:
                 items = zip(leads, value)
             out += (head, "{" if is_dict else "[")
@@ -295,14 +392,18 @@ def _indented_json(doc: Any) -> str:
     return "".join(out)
 
 
+_WRITE_CHUNK = 1 << 16  # characters handed to the file at a time
+
+
 def save_json(doc: Any, dest: Union[str, Path, None]) -> None:
     """Write ``doc`` as key-sorted, indented JSON with a trailing newline;
-    to stdout when ``dest`` is None or empty."""
-    text = _indented_json(doc) + "\n"
-    if not dest:
-        sys.stdout.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
+    to stdout when ``dest`` is None or empty.  The text is written in
+    slices, so no second copy of it, encoded or with its newline, is made."""
+    text = _indented_json(doc)
+    with contextlib.nullcontext(sys.stdout) if not dest else open(dest, "w", encoding="utf-8") as out:
+        for start in range(0, len(text), _WRITE_CHUNK):
+            out.write(text[start : start + _WRITE_CHUNK])
+        out.write("\n")
 
 
 def _parse_index(value: Any, what: str) -> int:

@@ -435,12 +435,15 @@ class VoteBatch:
     labels: list[Optional[int]]
     reasons: list[Optional[str]]
 
+    def scores(self, rows=slice(None)) -> np.ndarray:
+        """The per-class scores ``count / size`` of ``rows``, 0.0 for an
+        empty class.  float64 division rounds as Python's ``k / size``
+        does, since counts and sizes are exact in float64."""
+        return self.counts[rows] / np.maximum(np.array(self.sizes, dtype=np.int64), 1)
+
     def outcome(self, row: int) -> ClassifyOutcome:
-        """One row's verdict with its per-class scores ``count / size``."""
-        scores = {
-            i: k / size if size else 0.0
-            for i, k, size in zip(self.classes, self.counts[row].tolist(), self.sizes)
-        }
+        """One row's verdict with its per-class scores."""
+        scores = dict(zip(self.classes, self.scores(row).tolist()))
         return ClassifyOutcome(label=self.labels[row], reason=self.reasons[row], scores=scores)
 
 

@@ -108,6 +108,7 @@ class _Backup:
         ]
         self.pair, self.dst, self.p, self.r = map(np.array, zip(*rows))
         self.src = self.pair_state[self.pair]
+        self.reward = float(np.max(np.abs(self.r)))  # the largest |reward|
 
     def __call__(self, values: np.ndarray, weights=None) -> np.ndarray:
         """Q per pair; given per-pair policy weights, V per state with terms
@@ -237,13 +238,38 @@ def estimate_mdp(
     return MDPModel(states=ordered, gamma=gamma, transitions=transitions)
 
 
-def _fixed_point(step, size: int, tol: float) -> tuple[np.ndarray, int]:
-    """Sweep ``step`` from zero until no value moves by more than ``tol``."""
-    values, iterations, delta = np.zeros(size), 0, np.inf
-    while delta > tol:
-        new_values = step(values)
-        delta = float(np.max(np.abs(new_values - values)))
-        values, iterations = new_values, iterations + 1
+def _fixed_point(step, backup: "_Backup", tol: float) -> tuple[np.ndarray, int]:
+    """Sweep ``step`` from zero until no value moves by more than ``tol``.
+
+    ``step`` is a Bellman backup of ``backup``'s model, with discount
+    gamma and rewards of at most ``backup.reward`` in size: the first
+    sweep moves a value by at most that reward and each later one by at
+    most gamma times the last (Puterman 1994, section 6.3), so sweep k
+    moves none by more than gamma^(k-1) * reward.  CarlabError is raised
+    past twice the sweeps that bound allows, or when a value overflows.
+    """
+    if not tol > 0:
+        raise CarlabError(f"tolerance {tol!r} is not positive")
+    gamma, reward = backup.gamma, backup.reward
+    if reward <= tol:
+        bound = 1
+    elif gamma == 0:
+        bound = 2
+    else:  # a difference of logs, since tol / reward can underflow to 0
+        bound = 1 + math.ceil((math.log(tol) - math.log(reward)) / math.log(gamma))
+    # The factor 2 is slack for rounding: float sweeps can run past the
+    # exact bound while the last ulps settle (a rewarding self-loop at
+    # gamma = 0.99999 takes 2,072,637 sweeps against a bound of 2,072,318).
+    values, iterations, delta = np.zeros(len(backup.first_pair)), 0, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises CarlabError instead
+        while delta > tol:
+            if iterations == 2 * bound:
+                raise CarlabError(f"values still move by {delta!r} after {iterations} sweeps (tolerance {tol!r})")
+            new_values = step(values)
+            delta = float(np.max(np.abs(new_values - values)))
+            values, iterations = new_values, iterations + 1
+            if not math.isfinite(delta):
+                raise CarlabError(f"values overflow float64 in sweep {iterations}")
     return values, iterations
 
 
@@ -255,11 +281,8 @@ def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
     The greedy policy breaks ties toward the lowest action id.
     """
     backup = mdp._backup
-    values, iterations = _fixed_point(
-        lambda v: np.maximum.reduceat(backup(v), backup.first_pair),
-        len(mdp.states),
-        tol,
-    )
+    best_q = lambda v: np.maximum.reduceat(backup(v), backup.first_pair)
+    values, iterations = _fixed_point(best_q, backup, tol)
     q = backup(values)
     # Sort by state, descending q, then pair: ties go to the lowest action id.
     best = np.lexsort((np.arange(len(q)), -q, backup.pair_state))[backup.first_pair]
@@ -288,7 +311,7 @@ def policy_evaluation(
             raise CarlabError(f"policy distribution at {s} sums to {total!r}")
     backup = mdp._backup
     weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
-    values, _ = _fixed_point(lambda v: backup(v, weights), len(mdp.states), tol)
+    values, _ = _fixed_point(lambda v: backup(v, weights), backup, tol)
     return dict(zip(mdp.states, values.tolist()))
 
 

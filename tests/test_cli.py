@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from carlab.boolcube import all_vertices, multiclass_rdnf, subcubes_to_ldset
 from carlab.carsim import ActionSpec, save_actions
 from carlab.cli import main
-from carlab.core import load_trace_log, save_learning_set
-from carlab.lcpr import classify
+from carlab.core import load_trace_log, load_vectors, save_learning_set
+from carlab.lcpr import classify, load_ldset
 from carlab import synth
 
 import oracles
@@ -95,6 +95,19 @@ class TestMineClassify:
         by_id = {r["id"]: r for r in results}
         assert by_id["c0_0"]["label"] == 0
         assert by_id["c3_1"]["label"] == 3
+
+    def test_classify_records_match_the_one_row_vote(self, contracting, tmp_path):
+        """The records built column-wise from the vote batch hold, row by
+        row, what ``classify`` gives for that row alone."""
+        table = tmp_path / "table.json"
+        assert run(["classify", "--lds", contracting["lds"], "--data", contracting["data"], "--out", table]) == 0
+        lds = load_ldset(contracting["lds"])
+        expected = []
+        for object_id, x in load_vectors(contracting["data"]):
+            outcome = classify(x, lds)
+            scores = {str(i): v for i, v in outcome.scores.items()}
+            expected.append({"id": object_id, "label": outcome.label, "reason": outcome.reason, "scores": scores})
+        assert json.loads(table.read_text())["results"] == expected
 
     def test_mine_writes_valid_ldset(self, contracting, tmp_path):
         mined = tmp_path / "mined.json"
@@ -856,3 +869,35 @@ def test_csv_that_is_not_utf8_is_one_error_naming_the_file(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and f"error: {path}: 'utf-8' codec can't decode byte 0xff" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_the_cached_parser_gives_what_a_fresh_one_gives(chain_transitions, tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser once per process: a usage error, a valid
+    call and ``--help`` in turn give the exit codes and output of a fresh
+    parser built for each call."""
+    from carlab import cli
+
+    out = tmp_path / "diagram.json"
+    calls = [
+        ["diagram", "--transitions", chain_transitions, "--levels", "2"],
+        ["diagram", "--transitions", chain_transitions, "--out", out],
+        ["diagram", "--help"],
+        ["--help"],
+        ["diagram", "--transitions", chain_transitions],
+    ]
+
+    def results():
+        got = []
+        for argv in calls:
+            code = run(argv)
+            got.append((code, *capsys.readouterr()))
+        return got + [out.read_bytes()]
+
+    cached = results()
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert results() == cached
+    assert [code for code, *_ in cached[:-1]] == [1, 0, 0, 0, 0]
+    assert "unrecognized arguments: --levels 2" in cached[0][2]
+    assert "usage: carlab diagram" in cached[2][1] and "usage: carlab" in cached[3][1]

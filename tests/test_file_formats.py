@@ -177,6 +177,110 @@ def test_json_writer_raises_as_the_indent_encoder(tmp_path, doc):
     assert not dest.exists()
 
 
+# Text that looks like the writer's own syntax: %-templates, brackets, and
+# a separator between leaves, which json escapes inside a string.
+TRICKY = st.sampled_from(["%", "%s", "%%s", "a%db", "[", "]", "{", "}", "},\n    {", "],\n      [", "\n"])
+TRICKY_SCALARS = SCALARS | TRICKY
+TRICKY_KEYS = TEXT | TRICKY
+
+
+def _leaf(kind: str):
+    """A container of scalars: a list, a tuple, a str-keyed or a number-keyed dict."""
+    return {
+        "list": st.lists(TRICKY_SCALARS, max_size=4),
+        "tuple": st.lists(TRICKY_SCALARS, max_size=3).map(tuple),
+        "dict": st.dictionaries(TRICKY_KEYS, TRICKY_SCALARS, max_size=4),
+        "number-dict": st.dictionaries(INTS | FLOATS | st.booleans(), TRICKY_SCALARS, max_size=3),
+    }[kind]
+
+
+LEAVES = st.sampled_from(["list", "tuple", "dict", "number-dict"]).flatmap(_leaf)
+# Table cells: scalars, empty and non-empty leaves, and now and then a
+# container that holds a container, which the table path must refuse.
+CELLS = TRICKY_SCALARS | LEAVES | st.sampled_from([{}, [], ()]) | st.lists(LEAVES, max_size=2)
+
+
+def _keyed(draw, items):
+    """``items`` as a list, or as a dict keyed by strings or by ints."""
+    shape = draw(st.sampled_from(["list", "str-dict", "int-dict"]))
+    if shape == "list":
+        return list(items)
+    keys = TRICKY_KEYS if shape == "str-dict" else INTS
+    return dict(zip(draw(st.lists(keys, min_size=len(items), max_size=len(items), unique=True)), items))
+
+
+def _nest(draw, doc):
+    """``doc`` at a drawn depth, so that each indent is reached."""
+    for _ in range(draw(st.integers(0, 3))):
+        doc = draw(st.sampled_from([lambda d: [d], lambda d: {"k": d, "n": 0}, lambda d: [1, d]]))(doc)
+    return doc
+
+
+@st.composite
+def _tables(draw):
+    """2-8 records sharing fewer str keys than there are records."""
+    rows = draw(st.integers(2, 8))
+    names = draw(st.lists(TRICKY_KEYS, min_size=1, max_size=rows - 1, unique=True))
+    return _nest(draw, _keyed(draw, [{k: draw(CELLS) for k in names} for _ in range(rows)]))
+
+
+@st.composite
+def _leaf_containers(draw):
+    """Leaf containers of one kind, with or without empty ones."""
+    kind = draw(st.sampled_from(["list", "tuple", "dict", "number-dict"]))
+    leaves = _leaf(kind) if draw(st.booleans()) else _leaf(kind).filter(len)
+    return _nest(draw, _keyed(draw, draw(st.lists(leaves, min_size=1, max_size=6))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_tables())
+def test_json_writer_matches_the_indent_encoder_on_tables(doc):
+    assert _written(doc) == _reference(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_leaf_containers())
+def test_json_writer_matches_the_indent_encoder_on_leaf_containers(doc):
+    assert _written(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"a": 1, "b": []}, {"a": 2, "c": []}, {"a": 3, "b": [4]}],
+        {"x": {"a": 1, "b": [2]}, "y": {"a": 3, "b": {}}, "z": {"b": [], "a": None}},
+        [{"a%s": [1], "b": "%s"}, {"a%s": {}, "b": "%(x)s"}, {"a%s": (), "b": "%%"}],
+        [{"a": [1]}, {"a": {"b": [2]}}, {"a": {}}],
+    ],
+    ids=["different-keys", "dict-of-records", "percent", "nested-cell"],
+)
+def test_json_writer_matches_the_indent_encoder_on_near_tables(doc):
+    """Record lists the table path must write as the walker does, or leave to it."""
+    assert _written(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"a": 1, "b": [1]}, {"a": b"x", "b": [2]}, {"a": 3, "b": []}],
+        [{"a": [1], "b": {1: 2, "x": 3}}, {"a": [2], "b": {}}, {"a": [], "b": {}}],
+        {"x": [{"a": [b"x"]}, {"a": []}]},
+        {"x": {"a": [1, 2], "b": [b"x"]}},
+        [{"a": 1}, {"a": [1]}, {"a": {2: 0, "y": 1}}],
+        {1: [1], "a": [2]},
+    ],
+    ids=["table-bytes", "table-mixed-keys", "leaf-list-bytes", "leaf-dict-bytes", "column-mixed-keys",
+         "leaf-dict-mixed-outer-keys"],
+)
+def test_json_writer_raises_as_the_indent_encoder_on_bulk_shapes(tmp_path, doc):
+    with pytest.raises(Exception) as expected:
+        _reference(doc)
+    dest = tmp_path / "out.json"
+    with pytest.raises(expected.type):
+        save_json(doc, dest)
+    assert not dest.exists()
+
+
 def _nested_text(depth: int) -> str:
     """``depth`` containers, dicts and lists in turn, each with a scalar
     next to the container it holds."""

@@ -17,6 +17,7 @@ from carlab.mdp import (
     reward_from_levels,
     save_mdp,
     value_iteration,
+    _fixed_point,
 )
 from carlab.poset import LevelDiagram, Transition, ClassTransitionGraph, build_level_diagram, extract_relation
 from carlab import synth
@@ -373,6 +374,64 @@ class TestBackupGuards:
             report = compare_policies(value_iteration(model).policy, model)
             assert report.verdict == "matches-optimal"
             assert all(report.agreement.values())
+
+
+def self_loop_mdp(gamma, reward):
+    """At state 1 the one action loops with ``reward``: the change of sweep
+    k is exactly gamma^(k-1) * reward, the most the sweep bound allows."""
+    return MDPModel(
+        states=(0, 1),
+        gamma=gamma,
+        transitions={0: {STAY_ACTION: ((0, 1.0, 0.0),)}, 1: {"a": ((1, 1.0, reward),)}},
+    )
+
+
+class TestSweepBound:
+    def test_a_step_that_never_settles_raises(self):
+        sweeps = []
+
+        def step(values):
+            sweeps.append(values)
+            assert len(sweeps) <= 1000, "the sweeps are not bounded"
+            return values + 1.0
+
+        with pytest.raises(CarlabError, match="still move by 1.0 after 62 sweeps"):
+            _fixed_point(step, self_loop_mdp(0.5, 1.0)._backup, 1e-9)
+
+    def test_a_tolerance_far_below_the_reward_bounds_the_sweeps(self):
+        """tol / max|r| underflows to 0.0 here, and the bound is still
+        taken: the float sweeps stop moving and settle."""
+        assert 1e-20 / 1e305 == 0.0
+        vi = value_iteration(self_loop_mdp(0.9, 1e305), tol=1e-20)
+        assert vi.values[1] == pytest.approx(1e306)
+
+    def test_a_tolerance_that_is_not_positive_raises(self):
+        with pytest.raises(CarlabError, match="not positive"):
+            value_iteration(chain_mdp(), tol=0.0)
+
+    def test_zero_rewards_settle_in_one_sweep(self):
+        vi = value_iteration(self_loop_mdp(0.9, 0.0))
+        assert vi.iterations == 1
+        assert vi.values == {0: 0.0, 1: 0.0}
+
+    def test_gamma_zero_settles_in_two_sweeps(self):
+        vi = value_iteration(two_action_mdp(gamma=0.0))
+        assert vi.iterations == 2
+        assert vi.values[1] == 1.0
+        v = policy_evaluation(two_action_mdp(gamma=0.0), Policy.deterministic({0: STAY_ACTION, 1: "a"}))
+        assert v[1] == 1.0
+
+    @pytest.mark.parametrize("gamma", [0.9, 0.99999])
+    def test_values_that_overflow_raise(self, gamma):
+        with pytest.raises(CarlabError, match="values overflow float64 in sweep"):
+            value_iteration(self_loop_mdp(gamma, 1e308))
+
+    def test_rounding_slack(self):
+        """Float sweeps on a rewarding self-loop run ten past the exact bound
+        of 1 + ceil(log(tol / r) / log(gamma)) = 27,619 and still settle."""
+        vi = value_iteration(self_loop_mdp(0.999, 1000.0), tol=1e-9)
+        assert vi.iterations == 27_629
+        assert vi.values[1] == pytest.approx(1e6)
 
 
 def test_row_sum_validation():
