@@ -18,7 +18,7 @@ Exact computations are capped at n = 20 and refuse larger inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import islice, product
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
@@ -84,7 +84,7 @@ class PartialBooleanFunction:
             _code(v, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BooleanAction:
     """Total update function on the n-cube: explicit table or per-output
     substitution rule.
@@ -92,24 +92,26 @@ class BooleanAction:
     Rule tokens, one per output coordinate: "0", "1", "xK" (copy input
     coordinate K, 1-based), "~xK" (negate input coordinate K).  Compiled
     once into ``image`` (not a field): the image code of every vertex code.
+    A table is not kept once compiled; ``table_words`` writes it back from
+    ``image``.  Actions are equal when their names, rules and images are.
     """
 
     action_id: str
     n: int
-    table: Optional[dict[str, str]] = None
+    table: InitVar[Optional[dict[str, str]]] = None
     exprs: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
-        if (self.table is None) == (self.exprs is None):
+    def __post_init__(self, table: Optional[dict[str, str]]) -> None:
+        if (table is None) == (self.exprs is None):
             raise CarlabError("exactly one of table/exprs must be given")
         n, codes = self.n, _all_codes(self.n)
-        if self.table is not None:
-            keys, outputs = _word_codes(list(self.table), n), _word_codes(list(self.table.values()), n)
+        if table is not None:
+            keys, outputs = _word_codes(list(table), n), _word_codes(list(table.values()), n)
             # Keys are distinct, so 2^n n-bit keys are all the n-bit words.
-            if len(self.table) != codes.size or keys is None:
+            if len(table) != codes.size or keys is None:
                 raise CarlabError(f"table keys must cover all {n}-bit words")
             if outputs is None:
-                out = next(out for out in self.table.values() if not _is_word(out, n))
+                out = next(out for out in table.values() if not _is_word(out, n))
                 raise CarlabError(f"bad table output {out!r} for n={n}")
             image = np.empty_like(codes)
             image[keys] = outputs
@@ -131,8 +133,22 @@ class BooleanAction:
             return (codes >> (self.n - k) & 1) ^ negate
         raise CarlabError(f"bad rule expression {ex!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BooleanAction):
+            return NotImplemented
+        same = (self.action_id, self.n, self.exprs) == (other.action_id, other.n, other.exprs)
+        return same and np.array_equal(self.image, other.image)
+
+    def __hash__(self) -> int:
+        return hash((self.action_id, self.n, self.exprs))
+
     def apply(self, vertex: str) -> str:
         return format(self.image[_code(vertex, self.n)], f"0{self.n}b")
+
+    def table_words(self) -> dict[str, str]:
+        """The table of the action, word to image word, in code order."""
+        words = [format(code, f"0{self.n}b") for code in range(len(self.image))]
+        return dict(zip(words, map(words.__getitem__, self.image.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

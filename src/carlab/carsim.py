@@ -15,7 +15,7 @@ and the mean steps are read-only views of those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -31,6 +31,7 @@ from .core import (
     NORMAL_CLASS,
     TraceEvent,
     TraceTable,
+    _codes,
     _parse_index,
     _parse_name,
     _parse_number,
@@ -50,8 +51,8 @@ class ActionSpec:
 
     Kinds: "affine" (per-coordinate x -> alpha * x + beta, alpha > 0),
     "table" and "rule" (Boolean-domain actions).  A table or rule spec is
-    compiled once, when it is made, into its ``BooleanAction``, held in
-    the non-field attribute ``boolean`` (None for an affine spec).
+    compiled once, when it is made, into its ``BooleanAction``, the field
+    ``boolean`` (None for an affine spec); the table is not kept.
     """
 
     action_id: str
@@ -60,10 +61,11 @@ class ActionSpec:
     alpha: Optional[tuple[float, ...]] = None
     beta: Optional[tuple[float, ...]] = None
     n: Optional[int] = None
-    table: Optional[dict[str, str]] = None
+    table: InitVar[Optional[dict[str, str]]] = None
     exprs: Optional[tuple[str, ...]] = None
+    boolean: Optional[BooleanAction] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, table: Optional[dict[str, str]]) -> None:
         if self.class_index == NORMAL_CLASS:
             raise CarlabError("no action may be bound to the normal class")
         if self.kind == "affine":
@@ -80,9 +82,7 @@ class ActionSpec:
         elif self.kind in ("table", "rule"):
             if self.n is None:
                 raise CarlabError(f"{self.kind} action needs n")
-            boolean = BooleanAction(
-                action_id=self.action_id, n=self.n, table=self.table, exprs=self.exprs
-            )
+            boolean = BooleanAction(action_id=self.action_id, n=self.n, table=table, exprs=self.exprs)
         else:
             raise CarlabError(f"unknown action kind {self.kind!r}")
         object.__setattr__(self, "boolean", boolean)
@@ -286,9 +286,11 @@ def run_car(
     stalled.update(dict.fromkeys(active.tolist(), StallInfo(kind="exhausted", step=max_steps)))
     obj, state, label = (np.concatenate(column) for column in zip(*blocks))
     step = np.repeat(np.arange(len(blocks)), [len(block[0]) for block in blocks])
+    objects, obj = _codes(obj)
+    labels, action = _codes(label)
     table = _trace_table(
-        [ids[o] for o in obj.tolist()], step, step.astype(float), state, label,
-        [action_ids.get(c, "") for c in label.tolist()],
+        [ids[o] for o in objects], obj, step, step.astype(float), state, label,
+        [action_ids.get(c, "") for c in labels], action,
     )
     return CarRunReport(
         max_steps=max_steps,
@@ -336,7 +338,7 @@ def actions_to_json(specs: Sequence[ActionSpec]) -> list[dict]:
         if spec.kind == "affine":
             entry.update(alpha=list(spec.alpha), beta=list(spec.beta))
         elif spec.kind == "table":
-            entry.update(n=spec.n, map=dict(sorted(spec.table.items())))
+            entry.update(n=spec.n, map=spec.boolean.table_words())
         else:
             entry.update(n=spec.n, exprs=list(spec.exprs))
         out.append(entry)

@@ -10,10 +10,13 @@ Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
 
 Every CSV file is read by ``_read_csv`` and written by ``_write_csv``,
 every JSON file by ``load_json`` and ``save_json``.  ``_read_csv`` returns
-columns: a file with no quote (nor a line break ``csv`` does not know) is
-split at newlines and commas, any other is read by ``csv.reader``.
-Columns are checked whole, and ``_raise_first`` reports the row a
-row-at-a-time reader would stop at.  ``save_json`` writes the bytes of
+typed columns, as the reader of the format names their kinds.  An ASCII
+file with no quote or NUL whose lines hold one field per column is read
+in C by ``np.loadtxt`` (``_loadtxt_read``); a file it does not take, or
+whose fields do not all read, goes through ``csv.reader``, the general
+path, which finds the errors.  Columns are checked whole, and
+``_raise_first`` reports the row a row-at-a-time reader would stop at.
+``save_json`` writes the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
 pure-Python indent encoder: every scalar and every container of scalars
 (a leaf) is encoded by json's C encoder, whose item separator is the
@@ -199,18 +202,23 @@ class TraceTable:
         )
         n = len(state[0]) if events else 0
         return _trace_table(
-            ids, np.array(step, np.int64), np.array(timestamp, float),
+            *_codes(np.array(ids, object)), np.array(step, np.int64), np.array(timestamp, float),
             np.array(state, float).reshape(len(events), n), np.array(label, np.int64),
-            [name or "" for name in names],
+            *_codes(np.array([name or "" for name in names], object)),
         )
 
 
-def _count_rows(*columns: np.ndarray) -> list[tuple]:
+def _count_rows(*columns: np.ndarray, weights: Optional[np.ndarray] = None) -> list[tuple]:
     """The distinct rows of int columns, ascending, each as (v1, ..., count):
-    one int key per row, over the sorted distinct values of each column."""
+    one int key per row, over the sorted distinct values of each column.
+    With int ``weights``, a row's count is the sum of its rows' weights,
+    added as Python ints."""
     uniques, codes = zip(*(np.unique(column, return_inverse=True) for column in columns))
     dims = tuple(map(len, uniques))
-    keys, counts = np.unique(np.ravel_multi_index(codes, dims), return_counts=True)
+    keys, inverse, counts = np.unique(np.ravel_multi_index(codes, dims), return_inverse=True, return_counts=True)
+    if weights is not None:
+        counts = np.zeros(len(keys), object)
+        np.add.at(counts, inverse, weights.astype(object))
     values = (u[c].tolist() for u, c in zip(uniques, np.unravel_index(keys, dims)))
     return list(zip(*values, counts.tolist()))
 
@@ -470,48 +478,129 @@ def _check_feature_header(fields: Sequence[str]) -> int:
 # A row check: the mask of the rows that fail it, and the message for row k.
 _Check = tuple[np.ndarray, Callable[[int], str]]
 
+# A column's kind: float, int, str, or None for a column that is not read.
+# A str column is read as its distinct texts, in order of first appearance,
+# and the index of each row's text among them.
+_Kinds = Callable[[list[str]], Sequence[Optional[type]]]
+
 # A quote, which only csv.reader parses, and the line breaks of str.splitlines
-# that are not line breaks to csv.reader.
+# that are not line breaks to csv.reader: a file with none of them has no
+# field size limit.
 _NOT_SPLIT = '"\v\f\x1c\x1d\x1e\x85\u2028\u2029'
 
+# The ASCII bytes that keep a file from np.loadtxt: those of _NOT_SPLIT, since
+# csv.reader reads such a file under its field limit (and only it parses a
+# quote), and NUL, which an ``S`` field drops at its end.
+_NOT_LOADTXT = [b'"', b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x00"]
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]], Callable[[int], str], Optional[_Check]]:
-    """The header of a CSV file, which must not be empty, the columns of its
-    nonblank rows, ``where(k)``, the ``path:line`` of row k, and the check
-    that each row has as many fields as the header (None when all do).  A
-    row that has not is read as that many empty fields, so it fails this
-    check first.  A file with none of ``_NOT_SPLIT`` is split into lines
-    and at commas, which is what ``csv.reader`` makes of it; any other file
-    goes through ``csv.reader``, and its errors name the file."""
+
+def _codes(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of ``column`` in order of first appearance, and
+    the index of each row's value among them."""
+    values, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return values[order].tolist(), rank[inverse]
+
+
+def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]]:
+    """The header of the nonempty ASCII CSV text ``data``, which holds none
+    of _NOT_LOADTXT, and the columns of its rows, each read by its kind,
+    as ``csv.reader`` reads them; None unless it has rows and two columns
+    or more (a blank line would pass for a row of one empty field), each
+    line after the header holds one field per column and ends as the
+    others do, in LF or in CRLF (the last line may lack its LF), and each
+    field reads.
+
+    np.loadtxt reads the rows in C: a float column as float64, parsed by
+    the function ``float()`` calls, and any other as ``S<w>``, where w is
+    the widest field of the column.  None, too, when those fixed-width
+    columns would take more bytes than the text.  An int column is read
+    as canonical decimal once per distinct text."""
+    first, _, body = data.partition(b"\n")
+    first = first.removesuffix(b"\r")
+    if b"\r" in first:
+        return None
+    header = first.decode("ascii").split(",") if first else []
+    types = kinds(header)
+    if len(types) < 2 or not body.strip(b"\r\n"):
+        return None
+    body = body if body.endswith(b"\n") else body + b"\n"
+    chars = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\r")) | (chars == ord("\n")))
+    line = [ord(",")] * (len(types) - 1) + [ord("\r")] * body.endswith(b"\r\n") + [ord("\n")]
+    rows = len(ends) // len(line)
+    if len(ends) != rows * len(line) or (chars[ends].reshape(rows, len(line)) != line).any():
+        return None  # a blank, ragged or whitespace-only line, a lone CR, or two kinds of line end
+    widths = (np.diff(np.concatenate(([-1], ends))) - 1).reshape(rows, len(line)).max(axis=0).tolist()
+    if rows * sum(w for w, kind in zip(widths, types) if kind is not float) > len(data):
+        return None
+    dtype = [(f"c{j}", "f8" if kind is float else f"S{max(w, 1)}") for j, (w, kind) in enumerate(zip(widths, types))]
     try:
-        text = path.read_bytes().decode("utf-8")
+        table = np.loadtxt(io.StringIO(body.decode("ascii")), dtype, comments=None, delimiter=",", quotechar=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    columns = []
+    for name, kind in zip(table.dtype.names, types):
+        if kind is float or kind is None:  # a copy, so no column keeps the table alive
+            columns.append(None if kind is None else table[name].copy())
+            continue
+        texts, codes = _codes(table[name]) if kind is str else np.unique(table[name], return_inverse=True)
+        texts = [text.decode("ascii") for text in texts]
+        try:  # np.array refuses a None with TypeError and an int past int64 with OverflowError
+            columns.append((texts, codes) if kind is str else np.array(list(map(_decimal, texts)), np.int64)[codes])
+        except (TypeError, OverflowError):
+            return None
+    return header, columns
+
+
+def _read_csv(path: Path, kinds: _Kinds) -> tuple[list[str], list, Callable[[int], str], Optional[_Check], list]:
+    """The header of a CSV file, which must not be empty, the columns of its
+    nonblank rows, ``where(k)``, the ``path:line`` of row k, the check that
+    each row has as many fields as the header (None when all do) and one
+    check per column that each of its fields reads (None when all do).
+
+    ``kinds(header)`` checks the header and gives the kind of each column
+    (see ``_Kinds``); ``_column`` reads a column of each kind.  An ASCII
+    file that ``_loadtxt_read`` reads is read there; any other goes
+    through ``csv.reader``, its errors naming the file, and a row with the
+    wrong field count is read as that many empty fields, so it fails that
+    check first."""
+    data = path.read_bytes()
+    if data and data.isascii() and not any(c in data for c in _NOT_LOADTXT):
+        read = _loadtxt_read(data, kinds)
+        if read is not None:
+            header, columns = read
+            return header, columns, lambda k: f"{path}:{k + 2}", None, [None] * len(columns)
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    if any(c in text for c in _NOT_SPLIT):
-        try:
-            records = list(csv.reader(io.StringIO(text, newline="")))
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        commas, pad = (lambda rows: (len(row) - 1 for row in rows)), (lambda width: [""] * width)
-        flatten = lambda rows: list(chain.from_iterable(rows))
-    else:
-        records = text.splitlines()
-        commas, pad = (lambda lines: map(str.count, lines, repeat(","))), (lambda width: "," * (width - 1))
-        flatten = lambda lines: ",".join(lines).split(",") if lines else []
+    limit = csv.field_size_limit(csv.field_size_limit() if any(c in text for c in _NOT_SPLIT) else sys.maxsize)
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
     if not records:
         raise DataFormatError(f"{path}: empty file")
-    header, records, lines = flatten(records[:1]) if records[0] else [], records[1:], None
+    header, records, lines = records[0], records[1:], None
+    types = kinds(header)
     if not all(records):
         lines = [line for line, record in enumerate(records, start=2) if record]
         records = list(filter(None, records))
     where = lambda k: f"{path}:{k + 2 if lines is None else lines[k]}"
     width, malformed = len(header), None
-    bad = np.fromiter(commas(records), np.intp, count=len(records)) != width - 1
+    bad = np.fromiter(map(len, records), np.intp, count=len(records)) != width
     if bad.any():
-        records = [pad(width) if b else record for record, b in zip(records, bad.tolist())]
+        records = [[""] * width if b else record for record, b in zip(records, bad.tolist())]
         malformed = (bad, lambda k: f"{where(k)}: malformed row, expected {width} fields")
-    fields = flatten(records)
-    return header, [fields[j::width] for j in range(width)], where, malformed
+    fields = list(chain.from_iterable(records))
+    read = [_column(fields[j::width], kind, where) for j, kind in enumerate(types)]
+    return header, [column for column, _ in read], where, malformed, [check for _, check in read]
 
 
 def _float_or_none(text: str) -> Optional[float]:
@@ -521,10 +610,13 @@ def _float_or_none(text: str) -> Optional[float]:
         return None
 
 
-def _column(texts: list[str], kind: type, where: Callable[[int], str]) -> tuple[np.ndarray, Optional[_Check]]:
-    """``texts`` as an array of ``kind``, float or int, and the check that
-    each reads: as a number, or for int as canonical decimal int64 (None
-    when every one does).  A text that does not read is 0 in the array."""
+def _column(texts: list[str], kind: Optional[type], where: Callable[[int], str]) -> tuple[Any, Optional[_Check]]:
+    """``texts`` read as a column of ``kind`` (see ``_Kinds``), and for float
+    and int the check that each reads: as a number, or for int as canonical
+    decimal int64 (None when every one does).  A text that does not read
+    is 0 in the array."""
+    if kind is None or kind is str:
+        return None if kind is None else _codes(np.array(texts, object)), None
     try:  # int texts are decoded once per distinct text; fromiter refuses a None with TypeError
         read = {text: _decimal(text) for text in set(texts)}.__getitem__ if kind is int else float
         return np.fromiter(map(read, texts), kind, count=len(texts)), None
@@ -559,18 +651,22 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
     column is required and parsed if ``labelled``, else optional and ignored.
     A non-finite feature value is rejected with its ``path:line``."""
     path = Path(source)
-    header, columns, where, malformed = _read_csv(path)
-    has_class = header[-1:] == ["class"]
-    if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
-        raise DataFormatError(f"{path}: bad header {header!r}")
-    n = _check_feature_header(header[1 : len(header) - has_class])
-    ids = columns[0]
-    values, unread = zip(*(_column(columns[j], float, where) for j in range(1, n + 1)))
-    x = np.column_stack(values)
-    label, unread_label = _column(columns[-1], int, where) if labelled else (None, None)
+
+    def kinds(header: list[str]) -> list[Optional[type]]:
+        has_class = header[-1:] == ["class"]
+        if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
+            raise DataFormatError(f"{path}: bad header {header!r}")
+        n = _check_feature_header(header[1 : len(header) - has_class])
+        return [str] + [float] * n + [int if labelled else None] * has_class
+
+    header, columns, where, malformed, unread = _read_csv(path, kinds)
+    (names, codes), n = columns[0], len(header) - 1 - (header[-1] == "class")
+    ids = [names[k] for k in codes.tolist()]
+    x = np.column_stack(columns[1 : n + 1])
     non_finite = (~np.isfinite(x).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
-    _raise_first([malformed, *unread, non_finite, unread_label])
-    return list(zip(ids, map(tuple, x.tolist()), label.tolist() if labelled else [None] * len(ids)))
+    _raise_first([malformed, *unread[1 : n + 1], non_finite, *unread[n + 1 :]])
+    labels = columns[-1].tolist() if labelled else [None] * len(ids)
+    return list(zip(ids, map(tuple, x.tolist()), labels))
 
 
 def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
@@ -612,51 +708,54 @@ def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
 
 
 def _trace_table(
-    ids: list[str], step: np.ndarray, timestamp: np.ndarray, state: np.ndarray, label: np.ndarray,
-    names: list[str], where: Optional[Callable[[int], str]] = None, unread: tuple = (None,), origin: str = "",
+    object_ids: Sequence[str], obj: np.ndarray, step: np.ndarray, timestamp: np.ndarray, state: np.ndarray,
+    label: np.ndarray, names: Sequence[str], action: np.ndarray, where: Optional[Callable[[int], str]] = None,
+    unread: tuple = (None,), origin: str = "",
 ) -> TraceTable:
     """The checked table of trace rows given in input order.
 
-    The rows are checked as if one at a time, and the first to fail a
-    check raises: its fields must read (``unread``: a file's field count,
-    step and numeric columns, then class column), its values be finite,
-    step and timestamp nonnegative, an action given exactly when its class
-    is deviated, its class nonnegative and its object id nonempty.  Then
-    within each object steps must run 0, 1, ... and timestamps strictly
-    increase; the first object to break this raises, a gap before a
-    timestamp at the same step.  ``where(k)`` is the ``path:line`` of row
-    k of a file, and ``origin`` names the file.
+    ``obj`` indexes ``object_ids``, in order of first appearance, and
+    ``action`` indexes ``names``, where "" is no action; every name is
+    used.  The rows are checked as if one at a time, and the first to fail
+    a check raises: its fields must read (``unread``: a file's field
+    count, step and numeric columns, then class column), its values be
+    finite, step and timestamp nonnegative, an action given exactly when
+    its class is deviated, its class nonnegative and its object id
+    nonempty.  Then within each object steps must run 0, 1, ... and
+    timestamps strictly increase; the first object to break this raises, a
+    gap before a timestamp at the same step.  ``where(k)`` is the
+    ``path:line`` of row k of a file, and ``origin`` names the file.
     """
-    index = {object_id: k for k, object_id in enumerate(dict.fromkeys(ids))}
-    obj = np.fromiter(map(index.__getitem__, ids), np.intp, count=len(ids))
     actions = tuple(sorted(set(names) - {""}))
-    codes = {name: k for k, name in enumerate(actions)} | {"": -1}
-    action = np.fromiter(map(codes.__getitem__, names), np.int64, count=len(names))
+    rank = {name: k for k, name in enumerate(actions)} | {"": -1}
+    action = np.array([rank[name] for name in names], np.int64)[action]
     at = (lambda k: "") if where is None else (lambda k: f"{where(k)}: ")
     finite = np.isfinite(timestamp) & np.isfinite(state).all(axis=1)
-    normal, event = label == NORMAL_CLASS, lambda k: f"event ({ids[k]!r}, step {step[k]})"
+    object_id = lambda k: repr(object_ids[obj[k]])
+    normal, event = label == NORMAL_CLASS, lambda k: f"event ({object_id(k)}, step {step[k]})"
     *fields, class_field = unread
     _raise_first([
         *fields,
-        (~finite, lambda k: f"{at(k)}non-finite value for {ids[k]!r}"),
+        (~finite, lambda k: f"{at(k)}non-finite value for {object_id(k)}"),
         class_field,
         (step < 0, lambda k: "step must be nonnegative"),
         (timestamp < 0, lambda k: "timestamp must be nonnegative"),
         (normal & (action >= 0), lambda k: f"action present on a normal-class {event(k)}"),
         (~normal & (action < 0), lambda k: f"missing action on deviated-class {event(k)}"),
         (label < 0, lambda k: f"{at(k)}negative class index {label[k]}"),
-        (obj == index.get("", -1), lambda k: f"{at(k)}object_id must be nonempty"),
+        (obj == (object_ids.index("") if "" in object_ids else -1), lambda k: f"{at(k)}object_id must be nonempty"),
     ])
-    order = np.lexsort((step, obj))
-    obj, step, timestamp, state, label, action = (
-        column[order] for column in (obj, step, timestamp, state, label, action)
-    )
+    ahead = np.diff(obj)
+    if (ahead < 0).any() or (np.diff(step)[ahead == 0] < 0).any():  # not yet by object, then step
+        order = np.lexsort((step, obj))
+        obj, step, timestamp, state, label, action = (
+            column[order] for column in (obj, step, timestamp, state, label, action)
+        )
     k = np.arange(len(obj)) - np.searchsorted(obj, obj)  # position within the object
-    object_id = lambda r: repr(list(index)[obj[r]])
     gap = lambda r: f"{origin}gap in step numbering for {object_id(r)} (expected step {k[r]}, got {step[r]})"
     late = lambda r: f"{origin}non-increasing timestamp for {object_id(r)} at step {k[r]}"
     _raise_first([(step != k, gap), ((k > 0) & (timestamp <= np.roll(timestamp, 1)), late)])
-    return TraceTable(tuple(index), obj, step, timestamp, state, label, actions, action)
+    return TraceTable(tuple(object_ids), obj, step, timestamp, state, label, actions, action)
 
 
 def load_trace_log(source: Union[str, Path]) -> TraceTable:
@@ -668,16 +767,18 @@ def load_trace_log(source: Union[str, Path]) -> TraceTable:
     increasing.
     """
     path = Path(source)
-    header, columns, where, malformed = _read_csv(path)
-    if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
-        raise DataFormatError(f"{path}: bad header {header!r}")
-    n = _check_feature_header(header[3:-2])
-    # Each text column goes once read, unless the check of a bad text keeps it.
-    kinds = [int] + [float] * (n + 1) + [int]
-    values, unread = zip(*(_column(columns.pop(1), kind, where) for kind in kinds))
-    ids, names = columns
-    state = np.column_stack(values[2:-1])
-    return _trace_table(ids, *values[:2], state, values[-1], names, where, (malformed, *unread), f"{path}: ")
+
+    def kinds(header: list[str]) -> list[type]:
+        if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
+            raise DataFormatError(f"{path}: bad header {header!r}")
+        return [str, int] + [float] * (_check_feature_header(header[3:-2]) + 1) + [int, str]
+
+    _, columns, where, malformed, unread = _read_csv(path, kinds)
+    (object_ids, obj), step, timestamp, *state, label, (names, action) = columns
+    return _trace_table(
+        object_ids, obj, step, timestamp, np.column_stack(state), label, names, action, where,
+        (malformed, *unread[1:-1]), f"{path}: ",
+    )
 
 
 def save_trace_log(traces: Traces, dest: Union[str, Path]) -> None:

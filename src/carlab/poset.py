@@ -28,7 +28,6 @@ from .core import (
     NORMAL_CLASS,
     Traces,
     TraceTable,
-    _column,
     _count_rows,
     _parse_index,
     _parse_indices,
@@ -208,15 +207,16 @@ def extract_relation(traces: Traces) -> ClassTransitionGraph:
 def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
     """Read a transition CSV with header from_class,action,to_class,count."""
     path = Path(source)
-    header, columns, where, malformed = _read_csv(path)
-    if header != _TRANSITION_HEADER:
-        raise DataFormatError(f"{path}: bad header {header!r}")
-    (src, dst, count), unread = zip(*(_column(columns[j], int, where) for j in (0, 2, 3)))
+
+    def kinds(header: list[str]) -> list[type]:
+        if header != _TRANSITION_HEADER:
+            raise DataFormatError(f"{path}: bad header {header!r}")
+        return [int, str, int, int]
+
+    _, (src, (names, action), dst, count), _, malformed, unread = _read_csv(path, kinds)
     _raise_first([malformed, *unread])
-    counts: dict[tuple[int, str, int], int] = {}
-    for key, c in zip(zip(src.tolist(), columns[1], dst.tolist()), count.tolist()):
-        counts[key] = counts.get(key, 0) + c
-    return _graph(counts)
+    sums = _count_rows(src, action, dst, weights=count)
+    return _graph({(s, names[a], d): c for s, a, d, c in sums})
 
 
 def save_transition_records(g: ClassTransitionGraph, dest: Union[str, Path]) -> None:

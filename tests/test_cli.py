@@ -814,6 +814,24 @@ def test_unquoted_field_past_the_csv_limit_reads(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, option, header, code, err",
+    [
+        ("fit-mdp", "--traces", "id,step,timestamp,f1,class,action", 0, ""),
+        ("mine", "--data", "id,f1,class", 1, "error: learning set has no samples\n"),
+        ("validate-poset", "--transitions", "from_class,action,to_class,count", 0, ""),
+    ],
+    ids=["trace-log", "dataset", "transitions"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\n\n"], ids=["lf", "crlf", "blank-row"])
+def test_header_only_file(tmp_path, capsys, command, option, header, code, err, newline):
+    """A file with a header and no rows reads as no rows, and nothing but
+    the command's own error reaches stderr."""
+    path = write(tmp_path / "h.csv", header + newline)
+    assert run([command, option, path, "--out", tmp_path / "out.json"]) == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("complete", "no", "complete must be a boolean, got 'no'"),
