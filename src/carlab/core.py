@@ -16,19 +16,22 @@ in C by ``np.loadtxt`` (``_loadtxt_read``); a file it does not take, or
 whose fields do not all read, goes through ``csv.reader``, the general
 path, which finds the errors.  Columns are checked whole, and
 ``_raise_first`` reports the row a row-at-a-time reader would stop at.
+Key columns are coded by ``_unique``, through a table rather than a sort
+when their keys span few cells, and ``_count_rows`` counts rows of such
+keys with one ``np.bincount``.
 ``save_json`` writes the bytes of
 ``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
 pure-Python indent encoder: every scalar and every container of scalars
 (a leaf) is encoded by json's C encoder, whose item separator is the
-newline and indent of its depth.  A list or dict of leaves of one kind
-is one C call, and a table (a list or dict of more plain dicts than
-they have keys, all with the same str keys, holding scalars and leaves)
-is written column by column; only the brackets of the leaves and the
-other containers that hold containers are written here, in the order
-and with the key conversion of the indent encoder.  Values are not
-changed after construction, a constructor checks what it stores and a
-value read off stored fields is a read-only property; every function
-here is pure.
+newline and indent of its depth.  A table (a list or dict of more plain
+dicts than they have keys, all with the same str keys, holding scalars
+and leaves, or scalars only) is written column by column, and any other
+list or dict of leaves of one kind is one C call; only the brackets of
+the leaves and the other containers that hold containers are written
+here, in the order and with the key conversion of the indent encoder.
+Values are not changed after construction, a constructor checks what it
+stores and a value read off stored fields is a read-only property; every
+function here is pure.
 """
 
 from __future__ import annotations
@@ -208,11 +211,63 @@ class TraceTable:
         )
 
 
+# An int key column is coded through a table, not a sort, when its span,
+# the cells from its least to its greatest key, is at most this many per row.
+_TABLE_SPAN = 4
+
+
+def _offsets(keys: np.ndarray) -> Optional[tuple[np.ndarray, np.generic, int]]:
+    """The offset of each key of an int column from the least, that least
+    key and the span, when the column fits a table; None otherwise."""
+    if keys.dtype.kind not in "iu" or not len(keys):
+        return None
+    low = keys.min()
+    span = int(keys.max()) - int(low) + 1
+    if span > _TABLE_SPAN * len(keys):
+        return None
+    wide = keys if keys.itemsize == 8 else keys.astype(np.int64)
+    return (wide - low).astype(np.intp, copy=False), low, span  # each offset is below the span
+
+
+def _unique(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(column, return_index=True, return_inverse=True)``: the
+    distinct values, ascending, the first row of each and the index of each
+    row's value among them.
+
+    An int column that fits a table (see ``_offsets``), or an ``S1``/``S2``
+    column that does when read as big-endian ``u1``/``u2``, so that number
+    order is byte order, is coded through a table of its span: the first
+    row of each key by ``np.minimum.at``, and the index of each present key
+    by a running count.  Any other column is sorted by ``np.unique``."""
+    keys = column.view(f">u{column.itemsize}") if column.dtype.kind == "S" and column.itemsize <= 2 else column
+    table = _offsets(keys)
+    if table is None:
+        return np.unique(column, return_index=True, return_inverse=True)
+    at, _, span = table
+    first = np.full(span, len(at), np.intp)
+    np.minimum.at(first, at, np.arange(len(at)))
+    present = first < len(at)
+    first = first[present]
+    return column[first], first, (np.cumsum(present) - 1)[at]
+
+
 def _count_rows(*columns: np.ndarray, weights: Optional[np.ndarray] = None) -> list[tuple]:
     """The distinct rows of int columns, ascending, each as (v1, ..., count):
-    one int key per row, over the sorted distinct values of each column.
-    With int ``weights``, a row's count is the sum of its rows' weights,
-    added as Python ints."""
+    one int key per row, over the distinct values of each column, or over
+    the span of each when the keys fit tables (see ``_offsets``), which
+    unweighted rows count by ``np.bincount``.  With int ``weights``, a
+    row's count is the sum of its rows' weights, added as Python ints."""
+    tables = list(map(_offsets, columns)) if weights is None else []
+    if tables and None not in tables:
+        ats, lows, spans = zip(*tables)
+        if math.prod(spans) <= _TABLE_SPAN * len(ats[0]):
+            joint = ats[0]
+            for at, span in zip(ats[1:], spans[1:]):
+                joint = joint * span + at
+            counts = np.bincount(joint, minlength=math.prod(spans))
+            cells = np.flatnonzero(counts)
+            values = ((at.astype(low.dtype) + low).tolist() for at, low in zip(np.unravel_index(cells, spans), lows))
+            return list(zip(*values, counts[cells].tolist()))
     uniques, codes = zip(*(np.unique(column, return_inverse=True) for column in columns))
     dims = tuple(map(len, uniques))
     keys, inverse, counts = np.unique(np.ravel_multi_index(codes, dims), return_inverse=True, return_counts=True)
@@ -263,13 +318,14 @@ def _indented_json(doc: Any) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, made by json's C encoder.
 
     Two shapes of container are written in bulk, made only of plain
-    dicts, lists and tuples.  A list or dict of leaf containers of one
-    kind (dicts, or lists and tuples, with no container inside) is one C
-    call.  A table, a list or dict of more dicts than they have keys, all
-    with the same str keys and holding only scalars and leaf containers,
-    is written column by column: one C call for a column's scalars, one
-    for its leaf containers, and each row from one %-template (``%``
-    escaped in the keys).  The C text of many leaves is cut between them
+    dicts, lists and tuples.  A table, a list or dict of more dicts than
+    they have keys, all with the same str keys and holding only scalars
+    and leaf containers (flat records of scalars included), is written
+    column by column: one C call for a column's scalars, one for its
+    leaf containers, and each row from one %-template (``%`` escaped in
+    the keys).  Any other list or dict of leaf containers of one kind
+    (dicts, or lists and tuples, with no container inside) is one C
+    call.  The C text of many leaves is cut between them
     without parsing: json escapes every newline inside a string, and a
     separator inside a leaf is followed by a scalar, so ``]`` or ``}``,
     the separator and ``[`` or ``{`` occur only between leaves.
@@ -325,32 +381,40 @@ def _indented_json(doc: Any) -> str:
         texts = iter(scalars([c for c, flag in zip(cells, flags) if not flag])), iter(leaves(boxed, depth))
         return [next(texts[flag]) for flag in flags]
 
+    def table(rows: Sequence[dict], depth: int) -> Optional[Iterable[str]]:
+        """The texts of the rows of a table written at ``depth``; None
+        unless ``rows`` is one."""
+        names = rows[0].keys()
+        if len(rows) <= len(names) or set(map(len, rows)) != {len(names)} or set(map(type, names)) != {str}:
+            return None
+        names = sorted(names)
+        try:
+            cells = [list(map(itemgetter(k), rows)) for k in names]
+        except KeyError:  # a row with other keys
+            return None
+        columns = []
+        for texts in map(column, cells, repeat(depth + 1)):
+            if texts is None:
+                return None
+            columns.append(texts)
+        cell = "," + pads[depth + 1]
+        row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names)
+        return map((row + pads[depth] + "}").__mod__, zip(*columns))
+
     def bulk(value: Any, kinds: set, depth: int) -> Optional[str]:
-        """The text of ``value`` written at ``depth`` if it is a list or
-        dict of leaf containers of one kind, or a table; None otherwise."""
+        """The text of ``value`` written at ``depth`` if it is a table, or
+        a list or dict of leaf containers of one kind; None otherwise."""
         if kinds != {dict} and not kinds <= {list, tuple}:
             return None
         reach(depth + 3)
         inner = pads[depth + 1]
         is_dict = isinstance(value, dict)
         heads, cells = zip(*sorted(value.items())) if is_dict else ((), value)
-        if not _holds_container(cells, kinds):
-            items = leaves(cells, depth + 1)
-        elif kinds != {dict}:
-            return None
-        else:
-            names = cells[0].keys()
-            if len(cells) <= len(names) or set(map(len, cells)) != {len(names)} or set(map(type, names)) != {str}:
+        items = table(cells, depth + 1) if kinds == {dict} else None
+        if items is None:
+            if _holds_container(cells, kinds):
                 return None
-            names = sorted(names)  # a row without one of them raises KeyError
-            columns = []
-            for k in names:
-                columns.append(column(list(map(itemgetter(k), cells)), depth + 2))
-                if columns[-1] is None:
-                    return None
-            cell = "," + pads[depth + 2]
-            row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names)
-            items = map((row + inner + "}").__mod__, zip(*columns))
+            items = leaves(cells, depth + 1)
         if is_dict:
             heads = map(string if set(map(type, heads)) == {str} else key, heads)
             items = map("%s: %s".__mod__, zip(heads, items))
@@ -497,11 +561,9 @@ _NOT_LOADTXT = [b'"', b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x00"]
 def _codes(column: np.ndarray) -> tuple[list, np.ndarray]:
     """The distinct values of ``column`` in order of first appearance, and
     the index of each row's value among them."""
-    values, first, inverse = np.unique(column, return_index=True, return_inverse=True)
+    values, first, inverse = _unique(column)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return values[order].tolist(), rank[inverse]
+    return values[order].tolist(), np.argsort(order)[inverse]
 
 
 def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]]:
@@ -547,7 +609,7 @@ def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]
         if kind is float or kind is None:  # a copy, so no column keeps the table alive
             columns.append(None if kind is None else table[name].copy())
             continue
-        texts, codes = _codes(table[name]) if kind is str else np.unique(table[name], return_inverse=True)
+        texts, codes = _codes(table[name]) if kind is str else _unique(table[name])[::2]
         texts = [text.decode("ascii") for text in texts]
         try:  # np.array refuses a None with TypeError and an int past int64 with OverflowError
             columns.append((texts, codes) if kind is str else np.array(list(map(_decimal, texts)), np.int64)[codes])
@@ -686,7 +748,7 @@ def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
 def _reprs(column: np.ndarray) -> list[str]:
     """The ``repr`` of each value of a numeric column, as written to a CSV
     file: computed once per distinct bit pattern, so -0.0 stays -0.0."""
-    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    bits, _, inverse = _unique(column.view(f"u{column.itemsize}"))
     return np.array(list(map(repr, bits.view(column.dtype).tolist())), dtype=object)[inverse].tolist()
 
 

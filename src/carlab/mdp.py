@@ -9,6 +9,9 @@ Value iteration, policy evaluation and policy comparison share one
 Bellman backup over the model compiled once into flat outcome rows, and
 every backup sums its terms in model order, so each value rounds exactly
 as a scalar loop over states, sorted actions and listed outcomes would.
+Each sweep loop keeps its row terms in a scratch buffer of its own, not
+on the cached backup that threads may share, and multiplies a policy's
+weight into each probability once: a term is ``(w * p) * future``.
 A comparison's ``max_regret`` and ``verdict`` are read-only properties of
 its regret and agreement, under the tolerance that picks optimal actions.
 """
@@ -18,8 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
+from operator import itemgetter, ne
 from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -101,23 +106,32 @@ class _Backup:
         self.pairs = [(s, a) for s in mdp.states for a in mdp.actions(s)]
         self.pair_state = np.array([index[s] for s, _ in self.pairs])
         self.first_pair = np.searchsorted(self.pair_state, np.arange(len(index)))
-        rows = [
-            (k, index[d], prob, reward)
-            for k, (s, a) in enumerate(self.pairs)
-            for d, prob, reward in mdp.transitions[s][a]
-        ]
-        self.pair, self.dst, self.p, self.r = map(np.array, zip(*rows))
+        outcomes = [mdp.transitions[s][a] for s, a in self.pairs]
+        dst, p, r = zip(*chain.from_iterable(outcomes))
+        self.pair = np.repeat(np.arange(len(self.pairs)), list(map(len, outcomes)))
+        self.dst, self.p, self.r = np.array(list(map(index.__getitem__, dst))), np.array(p), np.array(r)
         self.src = self.pair_state[self.pair]
         self.reward = float(np.max(np.abs(self.r)))  # the largest |reward|
 
-    def __call__(self, values: np.ndarray, weights=None) -> np.ndarray:
-        """Q per pair; given per-pair policy weights, V per state with terms
-        ``(w * p) * (r + gamma * V)``.  ``np.bincount`` sums in row order."""
-        future = self.r + self.gamma * values[self.dst]
+    def sweep(self, weights: Optional[np.ndarray] = None) -> Callable[[np.ndarray], np.ndarray]:
+        """The backup V -> Q per pair; given per-pair policy weights, V -> V
+        per state with terms ``(w * p) * (r + gamma * V)``, ``w * p`` folded
+        once and ``gamma * V`` taken per state.  Each call writes its row
+        terms into one scratch buffer that belongs to the returned function,
+        and ``np.bincount`` sums them in row order."""
         if weights is None:
-            return np.bincount(self.pair, self.p * future, minlength=len(self.pairs))
-        terms = weights[self.pair] * self.p * future
-        return np.bincount(self.src, terms, minlength=len(self.first_pair))
+            scale, index, size = self.p, self.pair, len(self.pairs)
+        else:
+            scale, index, size = weights[self.pair] * self.p, self.src, len(self.first_pair)
+        terms = np.empty(len(self.p))
+
+        def backup(values: np.ndarray) -> np.ndarray:
+            np.take(self.gamma * values, self.dst, out=terms, mode="wrap")  # every dst is a state index
+            np.add(self.r, terms, out=terms)
+            np.multiply(scale, terms, out=terms)
+            return np.bincount(index, terms, minlength=size)
+
+        return backup
 
 
 @dataclass(frozen=True)
@@ -281,9 +295,10 @@ def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
     The greedy policy breaks ties toward the lowest action id.
     """
     backup = mdp._backup
-    best_q = lambda v: np.maximum.reduceat(backup(v), backup.first_pair)
+    q_of = backup.sweep()
+    best_q = lambda v: np.maximum.reduceat(q_of(v), backup.first_pair)
     values, iterations = _fixed_point(best_q, backup, tol)
-    q = backup(values)
+    q = q_of(values)
     # Sort by state, descending q, then pair: ties go to the lowest action id.
     best = np.lexsort((np.arange(len(q)), -q, backup.pair_state))[backup.first_pair]
     return VIResult(
@@ -311,7 +326,7 @@ def policy_evaluation(
             raise CarlabError(f"policy distribution at {s} sums to {total!r}")
     backup = mdp._backup
     weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
-    values, _ = _fixed_point(lambda v: backup(v, weights), backup, tol)
+    values, _ = _fixed_point(backup.sweep(weights), backup, tol)
     return dict(zip(mdp.states, values.tolist()))
 
 
@@ -338,7 +353,7 @@ def compare_policies(
     vi = value_iteration(mdp, tol=tol)
     v_obs = policy_evaluation(mdp, observed, tol=tol)
     backup = mdp._backup
-    q = backup(np.array([vi.values[s] for s in mdp.states]))
+    q = backup.sweep()(np.array([vi.values[s] for s in mdp.states]))
     best = np.maximum.reduceat(q, backup.first_pair)
     near_best = q >= (best - OPTIMAL_ATOL)[backup.pair_state]
     optimal_actions: dict[int, tuple[str, ...]] = {}
@@ -364,12 +379,44 @@ def mdp_to_json(mdp: MDPModel) -> dict:
     return {"states": list(mdp.states), "gamma": mdp.gamma, "transitions": rows}
 
 
+# The exact kinds of the fields of a transition row.
+_ROW_KINDS = {"p": {int, float}, "r": {int, float}, "s": {int}, "a": {str}, "s'": {int}}
+
+
+def _transition_columns(rows: list) -> Optional[dict[str, list]]:
+    """The fields of the transition rows as columns, the numbers as floats;
+    None unless every row holds each field with its exact kind, and every
+    action is nonempty."""
+    try:
+        columns = {key: list(map(itemgetter(key), rows)) for key in _ROW_KINDS}
+    except (KeyError, TypeError):
+        return None
+    if any(not set(map(type, columns[key])) <= kinds for key, kinds in _ROW_KINDS.items()) or "" in columns["a"]:
+        return None
+    columns["p"], columns["r"] = list(map(float, columns["p"])), list(map(float, columns["r"]))
+    return columns
+
+
 def mdp_from_json(data: dict) -> MDPModel:
+    """The model of an MDP JSON document.  Its transition rows are read by
+    column, each column checked once; a document that fails a check is
+    read a row at a time, which raises at the first row and field (in
+    the order p, r, s, a, s') that fails."""
+    rows = data["transitions"]
+    columns = _transition_columns(rows) if isinstance(rows, list) else None
     transitions: dict[int, dict[str, list]] = {}
-    for row in data["transitions"]:
-        p, r = (_parse_number(row[key], key) for key in ("p", "r"))
-        s, a = _parse_index(row["s"], "s"), _parse_name(row["a"], "a")
-        transitions.setdefault(s, {}).setdefault(a, []).append((_parse_index(row["s'"], "s'"), p, r))
+    if columns is None:
+        for row in rows:
+            p, r = (_parse_number(row[key], key) for key in ("p", "r"))
+            s, a = _parse_index(row["s"], "s"), _parse_name(row["a"], "a")
+            transitions.setdefault(s, {}).setdefault(a, []).append((_parse_index(row["s'"], "s'"), p, r))
+    else:
+        keys = list(zip(columns["s"], columns["a"]))
+        outcomes = list(zip(columns["s'"], columns["p"], columns["r"]))
+        starts = [*compress(range(len(keys)), chain([True], map(ne, keys[1:], keys))), len(keys)]
+        for start, end in zip(starts, starts[1:]):  # one run of rows per (s, a), in most documents
+            s, a = keys[start]
+            transitions.setdefault(s, {}).setdefault(a, []).extend(outcomes[start:end])
     return MDPModel(
         states=_parse_indices(data["states"], "state"),
         gamma=_parse_number(data["gamma"], "gamma"),

@@ -35,6 +35,7 @@ from .core import (
     _parse_strings,
     _raise_first,
     _read_csv,
+    _unique,
     _write_csv,
 )
 
@@ -200,7 +201,7 @@ def extract_relation(traces: Traces) -> ClassTransitionGraph:
             f"at step {table.step[k]}"
         )
     counts = _count_rows(table.label[head], table.action[head], table.label[head + 1])
-    classes = np.unique(table.label).tolist()
+    classes = _unique(table.label)[0].tolist()
     return _graph({(s, table.actions[a], d): c for s, a, d, c in counts}, classes)
 
 

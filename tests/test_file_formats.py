@@ -281,6 +281,78 @@ def test_json_writer_raises_as_the_indent_encoder_on_bulk_shapes(tmp_path, doc):
     assert not dest.exists()
 
 
+@st.composite
+def _flat_records(draw):
+    """2-9 records of scalars sharing fewer str keys than there are records."""
+    rows = draw(st.integers(2, 9))
+    names = draw(st.lists(TRICKY_KEYS, min_size=1, max_size=rows - 1, unique=True))
+    return _nest(draw, _keyed(draw, [{k: draw(TRICKY_SCALARS) for k in names} for _ in range(rows)]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=_flat_records())
+def test_json_writer_matches_the_indent_encoder_on_flat_records(doc):
+    assert _written(doc) == _reference(doc)
+
+
+def _written_by_calls(monkeypatch, doc) -> tuple[str, int]:
+    """The writer's text of ``doc`` and how many C encoder calls made it."""
+    make, calls = json.encoder.c_make_encoder, []
+
+    def counting(*args):
+        encode = make(*args)
+        return lambda value, level: calls.append(value) or encode(value, level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json.encoder, "c_make_encoder", counting)
+        text = _written(doc)
+    return text, len(calls)
+
+
+@pytest.mark.parametrize(
+    "doc, calls",
+    [
+        ([{"a%s": 1, "%": -0.0, "b%%": 2**70}, {"a%s": -(2**80), "%": 0.0, "b%%": "%s"}, {"a%s": 2, "%": 1e308, "b%%": ""},
+          {"a%s": 0, "%": -1.5, "b%%": "%(x)s"}], 3),
+        ([{"on": True, "off": False}, {"on": None, "off": 0}, {"on": 1, "off": 1.0}], 2),
+        ({"x": {"s": 1, "p": 0.5}, "y": {"s": 2, "p": 0.25}, "z": {"s": 3, "p": -0.0}}, 2),
+        ({3: {"s": 1}, 1: {"s": None}}, 3),  # and one call per int key
+        ([{"a": 1, "b": 2, "c": 3}, {"a": 4, "b": 5, "c": 6}, {"a": 7, "b": 8, "c": 9}], 1),
+        ([{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}], 1),
+        ([{"a": 1, "b": 2}, {"a": 3}, {"a": 5, "b": 6}], 1),
+        ([{"a": 1}, {"a": 2}, {}], 1),
+    ],
+    ids=["percent-zero-big-ints", "bools-and-none", "dict-of-records", "int-keyed-records", "rows-equal-keys",
+         "mixed-keys", "short-row", "empty-row"],
+)
+def test_flat_records_take_the_table_path_when_they_are_a_table(monkeypatch, doc, calls):
+    """A table of scalars is one C call per column; records that are not a
+    table, one row fewer than the keys included, stay one C call."""
+    text, made = _written_by_calls(monkeypatch, doc)
+    assert text == _reference(doc)
+    assert made == calls
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"a": 1, "b": b"x"}, {"a": 2, "b": 3}, {"a": 3, "b": 4}],
+        {"x": {"a": object()}, "y": {"a": 1}},
+        [{"a": 1, "b": {1, 2}}, {"a": 2, "b": 3}],
+        [{"a": 1, "b": 2}, {"a": 2, "c": b"x"}, {"a": 3, "b": 4}],
+        [{"a": 1, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": float}],
+    ],
+    ids=["bytes", "object", "set-rows-equal-keys", "bytes-mixed-keys", "type"],
+)
+def test_json_writer_raises_as_the_indent_encoder_on_flat_records(tmp_path, doc):
+    with pytest.raises(Exception) as expected:
+        _reference(doc)
+    dest = tmp_path / "out.json"
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        save_json(doc, dest)
+    assert not dest.exists()
+
+
 def _nested_text(depth: int) -> str:
     """``depth`` containers, dicts and lists in turn, each with a scalar
     next to the container it holds."""

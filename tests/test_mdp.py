@@ -1,6 +1,10 @@
+import json
 import math
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlab.core import CarlabError, TraceEvent
 from carlab.mdp import (
@@ -490,3 +494,120 @@ def test_mdp_from_json_rejects_bad_outcomes(p, r, message):
     }
     with pytest.raises(CarlabError, match=message):
         mdp_from_json(data)
+
+
+# The checks of a transition row's fields, in the order a row is read.
+ROW_FIELDS = (
+    ("p", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number"),
+    ("r", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "must be a number"),
+    ("s", lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+    ("a", lambda v: isinstance(v, str) and v != "", "must be a nonempty string"),
+    ("s'", lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+)
+
+
+def _first_row_fault(rows: list) -> tuple[type, str]:
+    """The error a reader that takes the rows one at a time, each field
+    in the order p, r, s, a, s', raises first."""
+    for row in rows:
+        for key, valid, rule in ROW_FIELDS:
+            if key not in row:
+                return KeyError, str(KeyError(key))
+            if not valid(row[key]):
+                return CarlabError, f"{key} {rule}, got {row[key]!r}"
+    raise AssertionError("no row fails")
+
+
+# Each fault: the field it breaks and its bad value (None drops the field).
+ROW_FAULTS = {
+    "bool-s": ("s", True),
+    "string-p": ("p", "0.5"),
+    "empty-a": ("a", ""),
+    "missing-s'": ("s'", None),
+    "bool-s'": ("s'", False),
+    "string-r": ("r", "1"),
+    "float-s": ("s", 1.0),
+    "none-a": ("a", None),
+}
+
+
+def _break(row: dict, fault: str) -> None:
+    key, value = ROW_FAULTS[fault]
+    if value is None and key == "s'":
+        row.pop(key, None)
+    else:
+        row[key] = value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16), faults=st.lists(st.tuples(st.sampled_from(sorted(ROW_FAULTS)), st.integers(0, 10**6)),
+                                                   min_size=1, max_size=4))
+def test_mdp_from_json_raises_at_the_first_failing_row_and_field(seed, faults):
+    """A document read by columns raises what a row-at-a-time read raises:
+    the first row that fails, at its first field in the order p, r, s, a, s'."""
+    data = json.loads(json.dumps(mdp_to_json(synth.random_mdp(synth.default_rng(seed)))))
+    rows = data["transitions"]
+    for fault, at in faults:
+        _break(rows[at % len(rows)], fault)
+    kind, message = _first_row_fault(rows)
+    with pytest.raises(kind) as raised:
+        mdp_from_json(data)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({2: ["bool-s"], 3: ["string-p"]}, "s must be an integer, got True"),
+        ({2: ["string-p"], 3: ["bool-s"]}, "p must be a number, got '0.5'"),
+        ({2: ["empty-a"], 3: ["missing-s'"]}, "a must be a nonempty string, got ''"),
+        ({2: ["missing-s'"], 3: ["empty-a"]}, "missing key \"s'\""),
+        ({2: ["missing-s'", "bool-s"]}, "s must be an integer, got True"),
+        ({2: ["empty-a", "string-p"]}, "p must be a number, got '0.5'"),
+        ({3: ["string-r"], 2: ["missing-s'"]}, "missing key \"s'\""),
+    ],
+    ids=["bool-s", "string-p", "empty-a", "missing-s'", "s-before-s'", "p-before-a", "earlier-row"],
+)
+def test_load_mdp_names_the_first_failing_row_and_field(tmp_path, faults, message):
+    rows = [
+        {"s": 0, "a": STAY_ACTION, "s'": 0, "p": 1.0, "r": 0.0},
+        {"s": 1, "a": "a1", "s'": 0, "p": 0.5, "r": 1.0},
+        {"s": 1, "a": "a1", "s'": 1, "p": 0.5, "r": 0.0},
+        {"s": 1, "a": "a2", "s'": 0, "p": 1.0, "r": 1.0},
+    ]
+    for k, names in faults.items():
+        for fault in names:
+            _break(rows[k], fault)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"states": [0, 1], "gamma": 0.9, "transitions": rows}), encoding="utf-8")
+    with pytest.raises(CarlabError) as raised:
+        load_mdp(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def test_compare_policies_from_threads_matches_one_thread():
+    """Sweeps that share a model's cached backup keep their buffers apart:
+    three threads (more than the two cores of a small runner) comparing on
+    one model, switching often, report the bits one thread does."""
+    model = synth.random_mdp(synth.default_rng(41), gamma=0.99)
+    policy = Policy(decision={s: {a: 1.0 / len(model.actions(s)) for a in model.actions(s)} for s in model.states})
+    expected = repr(compare_policies(policy, model))
+    barrier, reports = threading.Barrier(3), [[], [], []]
+
+    def work(k: int) -> None:
+        barrier.wait(timeout=60)
+        for _ in range(10):
+            reports[k].append(repr(compare_policies(policy, model)))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [[expected] * 10] * 3
