@@ -238,11 +238,17 @@ def _unique(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column that does when read as big-endian ``u1``/``u2``, so that number
     order is byte order, is coded through a table of its span: the first
     row of each key by ``np.minimum.at``, and the index of each present key
-    by a running count.  Any other column is sorted by ``np.unique``."""
+    by a running count.  Any other column is sorted by ``np.unique``, only
+    at its run heads (rows whose value differs from the row before, where
+    every value first appears) when it has runs, as a trace log's ids do."""
     keys = column.view(f">u{column.itemsize}") if column.dtype.kind == "S" and column.itemsize <= 2 else column
     table = _offsets(keys)
     if table is None:
-        return np.unique(column, return_index=True, return_inverse=True)
+        heads = np.flatnonzero(np.append(True, column[1:] != column[:-1])[: len(column)])
+        if len(heads) == len(column):
+            return np.unique(column, return_index=True, return_inverse=True)
+        values, first, inverse = np.unique(column[heads], return_index=True, return_inverse=True)
+        return values, heads[first], np.repeat(inverse, np.diff(heads, append=len(column)))
     at, _, span = table
     first = np.full(span, len(at), np.intp)
     np.minimum.at(first, at, np.arange(len(at)))

@@ -14,23 +14,27 @@ The seeds of one class are grown together, in chunks of bounded size,
 by one kernel that reproduces the greedy walk of ``grow_maximal_ld``
 exactly: it keeps, per seed and counter point, the number of box sides
 excluding that point, and finds where each bound's walk stops by one
-search on the feature's grid instead of stepping through it.
+search on the feature's grid instead of stepping through it.  An LD set
+is its bound matrices: one row per box, -inf / +inf on an open side, rows
+grouped by class; mined boxes go straight into them, ordered by one sort.
 
 Classification scores an object per class as the fraction of that class's
 LDs covering it, then takes the argmax; ties and all-zero score vectors
-are reported as indeterminate rather than broken silently.  Voting runs
-through one kernel over an LDSet compiled once into bound arrays: rows
-are tested against every box in chunks of bounded size, and the argmax
-and ties compare integer cover counts, never float scores.
+are reported as indeterminate rather than broken silently.  Voting reads
+the bound matrices with no compile step: rows are tested against every
+box in chunks of bounded size, and the argmax and ties compare integer
+cover counts, never float scores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,16 +61,7 @@ class LogicalDependency:
     upper: dict[int, float]
 
     def __post_init__(self) -> None:
-        for bounds in (self.lower, self.upper):
-            for j, v in bounds.items():
-                if j < 1:
-                    raise CarlabError(f"feature index {j} out of range")
-                if math.isnan(v):
-                    raise CarlabError(f"NaN bound on feature {j}")
-        for j, lo in self.lower.items():
-            hi = self.upper.get(j)
-            if hi is not None and lo > hi:
-                raise CarlabError(f"empty box on feature {j}: [{lo}, {hi}]")
+        _check_box(self.lower, self.upper)
 
     def key(self) -> tuple:
         """Canonical sort/dedup key."""
@@ -77,23 +72,111 @@ class LogicalDependency:
         )
 
 
-@dataclass(frozen=True)
+def _check_box(lower: dict[int, float], upper: dict[int, float]) -> None:
+    for bounds in (lower, upper):
+        for j, v in bounds.items():
+            if j < 1:
+                raise CarlabError(f"feature index {j} out of range")
+            if math.isnan(v):
+                raise CarlabError(f"NaN bound on feature {j}")
+    for j, lo in lower.items():
+        hi = upper.get(j)
+        if hi is not None and lo > hi:
+            raise CarlabError(f"empty box on feature {j}: [{lo}, {hi}]")
+
+
+def _matrices(boxes: Sequence[tuple[dict[int, float], dict[int, float]]]) -> np.ndarray:
+    """The lower and upper bound matrices of (lower, upper) bound dicts, one
+    row per box, as wide as the largest feature index named."""
+    width = max((j for box in boxes for side in box for j in side), default=0)
+    matrices = np.full((2, len(boxes), width), np.inf)
+    matrices[0] = -np.inf
+    for matrix, sides in zip(matrices, zip(*boxes)):
+        rows = [k for k, side in enumerate(sides) for _ in side]
+        matrix[rows, [j - 1 for side in sides for j in side]] = [v for side in sides for v in side.values()]
+    return matrices
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LDSet:
-    """Per-class collections of logical dependencies."""
+    """Per-class logical dependencies as the rows of one bound matrix pair.
 
-    by_class: dict[int, tuple[LogicalDependency, ...]]
-    warnings: tuple[str, ...] = ()
+    Row k of ``lower`` / ``upper`` (read-only, column-major) is one box,
+    column j - 1 its bounds on feature j; class ``class_ids[c]`` owns the
+    next ``sizes[c]`` rows.  ``LDSet(by_class=...)`` keeps the given order.
+    Two sets are equal when ``by_class`` and ``warnings`` are."""
 
-    def all_lds(self) -> Iterable[LogicalDependency]:
-        for index in sorted(self.by_class):
-            yield from self.by_class[index]
+    class_ids: tuple[int, ...]
+    sizes: tuple[int, ...]
+    lower: np.ndarray
+    upper: np.ndarray
+    warnings: tuple[str, ...]
 
-    def classes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_class))
+    def __new__(cls, by_class: Mapping[int, Iterable[LogicalDependency]], warnings: Iterable[str] = ()) -> LDSet:
+        members = {i: tuple(by_class[i]) for i in sorted(by_class)}
+        codes = np.repeat(np.arange(len(members)), [len(m) for m in members.values()])
+        boxes = [(ld.lower, ld.upper) for m in members.values() for ld in m]
+        return _ldset(tuple(members), codes, *_matrices(boxes), warnings)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LDSet):
+            return NotImplemented
+        return self.by_class == other.by_class and self.warnings == other.warnings
+
+    def __reduce__(self) -> tuple:
+        codes = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        return _ldset, (self.class_ids, codes, self.lower, self.upper, self.warnings)
 
     @cached_property
-    def _compiled(self) -> "_CompiledLDs":
-        return _CompiledLDs(self)
+    def by_class(self) -> Mapping[int, tuple[LogicalDependency, ...]]:
+        """Each class's boxes as LogicalDependency rows, in row order."""
+        rows = (LogicalDependency(*row) for row in _bounded_sides(self, range(1, self.lower.shape[1] + 1)))
+        return MappingProxyType({i: tuple(islice(rows, n)) for i, n in zip(self.class_ids, self.sizes)})
+
+    def all_lds(self) -> Iterable[LogicalDependency]:
+        return chain.from_iterable(self.by_class.values())
+
+    def classes(self) -> tuple[int, ...]:
+        return self.class_ids
+
+
+def _ldset(class_ids, codes, lower, upper, warnings=()) -> LDSet:
+    """The LDSet of the boxes ``lower`` / ``upper`` of classes
+    ``class_ids[codes]``, the codes ascending."""
+    ldset = object.__new__(LDSet)
+    lower, upper = np.asfortranarray(lower), np.asfortranarray(upper)
+    lower.flags.writeable = upper.flags.writeable = False
+    sizes = tuple(np.bincount(codes, minlength=len(class_ids)).tolist())
+    vars(ldset).update(class_ids=tuple(class_ids), sizes=sizes, lower=lower, upper=upper, warnings=tuple(warnings))
+    return ldset
+
+
+def _by_key(codes, lower, upper, unique=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows sorted by class, then stably by ``LogicalDependency.key``,
+    and with ``unique`` only the first of equal boxes.  The key compares
+    each side's (feature, bound) items, open sides left out, so a feature
+    side sorts by (tag, value): tag 1 and the bound if bounded; if open,
+    tag 0 (the items end first) when no later feature of the side is
+    bounded, else tag 2 (the next item names a later feature)."""
+    keys = [codes]
+    for bounds, bounded in ((lower, lower > -np.inf), (upper, upper < np.inf)):
+        later = np.cumsum(bounded[:, ::-1], axis=1)[:, ::-1] > bounded
+        tags, values = np.where(bounded, 1, np.where(later, 2, 0)), np.where(bounded, bounds, 0.0)
+        for j in range(bounds.shape[1]):
+            keys += [tags[:, j], values[:, j]]
+    order = np.lexsort(keys[::-1])
+    if unique and len(order):
+        boxes = np.column_stack([codes, lower, upper])[order]
+        order = order[np.concatenate(([True], (boxes[1:] != boxes[:-1]).any(axis=1)))]
+    return codes[order], lower[order], upper[order]
+
+
+def _bounded_sides(lds: LDSet, names: Sequence) -> Iterator[tuple[int, dict, dict]]:
+    """Each row's class and bounded sides, as {names[j - 1]: bound} dicts."""
+    rows = zip(np.repeat(lds.class_ids, lds.sizes).tolist(), lds.lower.tolist(), lds.upper.tolist())
+    for index, lower, upper in rows:
+        lower = {j: v for j, v in zip(names, lower) if v != -math.inf}
+        yield index, lower, {j: v for j, v in zip(names, upper) if v != math.inf}
 
 
 @dataclass(frozen=True)
@@ -266,24 +349,15 @@ def _grow_chunk(
             nearest = walk[np.searchsorted(walk, stop, side="right")]
             new = np.where(nearest < bound[:, j], nearest, bound[:, j])
             new[drop] = -np.inf
-            np.greater(values, stop[:, None], out=scratch)
-            scratch &= blocked
-            slack -= np.count_nonzero(scratch, axis=1)
+            if budget:  # at zero budget the slack stays all zeros
+                np.greater(values, stop[:, None], out=scratch)
+                scratch &= blocked
+                slack -= np.count_nonzero(scratch, axis=1)
             np.greater_equal(values, new[:, None], out=scratch)
             scratch &= out
             excluded -= scratch
             bound[:, j] = new
     return coincident
-
-
-def _ld_of_box(
-    class_index: int, lower: Sequence[float], upper: Sequence[float]
-) -> LogicalDependency:
-    return LogicalDependency(
-        class_index=class_index,
-        lower={j + 1: v for j, v in enumerate(lower) if v != -np.inf},
-        upper={j + 1: v for j, v in enumerate(upper) if v != np.inf},
-    )
 
 
 def _unseparable(seed: LearningSample, coincident: int) -> str:
@@ -320,7 +394,7 @@ def grow_maximal_ld(
     )
     if coincident[0] > config.violation_budget:
         raise UnseparableSeedError(_unseparable(seed, int(coincident[0])))
-    return _ld_of_box(seed.label, lower[0].tolist(), upper[0].tolist())
+    return next(_ldset((seed.label,), np.zeros(1, np.intp), lower, upper).all_lds())
 
 
 def mine_lds(
@@ -330,8 +404,8 @@ def mine_lds(
 
     Each seed's box is the one ``grow_maximal_ld`` grows; the seeds of a
     class are grown together.  Unseparable seeds become warnings, not
-    failures; duplicate boxes are removed and each class list is sorted
-    canonically.
+    failures; duplicate boxes are removed, the first seed's kept, and each
+    class's boxes are sorted canonically (see ``_by_key``).
     """
     budget = (config or MiningConfig()).violation_budget
     X, y = _matrix(learning_set)
@@ -344,25 +418,12 @@ def mine_lds(
         lower[seeds], upper[seeds], coincident[seeds] = _grow_boxes(
             X[seeds], X[~seeds], grids, budget
         )
-    warnings: list[str] = []
-    by_class: dict[int, list[LogicalDependency]] = {
-        i: [] for i in range(learning_set.deviated_count + 1)
-    }
-    seen: set[tuple] = set()
-    for seed, lo, hi, k in zip(
-        learning_set.samples, lower.tolist(), upper.tolist(), coincident.tolist()
-    ):
-        if k > budget:
-            warnings.append(_unseparable(seed, k))
-            continue
-        ld = _ld_of_box(seed.label, lo, hi)
-        if ld.key() not in seen:
-            seen.add(ld.key())
-            by_class[ld.class_index].append(ld)
-    return LDSet(
-        by_class={i: tuple(sorted(lds, key=LogicalDependency.key)) for i, lds in by_class.items()},
-        warnings=tuple(warnings),
-    )
+    keep = coincident <= budget
+    warnings = [_unseparable(learning_set.samples[k], coincident[k]) for k in np.flatnonzero(~keep).tolist()]
+    # As wide as the largest feature bounded, which is all the vote checks a row for.
+    width = max(np.flatnonzero(((lower > -np.inf) | (upper < np.inf))[keep].any(axis=0)) + 1, default=0)
+    boxes = _by_key(y[keep], lower[keep, :width], upper[keep, :width], unique=True)
+    return _ldset(range(learning_set.deviated_count + 1), *boxes, warnings)
 
 
 def similarity(x: Sequence[float], lds: LDSet, class_index: int) -> float:
@@ -372,52 +433,6 @@ def similarity(x: Sequence[float], lds: LDSet, class_index: int) -> float:
 
 _REASONS = (None, "tied", "all-zero")
 _TIED, _ALL_ZERO = 1, 2
-
-
-class _CompiledLDs:
-    """An LDSet as bound arrays over its LDs in ``all_lds`` order.
-
-    Feature j's bounds for every LD sit in one array, -inf / +inf where
-    an LD leaves that side open, so a box test is one comparison per
-    bounded feature side.  Class ``classes[c]`` owns the LDs
-    ``starts[c]:starts[c + 1]``.
-    """
-
-    def __init__(self, lds: LDSet) -> None:
-        self.classes = lds.classes()
-        members = [lds.by_class[i] for i in self.classes]
-        self.sizes = tuple(len(m) for m in members)
-        self.starts = np.cumsum((0,) + self.sizes)
-        flat = [ld for m in members for ld in m]
-        self.width = max((j for ld in flat for j in (*ld.lower, *ld.upper)), default=0)
-        lower = np.full((self.width, len(flat)), -np.inf)
-        upper = np.full((self.width, len(flat)), np.inf)
-        for k, ld in enumerate(flat):
-            for j, v in ld.lower.items():
-                lower[j - 1, k] = v
-            for j, v in ld.upper.items():
-                upper[j - 1, k] = v
-        self.tests = [
-            (j, np.greater_equal, lower[j])
-            for j in range(self.width)
-            if (lower[j] > -np.inf).any()
-        ] + [
-            (j, np.less_equal, upper[j])
-            for j in range(self.width)
-            if (upper[j] < np.inf).any()
-        ]
-
-    def counts(self, X: np.ndarray) -> np.ndarray:
-        """Per-class cover counts of each row of X, shape (rows, classes)."""
-        inside = np.ones((len(X), self.starts[-1]), dtype=bool)
-        scratch = np.empty_like(inside)
-        for j, compare, bound in self.tests:
-            compare(X[:, j, None], bound, out=scratch)
-            inside &= scratch
-        counts = np.empty((len(X), len(self.classes)), dtype=np.int64)
-        for c, (a, b) in enumerate(zip(self.starts[:-1], self.starts[1:])):
-            counts[:, c] = np.count_nonzero(inside[:, a:b], axis=1)
-        return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,6 +492,22 @@ def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -
     )
 
 
+def _cover_counts(lds: LDSet, X: np.ndarray) -> np.ndarray:
+    """Per-class cover counts of each row of X, shape (rows, classes): one
+    comparison per bounded feature side, then one sum per class."""
+    inside = np.ones((len(X), len(lds.lower)), dtype=bool)
+    scratch = np.empty_like(inside)
+    for bounds, compare, open_side in ((lds.lower, np.greater_equal, -np.inf), (lds.upper, np.less_equal, np.inf)):
+        for j in np.flatnonzero((bounds != open_side).any(axis=0)).tolist():
+            compare(X[:, j, None], bounds[:, j], out=scratch)
+            inside &= scratch
+    counts = np.zeros((len(X), len(lds.sizes)), dtype=np.int64)
+    filled = np.flatnonzero(lds.sizes)  # reduceat would give an empty class the column at its start
+    if len(filled):
+        counts[:, filled] = np.add.reduceat(inside, (np.cumsum(lds.sizes) - lds.sizes)[filled], axis=1)
+    return counts
+
+
 def classify_batch(X, lds: LDSet) -> VoteBatch:
     """Vote every row of X by per-class similarity, as ``classify`` does.
 
@@ -485,23 +516,20 @@ def classify_batch(X, lds: LDSet) -> VoteBatch:
     bounded whatever the number of rows.  Raises CarlabError on a
     non-finite row or an LD bounding a feature beyond n.
     """
-    compiled = lds._compiled
-    total = len(X)
-    step = max(1, _CHUNK_CELLS // max(1, compiled.starts[-1]))
-    counts = np.zeros((total, len(compiled.classes)), dtype=np.int64)
+    total, width = len(X), lds.lower.shape[1]
+    step = max(1, _CHUNK_CELLS // max(1, len(lds.lower)))
+    counts = np.zeros((total, len(lds.class_ids)), dtype=np.int64)
     for a in range(0, total, step):
         block = np.asarray(X[a : a + step], dtype=float)
         if block.ndim != 2:
             raise CarlabError("rows to classify must form a 2-D array")
-        if block.shape[1] < compiled.width:
-            raise CarlabError(
-                f"feature index {compiled.width} out of range for n={block.shape[1]}"
-            )
+        if block.shape[1] < width:
+            raise CarlabError(f"feature index {width} out of range for n={block.shape[1]}")
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise CarlabError(f"non-finite feature value in row {a + int(np.argmin(finite))}")
-        counts[a : a + len(block)] = compiled.counts(block)
-    return vote(compiled.classes, compiled.sizes, counts)
+        counts[a : a + len(block)] = _cover_counts(lds, block)
+    return vote(lds.class_ids, lds.sizes, counts)
 
 
 def classify(x: Sequence[float], lds: LDSet) -> ClassifyOutcome:
@@ -564,28 +592,26 @@ def indeterminateness_areas(
 
 def ldset_to_json(lds: LDSet) -> list[dict]:
     """JSON form: array of {class, lower: {j: v}, upper: {j: v}}, 1-based."""
-    return [
-        {
-            "class": ld.class_index,
-            "lower": {str(j): v for j, v in sorted(ld.lower.items())},
-            "upper": {str(j): v for j, v in sorted(ld.upper.items())},
-        }
-        for ld in lds.all_lds()
-    ]
+    names = [str(j) for j in range(1, lds.lower.shape[1] + 1)]
+    return [{"class": i, "lower": lower, "upper": upper} for i, lower, upper in _bounded_sides(lds, names)]
 
 
 def ldset_from_json(data: list[dict]) -> LDSet:
-    by_class: dict[int, list[LogicalDependency]] = {}
+    """The first bad entry raises: lower, upper, class, then the box checks."""
+    labels, boxes = [], []
+    # A file names few features, so each key text is parsed once per side;
+    # a JSON float is a bound as it is.
+    keys = {side: cache(partial(_parse_key, what=side)) for side in ("lower", "upper")}
     for entry in data:
-        bounds = {
-            side: {_parse_key(j, side): _parse_number(v, side) for j, v in entry.get(side, {}).items()}
-            for side in ("lower", "upper")
-        }
-        ld = LogicalDependency(class_index=_parse_index(entry["class"], "class"), **bounds)
-        by_class.setdefault(ld.class_index, []).append(ld)
-    return LDSet(
-        by_class={i: tuple(sorted(lds, key=LogicalDependency.key)) for i, lds in by_class.items()}
-    )
+        box = tuple(
+            {key(j): v if type(v) is float else _parse_number(v, side) for j, v in entry.get(side, {}).items()}
+            for side, key in keys.items()
+        )
+        labels.append(_parse_index(entry["class"], "class"))
+        _check_box(*box)
+        boxes.append(box)
+    class_ids, codes = np.unique(np.array(labels, object), return_inverse=True)
+    return _ldset(class_ids, *_by_key(codes, *_matrices(boxes)))
 
 
 def save_ldset(lds: LDSet, dest: Union[str, Path]) -> None:

@@ -6,6 +6,8 @@ of first appearance, and ``core._count_rows`` the counts of a row-at-a-time
 tally, whether a column fits a table or is sorted: int columns of every
 width with spans just inside and just outside the table, int64 and uint64
 extremes, and ``S1``/``S2`` byte columns, one-byte texts padded with NUL.
+``_unique`` sorts a column that does not fit a table by its run heads, so
+both are also checked on columns made of runs, as a trace log's id column is.
 """
 
 import math
@@ -85,6 +87,53 @@ def test_byte_columns_code_as_the_sort_does(column):
     values, codes = _first_seen(column)
     assert _codes(column)[0] == values
     assert _codes(column)[1].tolist() == codes
+
+
+@st.composite
+def run_columns(draw):
+    """A column of runs of one to four rows, as wide byte texts, objects or
+    ints too far apart for a table: a value may come back after a gap, and
+    runs of one row and texts equal but for NUL padding occur."""
+    pool = draw(st.lists(st.binary(max_size=6) | st.sampled_from([b"o00001", b"o00001\x00", b"o1"]), min_size=1,
+                         max_size=6))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.sampled_from([1, 1, 2, 4])), max_size=25))
+    texts = [pool[k] for k, length in runs for _ in range(length)]
+    kind = draw(st.sampled_from(["S1", "S2", "S3", "S6", "object", "int64"]))
+    if kind == "int64":
+        return np.array([(k - 2) * 10**15 for k, length in runs for _ in range(length)], kind)
+    if kind == "object":
+        return np.array([text.decode("latin-1") for text in texts], object)
+    return np.array([text[: int(kind[1:])] for text in texts], kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(column=run_columns())
+def test_columns_of_runs_code_in_order_of_first_appearance(column):
+    _same_as_sort(column)
+    values, codes = _first_seen(column)
+    got_values, got_codes = _codes(column)
+    assert got_values == values
+    assert got_codes.dtype == np.intp
+    assert got_codes.tolist() == codes
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["b", "b", "a", "a", "a", "c"],  # grouped
+        ["b", "a", "a", "b", "b", "c", "a"],  # runs that come back after a gap
+        ["c", "a", "b", "a", "c", "b"],  # every run one row
+        ["a"],
+        [],
+    ],
+    ids=["grouped", "recurring", "one-row-runs", "one-row", "empty"],
+)
+def test_runs_of_wide_and_object_texts(texts):
+    for column in (np.array([t * 3 for t in texts], "S3"), np.array(texts, object)):
+        _same_as_sort(column)
+        values, codes = _first_seen(column)
+        assert _codes(column)[0] == values
+        assert _codes(column)[1].tolist() == codes
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
