@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from itertools import islice, product
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import CarlabError, LearningSet, _decimal
-from .lcpr import LDSet, LogicalDependency, VoteBatch, vote
+from .lcpr import LDSet, LogicalDependency, VoteBatch, label_codes, vote
 
 MAX_EXACT_N = 20
 _CUBE_CHUNK = 8192  # cubes per matrix product in cover_counts: bounds its scratch memory
@@ -102,6 +102,8 @@ class BooleanAction:
     exprs: Optional[tuple[str, ...]] = None
 
     def __post_init__(self, table: Optional[dict[str, str]]) -> None:
+        if self.n < 1:
+            raise CarlabError(f"bad Boolean action size n={self.n!r}")
         if (table is None) == (self.exprs is None):
             raise CarlabError("exactly one of table/exprs must be given")
         n, codes = self.n, _all_codes(self.n)
@@ -304,7 +306,7 @@ def forall_exists_partition(
 def backward_reach(
     region: Sequence[int],
     actions: Mapping[int, BooleanAction],
-    labels: Sequence[Optional[int]],
+    labels: Union[np.ndarray, Sequence[Optional[int]]],
     k: int,
     n: int,
 ) -> ReachResult:
@@ -312,15 +314,15 @@ def backward_reach(
     state after d classify-act steps lies in ``region`` (a normal vertex
     stays put; depth 0 is ``region`` itself).
 
-    ``labels`` gives the class of every vertex code, or None for an
-    indeterminately classified one; those are excluded and tallied.
+    ``labels`` gives every vertex code's class, or -1 (None in a list) for
+    an indeterminately classified one; those are excluded and tallied.
     """
     if k < 0:
         raise CarlabError("depth must be >= 0")
     hit = _region(region, n)
     if len(labels) != hit.size:
         raise CarlabError(f"need one label per vertex: {hit.size} for n={n}, got {len(labels)}")
-    labels = np.array([-1 if c is None else c for c in labels])  # -1: indeterminate
+    labels = label_codes(labels)  # -1: indeterminate
     depths = [np.flatnonzero(hit)]
     cumulative = [depths[0]]
     reached = hit.copy()
@@ -328,7 +330,7 @@ def backward_reach(
         # A code hits if it is normal inside the last region, or if the
         # action bound to its class takes it there.
         last, hit = hit, (labels == 0) & hit
-        for c in sorted(set(labels[labels > 0].tolist())):
+        for c in np.unique(labels[labels > 0]).tolist():
             if c not in actions:
                 raise CarlabError(f"no action bound to class {c}")
             if actions[c].n != n:

@@ -40,7 +40,7 @@ from .core import (
     load_json,
     save_json,
 )
-from .lcpr import ClassifyOutcome
+from .lcpr import ClassifyOutcome, label_codes
 
 Classifier = Callable[[FeatureVector], ClassifyOutcome]
 
@@ -206,7 +206,7 @@ def _population_items(
     return items
 
 
-def _raise_first_failure(rows: np.ndarray, label: list, deviated: np.ndarray, applies: np.ndarray,
+def _raise_first_failure(rows: np.ndarray, label: np.ndarray, deviated: np.ndarray, applies: np.ndarray,
                          actions: Mapping[int, ActionSpec]) -> None:
     """Raise for the first deviated row, in id order, whose class has no
     action or whose action cannot be applied to it."""
@@ -253,12 +253,9 @@ def run_car(
     active = np.arange(len(ids))
     for step in range(max_steps + 1):
         rows = X[active]
-        if batch is not None:
-            labels = batch(rows).labels
-        else:
-            labels = [classifier(state).label for state in map(tuple, rows.tolist())]
-        abstain = np.fromiter((c is None for c in labels), bool, len(labels))
-        label = np.fromiter((-1 if c is None else c for c in labels), np.int64, len(labels))
+        labels = batch(rows).labels if batch else [classifier(state).label for state in map(tuple, rows.tolist())]
+        label = label_codes(labels)
+        abstain = label < 0
         normal = label == NORMAL_CLASS
         deviated = ~abstain & ~normal
         blocks.append((active[~abstain], rows[~abstain], label[~abstain]))
@@ -271,14 +268,14 @@ def run_car(
         seen.update(keys)
         stalled.update(dict.fromkeys(active[cycle].tolist(), StallInfo(kind="cycle", step=step)))
         applies = deviated & ~cycle & (step < max_steps)
-        if not all(c in actions for c in set(label[deviated].tolist())):
-            _raise_first_failure(rows, label.tolist(), deviated, applies, actions)
+        if not all(c in actions for c in np.unique(label[deviated]).tolist()):
+            _raise_first_failure(rows, label, deviated, applies, actions)
         try:
             for c in np.unique(label[applies]).tolist():
                 at = active[applies & (label == c)]
                 X[at] = actions[c].apply_rows(X[at])
         except CarlabError:
-            _raise_first_failure(rows, label.tolist(), deviated, applies, actions)
+            _raise_first_failure(rows, label, deviated, applies, actions)
             raise
         active = active[deviated & ~cycle]
         if not active.size:

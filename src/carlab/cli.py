@@ -79,7 +79,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     rows = load_vectors(_require(args, "data"))
     votes = lcpr.classify_batch([x for _, x in rows], lds)
     names = [str(i) for i in votes.classes]
-    columns = zip((object_id for object_id, _ in rows), votes.labels, votes.reasons, votes.scores().tolist())
+    labels = np.where(votes.labels < 0, None, votes.labels).tolist()
+    reasons = np.array(lcpr._REASONS)[votes.reasons].tolist()
+    columns = zip((object_id for object_id, _ in rows), labels, reasons, votes.scores().tolist())
     results = [
         {"id": object_id, "label": label, "reason": reason, "scores": dict(zip(names, row))}
         for object_id, label, reason, row in columns
@@ -180,7 +182,7 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     covered = votes.counts > 0  # column 0 is the normal class
     partition = boolcube.RegionPartition.from_masks(covered[:, 0], covered[:, 1:].any(axis=1))
     reach = boolcube.backward_reach(partition.forall_region, actions, votes.labels, depth, n)
-    del votes, covered  # 2^n rows of counts, labels and reasons, freed before the output is built
+    del votes, covered  # the 2^n-row count, label and reason arrays, freed before the output is built
 
     # Code order is word order, so each list comes out sorted.
     names = list(boolcube.all_vertices(n))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
@@ -143,6 +143,8 @@ class LDSet:
 def _ldset(class_ids, codes, lower, upper, warnings=()) -> LDSet:
     """The LDSet of the boxes ``lower`` / ``upper`` of classes
     ``class_ids[codes]``, the codes ascending."""
+    if min(class_ids, default=0) < 0:
+        raise CarlabError(f"negative class index {min(class_ids)}")
     ldset = object.__new__(LDSet)
     lower, upper = np.asfortranarray(lower), np.asfortranarray(upper)
     lower.flags.writeable = upper.flags.writeable = False
@@ -440,15 +442,15 @@ class VoteBatch:
     """Similarity votes for a batch of rows.
 
     ``counts[r, c]`` is the number of class ``classes[c]``'s ``sizes[c]``
-    LDs covering row r; ``labels`` and ``reasons`` hold one entry per row,
-    as in ClassifyOutcome.
+    LDs covering row r; ``labels[r]`` (int64) is row r's class, -1 where
+    it abstains, and ``reasons[r]`` (int8) its index into ``_REASONS``.
     """
 
     classes: tuple[int, ...]
     sizes: tuple[int, ...]
     counts: np.ndarray
-    labels: list[Optional[int]]
-    reasons: list[Optional[str]]
+    labels: np.ndarray
+    reasons: np.ndarray
 
     def scores(self, rows=slice(None)) -> np.ndarray:
         """The per-class scores ``count / size`` of ``rows``, 0.0 for an
@@ -458,8 +460,23 @@ class VoteBatch:
 
     def outcome(self, row: int) -> ClassifyOutcome:
         """One row's verdict with its per-class scores."""
-        scores = dict(zip(self.classes, self.scores(row).tolist()))
-        return ClassifyOutcome(label=self.labels[row], reason=self.reasons[row], scores=scores)
+        label, scores = self.labels[row].item(), dict(zip(self.classes, self.scores(row).tolist()))
+        return ClassifyOutcome(None if label < 0 else label, _REASONS[self.reasons[row]], scores)
+
+
+def label_codes(labels: Union[np.ndarray, Sequence[Optional[int]]]) -> np.ndarray:
+    """Labels as int64 codes, -1 for an abstention (None in a list).  A
+    code below -1, or a negative label in a list, raises rather than be
+    read as an abstention; the smallest one is named."""
+    if isinstance(labels, np.ndarray):
+        codes = labels.astype(np.int64, copy=False)
+        wrong = codes.min(initial=-1) < -1
+    else:
+        codes = np.array([-1 if c is None else c for c in labels], dtype=np.int64)
+        wrong = np.count_nonzero(codes < 0) > labels.count(None)
+    if wrong:
+        raise CarlabError(f"negative class index {codes.min()}")
+    return codes
 
 
 def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -> VoteBatch:
@@ -482,14 +499,9 @@ def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -
         top = counts[rows, best]
         tied = np.count_nonzero(~above(top[:, None], size[best, None], counts, size), axis=1) > 1
         reason = np.where(top == 0, _ALL_ZERO, np.where(tied, _TIED, 0))
-    codes = reason.tolist()
-    return VoteBatch(
-        classes=classes,
-        sizes=sizes,
-        counts=counts,
-        labels=[None if r else classes[w] for w, r in zip(best.tolist(), codes)],
-        reasons=[_REASONS[r] for r in codes],
-    )
+    # Index -1 of the class ids with -1 appended is the abstention code.
+    labels = np.array((*classes, -1), dtype=np.int64)[np.where(reason, -1, best)]
+    return VoteBatch(classes, sizes, counts, labels, reason.astype(np.int8))
 
 
 def _cover_counts(lds: LDSet, X: np.ndarray) -> np.ndarray:
@@ -597,15 +609,13 @@ def ldset_to_json(lds: LDSet) -> list[dict]:
 
 
 def ldset_from_json(data: list[dict]) -> LDSet:
-    """The first bad entry raises: lower, upper, class, then the box checks."""
+    """The first bad entry raises: lower, upper, class, then the box
+    checks; a negative class raises once every entry is read."""
     labels, boxes = [], []
-    # A file names few features, so each key text is parsed once per side;
-    # a JSON float is a bound as it is.
-    keys = {side: cache(partial(_parse_key, what=side)) for side in ("lower", "upper")}
     for entry in data:
         box = tuple(
-            {key(j): v if type(v) is float else _parse_number(v, side) for j, v in entry.get(side, {}).items()}
-            for side, key in keys.items()
+            {_parse_key(j, side): _parse_number(v, side) for j, v in entry.get(side, {}).items()}
+            for side in ("lower", "upper")
         )
         labels.append(_parse_index(entry["class"], "class"))
         _check_box(*box)

@@ -501,6 +501,12 @@ class TestCodeArraysChecked:
         with pytest.raises(CarlabError, match="one label per vertex"):
             backward_reach([0], {1: self.RULE}, [1] * size, 1, 2)
 
+    def test_reach_refuses_a_negative_label(self):
+        with pytest.raises(CarlabError, match="^negative class index -1$"):
+            backward_reach([0], {1: self.RULE}, [0, None, -1, 1], 1, 2)
+        with pytest.raises(CarlabError, match="^negative class index -2$"):
+            backward_reach([0], {1: self.RULE}, np.array([0, -1, -2, 1]), 1, 2)
+
     def test_reach_and_cover_take_int_lists(self):
         reach = backward_reach([3, 0, 0], {1: self.RULE}, [0, 1, 1, 0], 1, 2)
         assert reach.depths[0].tolist() == [0, 3]

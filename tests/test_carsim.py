@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -370,6 +371,19 @@ def test_lockstep_run_matches_per_object_stepping(instance):
         return report.traces, report.steps_to_normal, report.stalls
 
     assert _outcome(lockstep) == _outcome(lambda: reference_run(population, label_of, actions, max_steps))
+
+
+@pytest.mark.parametrize("kind, bad", [("object", -1), ("batch-list", -1), ("batch-array", -2)])
+def test_a_negative_label_raises_and_is_never_an_abstention(kind, bad):
+    # In an array -1 is the abstention code, so only a code below it is wrong.
+    label_of = lambda x: bad if x[0] > 0.5 else 0
+    if kind == "object":
+        classifier = lambda x: ClassifyOutcome(label=label_of(x), reason=None, scores={})
+    else:
+        wrap = np.array if kind == "batch-array" else list
+        classifier = SimpleNamespace(batch=lambda rows: SimpleNamespace(labels=wrap([label_of(r) for r in rows.tolist()])))
+    with pytest.raises(CarlabError, match=f"^negative class index {bad}$"):
+        run_car([(0.0,), (1.0,)], classifier, {}, 3)
 
 
 @pytest.mark.parametrize("start", [(-0.0,), (0.0,)])

@@ -98,16 +98,23 @@ class TestMineClassify:
 
     def test_classify_records_match_the_one_row_vote(self, contracting, tmp_path):
         """The records built column-wise from the vote batch hold, row by
-        row, what ``classify`` gives for that row alone."""
-        table = tmp_path / "table.json"
-        assert run(["classify", "--lds", contracting["lds"], "--data", contracting["data"], "--out", table]) == 0
-        lds = load_ldset(contracting["lds"])
-        expected = []
-        for object_id, x in load_vectors(contracting["data"]):
-            outcome = classify(x, lds)
-            scores = {str(i): v for i, v in outcome.scores.items()}
-            expected.append({"id": object_id, "label": outcome.label, "reason": outcome.reason, "scores": scores})
-        assert json.loads(table.read_text())["results"] == expected
+        row, what ``classify`` gives for that row alone, abstentions too."""
+        abstaining = (tmp_path / "lds.json", tmp_path / "queries.csv")
+        boxes = [{"class": 0, "upper": {"1": 1.0}}, {"class": 1, "lower": {"1": 0.0}, "upper": {"2": 5.0}}]
+        abstaining[0].write_text(json.dumps(boxes))
+        abstaining[1].write_text("id,f1,f2\ntie,0.5,0.0\none,2.0,0.0\nzero,2.0,9.0\nnormal,-1.0,9.0\n")
+        for lds_path, data in ((contracting["lds"], contracting["data"]), abstaining):
+            table = tmp_path / "table.json"
+            assert run(["classify", "--lds", lds_path, "--data", data, "--out", table]) == 0
+            lds = load_ldset(lds_path)
+            expected = []
+            for object_id, x in load_vectors(data):
+                outcome = classify(x, lds)
+                scores = {str(i): v for i, v in outcome.scores.items()}
+                expected.append({"id": object_id, "label": outcome.label, "reason": outcome.reason, "scores": scores})
+            assert json.loads(table.read_text())["results"] == expected
+        verdicts = [(r["label"], r["reason"]) for r in expected]
+        assert verdicts == [(None, "tied"), (1, None), (None, "all-zero"), (0, None)]
 
     def test_mine_writes_valid_ldset(self, contracting, tmp_path):
         mined = tmp_path / "mined.json"

@@ -306,3 +306,36 @@ def test_json_nested_too_deep_exits_one(valid_inputs, command, target):
     assert code == 1, err
     assert err.count("error:") == 1 and "Traceback" not in err
     assert err.endswith(f"{target}: nested too deep\n")
+
+
+def _rule_action(**fields):
+    return [{"action": "a1", "class": 1, "kind": "rule", **fields}]
+
+
+@pytest.mark.parametrize(
+    "command, bad, message",
+    [
+        (
+            "classify",
+            {"lds.json": [{"class": -1, "lower": {"1": 0.0}}, {"class": 0, "upper": {"1": -1.0}}], "data.csv": "id,f1\nq,0.5\n"},
+            "lds.json: negative class index -1",
+        ),
+        ("inverse", {"bool_actions.json": _rule_action(n=-1, exprs=["0"])}, "bool_actions.json: bad Boolean action size n=-1"),
+        (
+            "inverse",
+            {"bool_actions.json": [{"action": "a1", "class": 1, "kind": "table", "n": -2, "map": {}}]},
+            "bool_actions.json: bad Boolean action size n=-2",
+        ),
+        ("inverse", {"bool_actions.json": _rule_action(n=0, exprs=[])}, "bool_actions.json: bad Boolean action size n=0"),
+    ],
+    ids=["negative-class", "rule-n-minus-1", "table-n-minus-2", "rule-n-0"],
+)
+def test_a_negative_class_or_action_size_exits_one(valid_inputs, command, bad, message):
+    argv = COMMANDS[command]
+    files = {name: valid_inputs[name] for name in argv if name in valid_inputs}
+    files.update({name: text if isinstance(text, str) else json.dumps(text) for name, text in bad.items()})
+    with tempfile.TemporaryDirectory() as workdir:
+        code, err = _run(argv, files, Path(workdir))
+    assert code == 1, err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.endswith(f"{message}\n"), err

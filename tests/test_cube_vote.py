@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from carlab import boolcube
 from carlab.boolcube import (
+    BooleanAction,
     RegionPartition,
     Subcube,
     all_vertices,
+    backward_reach,
     cover_counts,
     forall_exists_partition,
     multiclass_rdnf,
@@ -32,7 +34,8 @@ def assert_cube_vote_matches_box_vote(rdnfs, n):
     cube = vote_vertices(rdnfs, n)
     assert (cube.classes, cube.sizes) == (boxes.classes, boxes.sizes)
     assert cube.counts.tolist() == boxes.counts.tolist()
-    assert (cube.labels, cube.reasons) == (boxes.labels, boxes.reasons)
+    assert cube.labels.tolist() == boxes.labels.tolist()
+    assert cube.reasons.tolist() == boxes.reasons.tolist()
     return cube
 
 
@@ -68,20 +71,35 @@ def test_cube_vote_matches_box_vote(learning_set):
         assert np.array_equal(getattr(split, name), getattr(expected, name)), name
 
 
-def test_tied_all_zero_and_empty_class():
-    rdnfs = {
+def tied_and_empty_rdnfs():
+    return {
         0: {cube("00*"), cube("111")},
         1: {cube("0**"), cube("*0*"), cube("011"), cube("010")},
         2: set(),
     }
+
+
+def test_tied_all_zero_and_empty_class():
+    rdnfs = tied_and_empty_rdnfs()
     votes = vote_vertices(rdnfs, 3)
-    verdicts = dict(zip(all_vertices(3), zip(votes.labels, votes.reasons)))
+    verdicts = {v: (o.label, o.reason) for v, o in zip(all_vertices(3), map(votes.outcome, range(8)))}
     # 000 scores 1/2 for class 0 against 2/4 for class 1.
     assert verdicts["000"] == (None, "tied")
     assert verdicts["110"] == (None, "all-zero")
     assert verdicts["111"] == (0, None) and verdicts["101"] == (1, None)
     assert votes.sizes == (2, 4, 0)
     assert_cube_vote_matches_box_vote(rdnfs, 3)
+
+
+def test_reach_reads_the_label_array_as_the_labels_with_none():
+    votes = vote_vertices(tied_and_empty_rdnfs(), 3)
+    listed = [votes.outcome(v).label for v in range(8)]
+    assert None in listed
+    region, actions = np.flatnonzero(votes.labels == 0), {1: BooleanAction("a1", 3, exprs=("x2", "~x3", "x1"))}
+    a, b = (backward_reach(region, actions, labels, 4, 3) for labels in (votes.labels, listed))
+    for name in ("depths", "cumulative"):
+        assert [r.tolist() for r in getattr(a, name)] == [r.tolist() for r in getattr(b, name)], name
+    assert a.indeterminate.tolist() == b.indeterminate.tolist() == [v for v in range(8) if listed[v] is None]
 
 
 def loop_counts(cubes, n):

@@ -24,6 +24,7 @@ from carlab.core import CarlabError, LearningSample, LearningSet, load_learning_
 from carlab.lcpr import (
     LDSet,
     LogicalDependency,
+    _REASONS,
     classify_batch,
     grow_maximal_ld,
     ldset_from_json,
@@ -186,10 +187,12 @@ def test_a_nan_bound_is_refused_after_the_earlier_checks():
         ldset_from_json([_entry(lower={"2": 3.0}, upper={"2": math.nan, "1": -1.0})])
 
 
-def test_a_negative_class_is_read_as_it_always_was():
-    lds = ldset_from_json([_entry(**{"class": -1}), _entry(**{"class": 2})])
-    assert lds.classes() == (-1, 2)
-    assert [ld.class_index for ld in lds.all_lds()] == [-1, 2]
+def test_a_negative_class_is_refused_wherever_a_set_is_made():
+    # -1 is the vote's abstention code, so no class may have it.
+    with pytest.raises(CarlabError, match="^negative class index -1$"):
+        ldset_from_json([_entry(**{"class": -1}), _entry(**{"class": 2})])
+    with pytest.raises(CarlabError, match="^negative class index -3$"):
+        LDSet(by_class={0: (), -3: (LogicalDependency(-3, {}, {}),)})
 
 
 def test_members_keep_their_given_order():
@@ -207,7 +210,7 @@ def test_members_keep_their_given_order():
     batch = classify_batch(rows, lds)
     for k, x in enumerate(rows):
         label, reason, exact = oracles.vote_oracle(x, lds)
-        assert (batch.labels[k], batch.reasons[k]) == (label, reason)
+        assert (batch.labels[k], _REASONS[batch.reasons[k]]) == (-1 if label is None else label, reason)
         assert batch.counts[k].tolist() == [exact[0] * 1, exact[1] * 3]
 
 
@@ -225,7 +228,8 @@ def test_an_empty_class_scores_zero_wherever_it_sits():
         assert batch.scores(0).tolist() == [1.0 if m else 0.0 for m in by_class.values()]
     # Size 0 counts as 1 in the exact comparison, so 0 of 0 never wins.
     batch = vote((0, 1), (0, 2), np.array([[0, 1], [0, 0]]))
-    assert (batch.labels, batch.reasons) == ([1, None], [None, "all-zero"])
+    assert batch.labels.tolist() == [1, -1]
+    assert [_REASONS[r] for r in batch.reasons] == [None, "all-zero"]
 
 
 def test_by_class_counts_as_the_benchmark_counts_it(tmp_path):

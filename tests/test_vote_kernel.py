@@ -14,6 +14,7 @@ from carlab.lcpr import (
     LDSet,
     LogicalDependency,
     _CHUNK_CELLS,
+    _REASONS,
     classify,
     classify_batch,
     ld_classifier,
@@ -32,14 +33,15 @@ def ld(class_index, lower=None, upper=None):
 
 def assert_matches_oracle(rows, lds):
     batch = classify_batch(rows, lds)
-    assert len(batch.labels) == len(rows)
+    assert batch.labels.shape == batch.reasons.shape == (len(rows),)
+    assert (batch.labels.dtype, batch.reasons.dtype) == (np.int64, np.int8)
     for k, x in enumerate(rows):
         label, reason, exact = oracles.vote_oracle(x, lds)
         single = classify(x, lds)
         for outcome in (single, batch.outcome(k)):
             assert (outcome.label, outcome.reason) == (label, reason)
             assert outcome.scores == {i: float(v) for i, v in exact.items()}
-        assert (batch.labels[k], batch.reasons[k]) == (label, reason)
+        assert (batch.labels[k], _REASONS[batch.reasons[k]]) == (-1 if label is None else label, reason)
         for c, i in enumerate(batch.classes):
             size = len(lds.by_class[i])
             assert batch.sizes[c] == size
@@ -164,7 +166,7 @@ class TestBadInput:
 
     def test_empty_batch(self):
         batch = classify_batch([], self.lds)
-        assert batch.labels == [] and batch.counts.shape == (0, 2)
+        assert batch.labels.shape == batch.reasons.shape == (0,) and batch.counts.shape == (0, 2)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
