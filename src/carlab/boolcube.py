@@ -323,20 +323,24 @@ def backward_reach(
     if len(labels) != hit.size:
         raise CarlabError(f"need one label per vertex: {hit.size} for n={n}, got {len(labels)}")
     labels = label_codes(labels)  # -1: indeterminate
+    steps = []  # per deviated class, when a step is taken: its codes and their images
+    for c in np.unique(labels[labels > 0]).tolist() if k else ():
+        if c not in actions:
+            raise CarlabError(f"no action bound to class {c}")
+        if actions[c].n != n:
+            raise CarlabError("dimension mismatch")
+        at = labels == c
+        steps.append((at, actions[c].image[at]))
+    normal = labels == 0
     depths = [np.flatnonzero(hit)]
     cumulative = [depths[0]]
     reached = hit.copy()
     for _ in range(k):
         # A code hits if it is normal inside the last region, or if the
         # action bound to its class takes it there.
-        last, hit = hit, (labels == 0) & hit
-        for c in np.unique(labels[labels > 0]).tolist():
-            if c not in actions:
-                raise CarlabError(f"no action bound to class {c}")
-            if actions[c].n != n:
-                raise CarlabError("dimension mismatch")
-            at = labels == c
-            hit[at] = last[actions[c].image[at]]
+        last, hit = hit, normal & hit
+        for at, image in steps:
+            hit[at] = last[image]
         reached |= hit
         depths.append(np.flatnonzero(hit))
         cumulative.append(np.flatnonzero(reached))
@@ -351,10 +355,8 @@ def multiclass_rdnf(learning_set: LearningSet) -> dict[int, set[Subcube]]:
     """One-vs-rest subcube covers, one per class (Boolean mode only)."""
     if learning_set.mode != "boolean":
         raise CarlabError("multiclass_rdnf requires a Boolean-mode learning set")
-    words = {
-        i: frozenset(vector_to_vertex(s.features) for s in learning_set.class_share(i))
-        for i in range(learning_set.deviated_count + 1)
-    }
+    share = lambda i: learning_set.X[learning_set.labels == i].tolist()
+    words = {i: frozenset(map(vector_to_vertex, share(i))) for i in range(learning_set.deviated_count + 1)}
     rest = lambda i: frozenset().union(*(words[j] for j in words if j != i))
     return {i: reduced_dnf(PartialBooleanFunction(learning_set.n, words[i], rest(i))) for i in words}
 

@@ -28,6 +28,7 @@ from .core import (
     DataFormatError,
     FeatureVector,
     LearningSample,
+    LearningSet,
     NORMAL_CLASS,
     TraceEvent,
     TraceTable,
@@ -43,6 +44,7 @@ from .core import (
 from .lcpr import ClassifyOutcome, label_codes
 
 Classifier = Callable[[FeatureVector], ClassifyOutcome]
+Population = Union[LearningSet, Iterable[Union[LearningSample, Sequence[float]]]]
 
 
 @dataclass(frozen=True)
@@ -188,22 +190,24 @@ def register_actions(
     return table
 
 
-def _population_items(
-    population: Iterable[Union[LearningSample, Sequence[float]]]
-) -> list[tuple[str, FeatureVector]]:
-    items = []
-    for k, obj in enumerate(population):
-        if isinstance(obj, LearningSample):
-            items.append((obj.object_id, tuple(obj.features)))
-        else:
-            items.append((f"v{k:04d}", tuple(float(v) for v in obj)))
-    ids = [i for i, _ in items]
+def _population(population: Population) -> tuple[list[str], np.ndarray]:
+    """The object ids of a population, in id order, and its states as the
+    rows of a new float matrix in that order; plain vector k is "vk"."""
+    if isinstance(population, LearningSet):
+        ids, X = population.ids, population.X
+    else:
+        objects = list(population)
+        ids = [x.object_id if isinstance(x, LearningSample) else f"v{k:04d}" for k, x in enumerate(objects)]
+        X = [tuple(x.features if isinstance(x, LearningSample) else x) for x in objects]
     if len(set(ids)) != len(ids):
         raise CarlabError("population object ids must be unique")
-    widths = {len(x) for _, x in items}
-    if len(widths) > 1 or 0 in widths:
-        raise CarlabError("population states must be nonempty and of one length")
-    return items
+    if isinstance(X, list):
+        widths = set(map(len, X))
+        if len(widths) > 1 or 0 in widths:
+            raise CarlabError("population states must be nonempty and of one length")
+        X = np.array(X, float).reshape(len(X), -1 if X else 0)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [ids[k] for k in order], X[order]
 
 
 def _raise_first_failure(rows: np.ndarray, label: np.ndarray, deviated: np.ndarray, applies: np.ndarray,
@@ -219,12 +223,13 @@ def _raise_first_failure(rows: np.ndarray, label: np.ndarray, deviated: np.ndarr
 
 
 def run_car(
-    population: Iterable[Union[LearningSample, Sequence[float]]],
+    population: Population,
     classifier: Classifier,
     actions: Mapping[int, ActionSpec],
     max_steps: int,
 ) -> CarRunReport:
-    """Drive every object through at most ``max_steps`` classify-act
+    """Drive every object of ``population`` (a LearningSet, LearningSample
+    rows or plain vectors) through at most ``max_steps`` classify-act
     rounds, recording a trace with synthetic timestamps t_k = k.
 
     Convergence at step k means the k-th classification (after k applied
@@ -240,9 +245,7 @@ def run_car(
     """
     if max_steps < 0:
         raise CarlabError("max_steps must be >= 0")
-    items = sorted(_population_items(population))
-    ids = [object_id for object_id, _ in items]
-    X = np.array([x for _, x in items], dtype=float) if items else np.zeros((0, 0))
+    ids, X = _population(population)
     batch = getattr(classifier, "batch", None)
     action_ids = {c: spec.action_id for c, spec in actions.items()}
     key_type = np.dtype((np.void, X.dtype.itemsize * (X.shape[1] + 2)))

@@ -23,10 +23,10 @@ from . import boolcube, carsim, lcpr, mdp, poset
 from .core import (
     CarlabError,
     DataFormatError,
+    _read_dataset,
     load_json,
     load_learning_set,
     load_trace_log,
-    load_vectors,
     save_dataset,
     save_json,
     save_trace_log,
@@ -76,12 +76,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     lds = lcpr.load_ldset(_require(args, "lds"))
-    rows = load_vectors(_require(args, "data"))
-    votes = lcpr.classify_batch([x for _, x in rows], lds)
+    ids, X, _ = _read_dataset(_require(args, "data"), labelled=False)
+    votes = lcpr.classify_batch(X, lds)
     names = [str(i) for i in votes.classes]
     labels = np.where(votes.labels < 0, None, votes.labels).tolist()
     reasons = np.array(lcpr._REASONS)[votes.reasons].tolist()
-    columns = zip((object_id for object_id, _ in rows), labels, reasons, votes.scores().tolist())
+    columns = zip(ids, labels, reasons, votes.scores().tolist())
     results = [
         {"id": object_id, "label": label, "reason": reason, "scores": dict(zip(names, row))}
         for object_id, label, reason, row in columns
@@ -150,9 +150,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     carsim.check_action_sizes(specs, learning_set.n)
     actions = carsim.register_actions(specs, learning_set.deviated_count)
     max_steps = int(args.max_steps if args.max_steps is not None else 20)
-    report = carsim.run_car(
-        learning_set.samples, lcpr.ld_classifier(lds), actions, max_steps
-    )
+    report = carsim.run_car(learning_set, lcpr.ld_classifier(lds), actions, max_steps)
     save_json(carsim.report_to_json(report), args.out)
     table = report.table
     if args.trace_out and len(table):

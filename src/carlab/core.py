@@ -3,7 +3,8 @@
 File formats
 ------------
 Dataset CSV      header ``id,f1,...,fn,class``; ``class`` is an integer
-                 class index and 0 is the normal class.
+                 class index and 0 is the normal class.  It is read into
+                 the columns of a ``LearningSet``: ids, features, labels.
 Trace log CSV    header ``id,step,timestamp,f1,...,fn,class,action``; the
                  ``action`` field is empty exactly when ``class`` is 0.
                  It is read into a columnar ``TraceTable``.
@@ -46,7 +47,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import itemgetter
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
 
@@ -69,71 +70,110 @@ class DataFormatError(CarlabError):
 
 @dataclass(frozen=True)
 class LearningSample:
-    """One labeled object: opaque id, feature vector, class index."""
+    """One labeled object: opaque id, feature vector, class index.  Samples
+    are checked where they enter a LearningSet."""
 
     object_id: str
     features: FeatureVector
     label: int
 
-    def __post_init__(self) -> None:
-        if not self.object_id:
-            raise DataFormatError("object_id must be nonempty")
-        if self.label < 0:
-            raise DataFormatError(f"negative class index {self.label}")
+
+def _equal_fields(self: Any, other: object) -> bool:
+    """Equality of dataclasses of one type, field by field, arrays by value."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LearningSet:
-    """A labeled sample collection with n features, each finite (0 or 1 in
-    boolean mode); labels run from 0 (the designated normal class) through
-    ``deviated_count``, and every class share must be nonempty.
-    """
+    """A labeled sample collection as columns: ids, the read-only (m x n)
+    float64 matrix ``X`` (given as a matrix or as rows) of finite features,
+    0 or 1 in boolean mode, and read-only int64 ``labels`` from 0 (the
+    normal class) through ``deviated_count``, each class share nonempty.
+    The columns are checked whole, and the first row a row-at-a-time check
+    stops at raises: an empty id or a negative class; the mode, the sample
+    and feature counts; a row of another width, a non-finite or non-Boolean
+    value; an empty class share.  ``samples`` is a row view."""
 
-    samples: tuple[LearningSample, ...]
+    ids: tuple[str, ...]
+    X: np.ndarray
+    labels: np.ndarray
     mode: str  # "real" | "boolean"
 
+    __eq__ = _equal_fields
+
     def __post_init__(self) -> None:
+        ids, labels = tuple(self.ids), np.array(self.labels, np.int64)
+        X, widths = _feature_matrix(self.X, ids)
+        if len(X) != len(ids) or labels.shape != (len(ids),):
+            raise DataFormatError(f"need a feature row and a label per id: {len(ids)} ids, {X.shape}, {labels.shape}")
+        X.flags.writeable = labels.flags.writeable = False
+        vars(self).update(ids=ids, X=X, labels=labels)
+        _raise_first([
+            (np.fromiter(map(not_, ids), bool, len(ids)), lambda k: "object_id must be nonempty"),
+            (labels < 0, lambda k: f"negative class index {labels[k]}"),
+        ])
         if self.mode not in ("real", "boolean"):
             raise DataFormatError(f"unknown mode {self.mode!r}")
-        if not self.samples:
+        if not ids:
             raise DataFormatError("learning set has no samples")
         if not self.n:
             raise DataFormatError("feature count must be positive")
-        for s in self.samples:
-            if len(s.features) != self.n:
-                raise DataFormatError(
-                    f"inconsistent feature count for {s.object_id!r}: "
-                    f"expected {self.n}, got {len(s.features)}"
-                )
-            if not all(math.isfinite(v) for v in s.features):
-                raise DataFormatError(f"non-finite value for {s.object_id!r}")
-            if self.mode == "boolean":
-                for v in s.features:
-                    if v not in (0.0, 1.0):
-                        raise DataFormatError(f"non-Boolean value {v!r} for {s.object_id!r}")
-        empty = set(range(self.deviated_count + 1)) - {s.label for s in self.samples}
-        if empty:
-            raise DataFormatError(f"empty class share {min(empty)}")
+        bits = (X == 0) | (X == 1) if self.mode == "boolean" else np.ones_like(X, bool)
+        _raise_first([
+            widths,
+            (~np.isfinite(X).all(axis=1), lambda k: f"non-finite value for {ids[k]!r}"),
+            (~bits.all(axis=1), lambda k: f"non-Boolean value {X[k, np.argmin(bits[k])].item()!r} for {ids[k]!r}"),
+        ])
+        present = _unique(labels)[0]
+        empty = np.flatnonzero(present != np.arange(len(present)))
+        if len(empty):
+            raise DataFormatError(f"empty class share {empty[0]}")
 
-    @cached_property
+    def __reduce__(self) -> tuple:
+        return LearningSet, (self.ids, self.X, self.labels, self.mode)
+
+    @property
     def n(self) -> int:
-        return len(self.samples[0].features)
+        return self.X.shape[1]
 
-    @cached_property
+    @property
     def deviated_count(self) -> int:
-        return max(s.label for s in self.samples)
+        return int(self.labels.max())
 
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    @cached_property
+    def samples(self) -> tuple[LearningSample, ...]:
+        """Each row as a LearningSample, in row order."""
+        return tuple(map(LearningSample, self.ids, map(tuple, self.X.tolist()), self.labels.tolist()))
 
     def class_share(self, index: int) -> tuple[LearningSample, ...]:
         return tuple(s for s in self.samples if s.label == index)
 
     @staticmethod
     def build(samples: Sequence[LearningSample], mode: str = "real") -> "LearningSet":
-        """The LearningSet of ``samples``, with the mode in any case."""
-        return LearningSet(samples=tuple(samples), mode=mode.lower())
+        """The LearningSet of ``samples``, with the mode in any case: the one
+        conversion from rows to columns."""
+        samples = tuple(samples)
+        columns = (tuple(getattr(s, f) for s in samples) for f in LearningSample.__dataclass_fields__)
+        return LearningSet(*columns, mode.lower())
+
+
+def _feature_matrix(rows: Any, ids: tuple) -> tuple[np.ndarray, Optional["_Check"]]:
+    """A new float64 matrix of a matrix or of feature rows, and for rows the
+    check that fails each of another width than the first, read as zeros."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        return rows.astype(np.float64), None
+    rows = list(rows)
+    n = len(rows[0]) if rows else 0
+    other = np.fromiter((len(row) != n for row in rows), bool, len(rows))
+    X = np.array([(0.0,) * n if bad else row for row, bad in zip(rows, other)], np.float64).reshape(len(rows), n)
+    return X, (other, lambda k: f"inconsistent feature count for {ids[k]!r}: expected {n}, got {len(rows[k])}")
 
 
 @dataclass(frozen=True)
@@ -180,11 +220,7 @@ class TraceTable:
     def __len__(self) -> int:
         return len(self.obj)
 
-    def __eq__(self, other: object) -> bool:
-        """Tables are equal when their names and columns are equal."""
-        if not isinstance(other, TraceTable):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
+    __eq__ = _equal_fields
 
     def id_order(self) -> np.ndarray:
         """The row indices that put the objects in id order, each object's
@@ -714,10 +750,12 @@ def _write_csv(dest: Union[str, Path], header: Sequence[str], rows: Iterable[Seq
         writer.writerows(rows)
 
 
-def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
-    """Rows of a dataset CSV as (id, features, label); the trailing class
-    column is required and parsed if ``labelled``, else optional and ignored.
-    A non-finite feature value is rejected with its ``path:line``."""
+def _read_dataset(source: Union[str, Path], labelled: bool) -> tuple[tuple[str, ...], np.ndarray, Optional[np.ndarray]]:
+    """The columns of a dataset CSV: ids, the (rows x n) feature matrix and,
+    if ``labelled``, the labels; the trailing class column is required then,
+    else optional and ignored.  A non-finite feature value, and in a
+    labelled file an empty id or a negative class, is rejected with its
+    ``path:line``."""
     path = Path(source)
 
     def kinds(header: list[str]) -> list[Optional[type]]:
@@ -729,18 +767,22 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> list[tuple]:
 
     header, columns, where, malformed, unread = _read_csv(path, kinds)
     (names, codes), n = columns[0], len(header) - 1 - (header[-1] == "class")
-    ids = [names[k] for k in codes.tolist()]
-    x = np.column_stack(columns[1 : n + 1])
-    non_finite = (~np.isfinite(x).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
-    _raise_first([malformed, *unread[1 : n + 1], non_finite, *unread[n + 1 :]])
-    labels = columns[-1].tolist() if labelled else [None] * len(ids)
-    return list(zip(ids, map(tuple, x.tolist()), labels))
+    ids = tuple(map(names.__getitem__, codes.tolist()))
+    X, labels = np.column_stack(columns[1 : n + 1]), columns[-1] if labelled else None
+    non_finite = (~np.isfinite(X).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
+    checks = [malformed, *unread[1 : n + 1], non_finite, *unread[n + 1 :]]
+    if labelled:
+        checks += [
+            (codes == (names.index("") if "" in names else -1), lambda k: f"{where(k)}: object_id must be nonempty"),
+            (labels < 0, lambda k: f"{where(k)}: negative class index {labels[k]}"),
+        ]
+    _raise_first(checks)
+    return ids, X, labels
 
 
 def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningSet:
     """Read a dataset CSV into a validated LearningSet."""
-    rows = _read_dataset(source, labelled=True)
-    return LearningSet.build([LearningSample(*row) for row in rows], mode=mode)
+    return LearningSet(*_read_dataset(source, labelled=True), mode.lower())
 
 
 def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
@@ -748,7 +790,8 @@ def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
 
     Raises DataFormatError, naming ``path:line``, on a non-finite value.
     """
-    return [row[:2] for row in _read_dataset(source, labelled=False)]
+    ids, X, _ = _read_dataset(source, labelled=False)
+    return list(zip(ids, map(tuple, X.tolist())))
 
 
 def _reprs(column: np.ndarray) -> list[str]:
@@ -770,9 +813,7 @@ def save_dataset(ids: Sequence[str], x: np.ndarray, labels: np.ndarray, dest: Un
 
 def save_learning_set(ls: LearningSet, dest: Union[str, Path]) -> None:
     """Write a dataset CSV that round-trips through load_learning_set."""
-    samples = ls.samples
-    x, labels = np.array([s.features for s in samples]), np.array([s.label for s in samples])
-    save_dataset([s.object_id for s in samples], x, labels, dest)
+    save_dataset(ls.ids, ls.X, ls.labels, dest)
 
 
 def _trace_table(

@@ -225,30 +225,15 @@ def is_admissible(
     ld: LogicalDependency, learning_set: LearningSet, budget: int = 0
 ) -> Admissibility:
     """Check the coverage/exclusion conditions against a learning set."""
-    own = 0
-    counter = 0
-    for s in learning_set.samples:
-        if eval_ld(ld, s.features):
-            if s.label == ld.class_index:
-                own += 1
-            else:
-                counter += 1
-    return Admissibility(
-        admissible=own >= 1 and counter <= budget,
-        own_covered=own,
-        counter_covered=counter,
-    )
+    covered = np.array([eval_ld(ld, x) for x in learning_set.X.tolist()], bool)
+    own = int(np.count_nonzero(covered & (learning_set.labels == ld.class_index)))
+    counter = int(np.count_nonzero(covered)) - own
+    return Admissibility(admissible=own >= 1 and counter <= budget, own_covered=own, counter_covered=counter)
 
 
 # Cells per kernel chunk, row-by-LD when voting and seed-by-counter-point
 # when mining: bounds the kernels' scratch memory.
 _CHUNK_CELLS = 1 << 16
-
-
-def _matrix(learning_set: LearningSet) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([s.features for s in learning_set.samples], dtype=float)
-    y = np.array([s.label for s in learning_set.samples], dtype=int)
-    return X, y
 
 
 def _grids(X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -362,9 +347,9 @@ def _grow_chunk(
     return coincident
 
 
-def _unseparable(seed: LearningSample, coincident: int) -> str:
+def _unseparable(object_id: str, coincident: int) -> str:
     return (
-        f"unseparable seed {seed.object_id!r}: coincides with "
+        f"unseparable seed {object_id!r}: coincides with "
         f"{coincident} counter-class point(s)"
     )
 
@@ -385,7 +370,7 @@ def grow_maximal_ld(
     no single-bound relaxation is admissible.
     """
     config = config or MiningConfig()
-    X, y = _matrix(learning_set)
+    X, y = learning_set.X, learning_set.labels
     point = np.array([seed.features], dtype=float)
     if point.shape[1] != X.shape[1]:
         raise CarlabError(
@@ -395,7 +380,7 @@ def grow_maximal_ld(
         point, X[y != seed.label], _grids(X), config.violation_budget
     )
     if coincident[0] > config.violation_budget:
-        raise UnseparableSeedError(_unseparable(seed, int(coincident[0])))
+        raise UnseparableSeedError(_unseparable(seed.object_id, int(coincident[0])))
     return next(_ldset((seed.label,), np.zeros(1, np.intp), lower, upper).all_lds())
 
 
@@ -410,7 +395,7 @@ def mine_lds(
     class's boxes are sorted canonically (see ``_by_key``).
     """
     budget = (config or MiningConfig()).violation_budget
-    X, y = _matrix(learning_set)
+    X, y = learning_set.X, learning_set.labels
     grids = _grids(X)
     lower = np.empty_like(X)
     upper = np.empty_like(X)
@@ -421,7 +406,7 @@ def mine_lds(
             X[seeds], X[~seeds], grids, budget
         )
     keep = coincident <= budget
-    warnings = [_unseparable(learning_set.samples[k], coincident[k]) for k in np.flatnonzero(~keep).tolist()]
+    warnings = [_unseparable(learning_set.ids[k], coincident[k]) for k in np.flatnonzero(~keep).tolist()]
     # As wide as the largest feature bounded, which is all the vote checks a row for.
     width = max(np.flatnonzero(((lower > -np.inf) | (upper < np.inf))[keep].any(axis=0)) + 1, default=0)
     boxes = _by_key(y[keep], lower[keep, :width], upper[keep, :width], unique=True)

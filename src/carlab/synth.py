@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import product
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .boolcube import BooleanAction
 from .carsim import ActionSpec
-from .core import CarlabError, LearningSample, LearningSet, TraceEvent, TraceMap
+from .core import CarlabError, LearningSet, TraceEvent, TraceMap
 from .mdp import STAY_ACTION, MDPModel
 from .poset import ClassTransitionGraph, Transition, extract_relation
 
@@ -43,34 +46,22 @@ def random_learning_set(
     m = m if m is not None else rng.randint(classes, 60)
     labels = list(range(classes)) + [rng.randrange(classes) for _ in range(m - classes)]
     rng.shuffle(labels)
-    taken: dict[tuple[float, ...], int] = {}
-    owned: dict[int, list[tuple[float, ...]]] = {c: [] for c in range(classes)}
-    samples = []
-    for k, label in enumerate(labels):
-        point = None
+    points: list[tuple[float, ...]] = []
+    taken: dict[tuple[float, ...], int] = {}  # the class of each point drawn
+    for label in labels:
         for _ in range(200):
-            candidate = tuple(rng.choice(grid) for _ in range(n))
-            owner = taken.get(candidate)
-            if owner is None or owner == label:
-                point = candidate
+            point = tuple(rng.choice(grid) for _ in range(n))
+            if taken.get(point, label) == label:
                 break
-        if point is None:
-            if owned[label]:
-                point = rng.choice(owned[label])
-            else:
-                # tiny grids only: deterministic scan for any free cell
-                from itertools import product
-
-                for candidate in product(grid, repeat=n):
-                    if candidate not in taken:
-                        point = candidate
-                        break
-                if point is None:
-                    raise ValueError("grid too small for disjoint class shares")
+        else:
+            owned = [p for p, c in zip(points, labels) if c == label]
+            # tiny grids only: with no point of its own, a deterministic scan for any free cell
+            point = rng.choice(owned) if owned else next((c for c in product(grid, repeat=n) if c not in taken), None)
+            if point is None:
+                raise ValueError("grid too small for disjoint class shares")
         taken[point] = label
-        owned[label].append(point)
-        samples.append(LearningSample(object_id=f"s{k:03d}", features=point, label=label))
-    return LearningSet.build(samples, mode="real")
+        points.append(point)
+    return LearningSet([f"s{k:03d}" for k in range(len(labels))], points, labels, "real")
 
 
 def random_boolean_learning_set(
@@ -82,17 +73,9 @@ def random_boolean_learning_set(
     need = classes * per_class
     if need > len(universe):
         raise ValueError("not enough vertices for disjoint class shares")
-    samples = []
-    k = 0
-    for label in range(classes):
-        for _ in range(per_class):
-            code = universe[k]
-            point = tuple(float((code >> (n - 1 - j)) & 1) for j in range(n))
-            samples.append(
-                LearningSample(object_id=f"b{k:03d}", features=point, label=label)
-            )
-            k += 1
-    return LearningSet.build(samples, mode="boolean")
+    codes = np.array(universe[:need], np.int64)
+    X = codes[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return LearningSet([f"b{k:03d}" for k in range(need)], X, np.repeat(range(classes), per_class), "boolean")
 
 
 def random_partial_boolean_function(
@@ -224,15 +207,9 @@ def contracting_instance(deviated_count: int) -> tuple[LearningSet, list[ActionS
     object therefore reaches the normal class in as many steps as its
     starting level, bounded by the height of the transition diagram.
     """
-    samples = []
-    for i in range(deviated_count + 1):
-        for b, f2 in enumerate((0.0, 1.0)):
-            samples.append(
-                LearningSample(
-                    object_id=f"c{i}_{b}", features=(float(i), f2), label=i
-                )
-            )
-    learning_set = LearningSet.build(samples, mode="real")
+    ids = [f"c{i}_{b}" for i in range(deviated_count + 1) for b in range(2)]
+    X = [(float(i), f2) for i in range(deviated_count + 1) for f2 in (0.0, 1.0)]
+    learning_set = LearningSet(ids, X, np.repeat(range(deviated_count + 1), 2), "real")
     specs = [
         ActionSpec(
             action_id=f"a{i}",

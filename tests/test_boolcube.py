@@ -263,6 +263,18 @@ class TestBackward:
         reach = backward_reach(codes({"01"}), {1: ident}, labels(lambda v: 1, 2), 0, 2)
         assert [words(d, 2) for d in reach.depths] == [frozenset({"01"})]
 
+    def test_action_bindings_checked_only_when_a_step_is_taken(self):
+        """Depth 0 takes no step, so a class with no action, or with an
+        action of another size, does not fail it; depth 1 does."""
+        label = lambda v: {"00": 0, "01": 1, "10": 2, "11": None}[v]
+        wide = BooleanAction("a2", 3, exprs=("x1", "x2", "x3"))
+        for actions, message in (({}, "no action bound to class 1"), ({1: wide, 2: wide}, "dimension mismatch")):
+            reach = backward_reach(codes({"00"}), actions, labels(label, 2), 0, 2)
+            assert [words(d, 2) for d in reach.depths] == [frozenset({"00"})]
+            assert words(reach.indeterminate, 2) == {"11"}
+            with pytest.raises(CarlabError, match=f"^{message}$"):
+                backward_reach(codes({"00"}), actions, labels(label, 2), 1, 2)
+
     def test_absorbing_construction(self):
         # every action maps into the region: one step back reaches all
         # determinately classified vertices

@@ -800,6 +800,34 @@ def test_trace_class_and_id_checked_where_they_enter(tmp_path, capsys, command, 
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mine", "simulate", "inverse"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("p,0,0\nq,1,-1\n", "data.csv:3: negative class index -1"),
+        ("p,0,0\n,1,1\n", "data.csv:3: object_id must be nonempty"),
+        ('p,0,0\n"",1,1\n', "data.csv:3: object_id must be nonempty"),  # read by csv.reader
+    ],
+    ids=["negative-class", "empty-id", "quoted-empty-id"],
+)
+def test_dataset_class_and_id_checked_where_they_enter(tmp_path, capsys, command, rows, message):
+    paths = {
+        "data": write(tmp_path / "data.csv", "id,f1,class\n" + rows),
+        "lds": write(tmp_path / "lds.json", json.dumps(VALID_JSON["classify"][1])),
+        "actions": write(tmp_path / "actions.json", json.dumps(VALID_JSON["inverse"][1])),
+    }
+    argv = {
+        "mine": ["mine", "--data", "{data}"],
+        "simulate": ["simulate", "--data", "{data}", "--lds", "{lds}", "--actions", "{actions}"],
+        "inverse": ["inverse", "--data", "{data}", "--actions", "{actions}"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert run([a.format(**paths) for a in argv] + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["diagram", "validate-poset"])
 @pytest.mark.parametrize("row", ["-1,a1,0,3", "1,a1,-1,3"])
 def test_transition_class_must_be_nonnegative(tmp_path, capsys, command, row):

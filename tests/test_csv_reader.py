@@ -364,7 +364,8 @@ def quote_free_datasets(draw):
 @example(text="id,f1,class\nobject-7,1,0\n", labelled=True)  # the widest field is an id
 def test_quote_free_dataset_matches_the_row_oracle(tmp_path_factory, text, labelled):
     path = _write(tmp_path_factory, text)
-    read = lambda p: [(i, _bits(x), label) for i, x, label in _read_dataset(p, labelled)]
+    columns = lambda ids, X, labels: zip(ids, X, [None] * len(ids) if labels is None else labels.tolist())
+    read = lambda p: [(i, _bits(x), label) for i, x, label in columns(*_read_dataset(p, labelled))]
     assert _message_or(read, path) == _message_or(lambda p: dataset_oracle(p, labelled), path)
 
 
