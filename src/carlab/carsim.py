@@ -271,12 +271,14 @@ def run_car(
         seen.update(keys)
         stalled.update(dict.fromkeys(active[cycle].tolist(), StallInfo(kind="cycle", step=step)))
         applies = deviated & ~cycle & (step < max_steps)
-        if not all(c in actions for c in np.unique(label[deviated]).tolist()):
+        classes = np.unique(label[deviated]).tolist()
+        if not all(c in actions for c in classes):
             _raise_first_failure(rows, label, deviated, applies, actions)
         try:
-            for c in np.unique(label[applies]).tolist():
+            for c in classes:
                 at = active[applies & (label == c)]
-                X[at] = actions[c].apply_rows(X[at])
+                if at.size:
+                    X[at] = actions[c].apply_rows(X[at])
         except CarlabError:
             _raise_first_failure(rows, label, deviated, applies, actions)
             raise

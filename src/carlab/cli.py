@@ -4,9 +4,9 @@ Every subcommand is deterministic given its inputs: repeated runs
 byte-reproduce all output files.  Exit codes: 0 success, 1 input or
 usage error, 2 ran fine but the validation verdict is negative.
 
-A config file (plain KEY=VALUE lines, # comments) may supply any long
-flag's value; explicit flags win.  The CARLAB_SEED environment variable
-fixes the randomized dataset-generation helpers in carlab.synth.
+A config file (plain KEY=VALUE lines, # comments) is read as the flags
+--KEY=VALUE, which the subcommand's parser checks as it checks any flag;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .core import (
 from .lcpr import MiningConfig
 
 
-def _read_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """The lines of a KEY=VALUE config file as ``--key=value`` flags."""
+    flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -43,18 +44,8 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected KEY=VALUE")
         key, value = line.split("=", 1)
-        config[key.strip().lower().replace("-", "_")] = value.strip()
-    return config
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset argument slots from the config file, if given."""
-    if not getattr(args, "config", None):
-        return
-    config = _read_config(args.config)
-    for key, value in config.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        flags.append(f"--{key.strip().lower().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _require(args: argparse.Namespace, name: str) -> str:
@@ -65,8 +56,8 @@ def _require(args: argparse.Namespace, name: str) -> str:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    learning_set = load_learning_set(_require(args, "data"), mode=args.mode or "real")
-    config = MiningConfig(violation_budget=int(args.budget or 0))
+    learning_set = load_learning_set(_require(args, "data"), mode=args.mode)
+    config = MiningConfig(violation_budget=args.budget)
     lds = lcpr.mine_lds(learning_set, config)
     for warning in lds.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -109,9 +100,9 @@ def _cmd_fit_mdp(args: argparse.Namespace) -> int:
     model = mdp.estimate_mdp(
         traces,
         load_json(args.diagram, poset.diagram_from_json) if args.diagram else None,
-        gamma=float(args.gamma if args.gamma is not None else 0.9),
-        smoothing=float(args.smoothing if args.smoothing is not None else 0.0),
-        reward_shape=args.reward_shape or "level-diff",
+        gamma=args.gamma,
+        smoothing=args.smoothing,
+        reward_shape=args.reward_shape,
     )
     save_json(mdp.mdp_to_json(model), args.out)
     return 0
@@ -144,13 +135,12 @@ def _cmd_eval_policy(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    learning_set = load_learning_set(_require(args, "data"), mode=args.mode or "real")
+    learning_set = load_learning_set(_require(args, "data"), mode=args.mode)
     lds = lcpr.load_ldset(_require(args, "lds"))
     specs = carsim.load_actions(_require(args, "actions"))
     carsim.check_action_sizes(specs, learning_set.n)
     actions = carsim.register_actions(specs, learning_set.deviated_count)
-    max_steps = int(args.max_steps if args.max_steps is not None else 20)
-    report = carsim.run_car(learning_set, lcpr.ld_classifier(lds), actions, max_steps)
+    report = carsim.run_car(learning_set, lcpr.ld_classifier(lds), actions, args.max_steps)
     save_json(carsim.report_to_json(report), args.out)
     table = report.table
     if args.trace_out and len(table):
@@ -167,19 +157,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_inverse(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode="boolean")
     specs = carsim.load_actions(_require(args, "actions"))
-    depth = int(args.depth if args.depth is not None else 1)
+    if any(spec.boolean is None for spec in specs):
+        raise CarlabError("inverse requires Boolean actions")
     n = learning_set.n
     carsim.check_action_sizes(specs, n)
-    actions = {}
-    for spec in specs:
-        if spec.boolean is None:
-            raise CarlabError("inverse requires Boolean actions")
-        actions[spec.class_index] = spec.boolean
+    bound = carsim.register_actions(specs, learning_set.deviated_count)
+    actions = {c: spec.boolean for c, spec in bound.items()}
     rdnfs = boolcube.multiclass_rdnf(learning_set)
     votes = boolcube.vote_vertices(rdnfs, n)
     covered = votes.counts > 0  # column 0 is the normal class
     partition = boolcube.RegionPartition.from_masks(covered[:, 0], covered[:, 1:].any(axis=1))
-    reach = boolcube.backward_reach(partition.forall_region, actions, votes.labels, depth, n)
+    reach = boolcube.backward_reach(partition.forall_region, actions, votes.labels, args.depth, n)
     del votes, covered  # the 2^n-row count, label and reason arrays, freed before the output is built
 
     # Code order is word order, so each list comes out sorted.
@@ -223,22 +211,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="carlab",
-        description="Classification-action recursion toolkit",
-        epilog="Set CARLAB_SEED to fix the randomized dataset helpers.",
-    )
+    parser = argparse.ArgumentParser(prog="carlab", description="Classification-action recursion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="KEY=VALUE config file; flags override")
         p.add_argument("--out", help="output file (default: stdout)")
 
+    mode = {"choices": ["real", "boolean"], "default": "real", "help": "value domain (default %(default)s)"}
+
     p = sub.add_parser("mine", help="mine logical dependencies from a dataset")
     common(p)
     p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--mode", choices=["real", "boolean"], help="value domain")
-    p.add_argument("--budget", help="violation budget (default 0)")
+    p.add_argument("--mode", **mode)
+    p.add_argument("--budget", type=int, default=0, help="violation budget (default %(default)s)")
     p.set_defaults(handler=_cmd_mine)
 
     p = sub.add_parser("classify", help="score and label vectors with mined LDs")
@@ -261,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--traces", help="trace log CSV")
     p.add_argument("--diagram", help="level diagram JSON (default: derive from traces)")
-    p.add_argument("--gamma", help="discount factor (default 0.9)")
-    p.add_argument("--smoothing", help="Laplace smoothing (default 0)")
+    p.add_argument("--gamma", type=float, default=0.9, help="discount factor (default %(default)s)")
+    p.add_argument("--smoothing", type=float, default=0.0, help="Laplace smoothing (default %(default)s)")
     p.add_argument(
         "--reward-shape",
-        dest="reward_shape",
         choices=["level-diff", "neg-level"],
-        help="reward definition (default level-diff)",
+        default="level-diff",
+        help="reward definition (default %(default)s)",
     )
     p.set_defaults(handler=_cmd_fit_mdp)
 
@@ -280,14 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the classify-act loop over a dataset")
     common(p)
     p.add_argument("--data", help="dataset CSV")
-    p.add_argument("--mode", choices=["real", "boolean"], help="value domain")
+    p.add_argument("--mode", **mode)
     p.add_argument("--lds", help="LD set JSON")
     p.add_argument("--actions", help="action spec JSON")
-    p.add_argument("--max-steps", dest="max_steps", help="step budget (default 20)")
-    p.add_argument("--trace-out", dest="trace_out", help="emit trace log CSV")
+    p.add_argument("--max-steps", type=int, default=20, help="step budget (default %(default)s)")
+    p.add_argument("--trace-out", help="emit trace log CSV")
     p.add_argument(
         "--emit-dataset",
-        dest="emit_dataset",
         help="emit visited states as a dataset CSV (for re-mining between runs)",
     )
     p.set_defaults(handler=_cmd_simulate)
@@ -298,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", help="Boolean dataset CSV")
     p.add_argument("--actions", help="Boolean action spec JSON")
-    p.add_argument("--depth", help="backward depth k (default 1)")
+    p.add_argument("--depth", type=int, default=1, help="backward depth k (default %(default)s)")
     p.set_defaults(handler=_cmd_inverse)
 
     p = sub.add_parser("report", help="bundle JSON outputs into one summary")
@@ -311,14 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:  # its lines go after the subcommand, ahead of the given flags, which win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.handler(args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; map to input-error code 1
         return 0 if exc.code == 0 else 1
-    try:
-        _merge_config(args)
-        return args.handler(args)
     except (CarlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

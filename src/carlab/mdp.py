@@ -312,7 +312,8 @@ def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
 def policy_evaluation(
     mdp: MDPModel, policy: Policy, tol: float = 1e-9
 ) -> ValueFunction:
-    """Iterative fixed-point evaluation of a (possibly stochastic) policy."""
+    """Iterative fixed-point evaluation of a (possibly stochastic) policy
+    that decides at exactly the model's states."""
     for s in mdp.states:
         if s not in policy.decision:
             raise CarlabError(f"policy does not cover state {s}")
@@ -324,6 +325,9 @@ def policy_evaluation(
         total = sum(policy.decision[s].values())
         if abs(total - 1.0) > 1e-9:
             raise CarlabError(f"policy distribution at {s} sums to {total!r}")
+    extra = set(policy.decision).difference(mdp.states)
+    if extra:
+        raise CarlabError(f"policy decides at state {min(extra)}, which the model does not have")
     backup = mdp._backup
     weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
     values, _ = _fixed_point(backup.sweep(weights), backup, tol)

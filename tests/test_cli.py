@@ -267,6 +267,36 @@ class TestInverse:
         assert err.count("error:") == 1 and "action 'a1' has n=3, but the dataset has n=4" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_two_actions_for_one_class_exit_one(self, tmp_path, capsys, order):
+        data = write(tmp_path / "bool.csv", "id,f1,f2,class\np,0,0,0\nq,1,1,1\nr,0,1,1\n")
+        specs = [
+            {"action": "a1", "class": 1, "kind": "rule", "n": 2, "exprs": ["0", "0"]},
+            {"action": "b1", "class": 1, "kind": "rule", "n": 2, "exprs": ["x1", "x2"]},
+        ]
+        actions = write(tmp_path / "actions.json", json.dumps(specs[::order]))
+        out = tmp_path / "inv.json"
+        assert run(["inverse", "--data", data, "--actions", actions, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: duplicate action binding for class 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, classes, depth, message",
+        [
+            ("q,1,1,1\n", [1, 2], 1, "action bound to unknown classes [2]"),
+            ("q,1,1,1\nr,1,0,2\n", [1], 1, "missing action binding for classes [2]"),
+            ("q,1,1,1\nr,1,0,2\n", [1], 0, "missing action binding for classes [2]"),
+        ],
+    )
+    def test_actions_bind_as_simulate_binds_them(self, tmp_path, capsys, rows, classes, depth, message):
+        data = write(tmp_path / "bool.csv", "id,f1,f2,class\np,0,0,0\n" + rows)
+        specs = [{"action": f"a{c}", "class": c, "kind": "rule", "n": 2, "exprs": ["0", "0"]} for c in classes]
+        actions = write(tmp_path / "actions.json", json.dumps(specs))
+        out = tmp_path / "inv.json"
+        assert run(["inverse", "--data", data, "--actions", actions, "--depth", depth, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_depths_reported(self, boolean_setup, tmp_path):
         data, actions = boolean_setup
         out = tmp_path / "inv.json"
@@ -365,6 +395,43 @@ class TestReportAndConfig:
 
     def test_missing_required_option_exits_one(self):
         assert run(["mine"]) == 1
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("inverse", "dpeth=3", "unrecognized arguments: --dpeth=3"),
+            ("inverse", "budget=1", "unrecognized arguments: --budget=1"),
+            ("mine", "mode=BOOLEAN", "argument --mode: invalid choice: 'BOOLEAN'"),
+            ("inverse", "depth=two", "argument --depth: invalid int value: 'two'"),
+        ],
+    )
+    def test_config_line_meets_the_checks_of_a_flag(self, tmp_path, capsys, command, line, message):
+        data = write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n")
+        spec = {"action": "a1", "class": 1, "kind": "rule", "n": 1, "exprs": ["0"]}
+        actions = write(tmp_path / "actions.json", json.dumps([spec]))
+        inputs = {"mine": ["--data", data], "inverse": ["--data", data, "--actions", actions]}
+        config = write(tmp_path / "run.cfg", f"# run\n{line}\n")
+        out = tmp_path / "out.json"
+        assert run([command, *inputs[command], "--config", config, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_typed_option_from_config_is_the_flag(self, tmp_path):
+        traces = write(
+            tmp_path / "traces.csv",
+            "id,step,timestamp,f1,class,action\nx,0,0.0,2.0,2,a2\nx,1,1.0,1.0,1,a1\nx,2,2.0,0.0,0,\n",
+        )
+        outs = [tmp_path / f"mdp{k}.json" for k in range(4)]
+        config = write(tmp_path / "run.cfg", "gamma = 0.5\nreward_shape=neg-level\n")
+        fit = ["fit-mdp", "--traces", traces]
+        assert run(fit + ["--gamma", "0.5", "--reward-shape", "neg-level", "--out", outs[0]]) == 0
+        assert run(fit + ["--config", config, "--out", outs[1]]) == 0
+        assert run(fit + ["--gamma", "0.7", "--reward-shape", "neg-level", "--out", outs[2]]) == 0
+        assert run(fit + ["--config", config, "--gamma", "0.7", "--out", outs[3]]) == 0
+        assert json.loads(outs[1].read_text())["gamma"] == 0.5
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[2].read_bytes() == outs[3].read_bytes() != outs[1].read_bytes()
 
 
 def test_classify_rejects_non_finite_query(contracting, tmp_path, capsys):
@@ -684,6 +751,19 @@ def test_report_rejects_duplicate_section(chain_transitions, tmp_path, capsys):
     out = tmp_path / "bundle.json"
     assert run(["report", "--out", out, f"a={verdict}", f"a={verdict}"]) == 1
     assert capsys.readouterr().err == "error: duplicate report section 'a'\n"
+    assert not out.exists()
+
+
+def test_eval_policy_rejects_a_trace_class_the_model_lacks(tmp_path, capsys):
+    header = "id,step,timestamp,f1,class,action\n"
+    chain = "x,0,0.0,2.0,2,a2\nx,1,1.0,1.0,1,a1\nx,2,2.0,0.0,0,\n"
+    fitted = write(tmp_path / "fitted.csv", header + chain)
+    visits = write(tmp_path / "visits.csv", header + chain + "y,0,0.0,7.0,7,a7\ny,1,1.0,0.0,0,\n")
+    model = tmp_path / "mdp.json"
+    assert run(["fit-mdp", "--traces", fitted, "--out", model]) == 0
+    out = tmp_path / "cmp.json"
+    assert run(["eval-policy", "--mdp", model, "--traces", visits, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: policy decides at state 7, which the model does not have\n"
     assert not out.exists()
 
 

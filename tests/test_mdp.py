@@ -245,6 +245,18 @@ class TestPolicyEvaluation:
         with pytest.raises(CarlabError, match="does not cover"):
             policy_evaluation(model, Policy.deterministic({0: STAY_ACTION}))
 
+    def test_state_outside_the_model_rejected(self):
+        model = chain_mdp()
+        decision = {0: {STAY_ACTION: 1.0}, 1: {"a": 1.0}, 9: {"a": 1.0}, 7: {"b": 1.0}}
+        with pytest.raises(CarlabError, match="^policy decides at state 7, which the model does not have$"):
+            policy_evaluation(model, Policy(decision=decision))
+
+    def test_stay_decision_needs_the_normal_class_in_the_model(self):
+        model = MDPModel(states=(1,), gamma=0.9, transitions={1: {"a": ((1, 1.0, 0.0),)}})
+        policy = extract_observed_policy([TraceEvent("x", 0, 0.0, (1.0,), 1, "a")])
+        with pytest.raises(CarlabError, match="^policy decides at state 0, which the model does not have$"):
+            policy_evaluation(model, policy)
+
     @pytest.mark.parametrize("weight", [-0.5, float("nan")])
     def test_negative_or_nan_weight_rejected(self, weight):
         model = chain_mdp()
