@@ -5,8 +5,8 @@ byte-reproduce all output files.  Exit codes: 0 success, 1 input or
 usage error, 2 ran fine but the validation verdict is negative.
 
 A config file (plain KEY=VALUE lines, # comments) is read as the flags
---KEY=VALUE, which the subcommand's parser checks as it checks any flag;
-explicit flags win.
+--KEY=VALUE, which the subcommand's parser checks as it checks any flag,
+naming the file and line of a flag it refuses; explicit flags win.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +34,21 @@ from .core import (
 from .lcpr import MiningConfig
 
 
-def _config_flags(path: str) -> list[str]:
-    """The lines of a KEY=VALUE config file as ``--key=value`` flags."""
+class _UsageError(Exception):
+    """A usage error: the parser that found it and argparse's message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``_UsageError``, so
+    that ``main`` can name the config line a refused flag comes from."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(self, message)
+
+
+def _config_flags(path: str) -> list[tuple[str, str]]:
+    """The lines of a KEY=VALUE config file as ``--key=value`` flags, each
+    after its ``path:line``."""
     flags = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -44,7 +57,7 @@ def _config_flags(path: str) -> list[str]:
         if "=" not in line:
             raise DataFormatError(f"{path}:{lineno}: expected KEY=VALUE")
         key, value = line.split("=", 1)
-        flags.append(f"--{key.strip().lower().replace('_', '-')}={value.strip()}")
+        flags.append((f"{path}:{lineno}", f"--{key.strip().lower().replace('_', '-')}={value.strip()}"))
     return flags
 
 
@@ -171,27 +184,25 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
     del votes, covered  # the 2^n-row count, label and reason arrays, freed before the output is built
 
     # Code order is word order, so each list comes out sorted.
-    names = list(boolcube.all_vertices(n))
-    words = lambda codes: [names[c] for c in codes.tolist()]
-    cube = np.arange(len(names))
+    cube = np.arange(1 << n)
     depths = []
     for d, (region, cumulative) in enumerate(zip(reach.depths, reach.cumulative)):
         depths.append(
             {
                 "depth": d,
-                "region": words(region),
+                "region": boolcube.code_words(region, n),
                 "cover": [c.word for c in boolcube.subcube_cover(region, n)],
-                "cumulative": words(cumulative),
-                "never_within": words(np.setdiff1d(cube, cumulative, assume_unique=True)),
+                "cumulative": boolcube.code_words(cumulative, n),
+                "never_within": boolcube.code_words(np.setdiff1d(cube, cumulative, assume_unique=True), n),
             }
         )
     payload = {
         "n": n,
         "start_region": "forall",
-        "forall": words(partition.forall_region),
-        "exists": words(partition.exists_region),
-        "uncovered": words(partition.uncovered),
-        "indeterminate": words(reach.indeterminate),
+        "forall": boolcube.code_words(partition.forall_region, n),
+        "exists": boolcube.code_words(partition.exists_region, n),
+        "uncovered": boolcube.code_words(partition.uncovered, n),
+        "indeterminate": boolcube.code_words(reach.indeterminate, n),
         "depths": depths,
     }
     save_json(payload, args.out)
@@ -211,7 +222,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="carlab", description="Classification-action recursion toolkit")
+    parser = _Parser(prog="carlab", description="Classification-action recursion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
@@ -300,10 +311,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:  # its lines go after the subcommand, ahead of the given flags, which win
-            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            flags = _config_flags(args.config)
+            for where, flag in flags:  # each line alone, to name the one refused
+                try:
+                    parser.parse_args(argv[:1] + [flag])
+                except _UsageError as exc:
+                    raise DataFormatError(f"{where}: {exc.args[1]}") from None
+            args = parser.parse_args(argv[:1] + [flag for _, flag in flags] + argv[1:])
         return args.handler(args)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; map to input-error code 1
+    except _UsageError as exc:  # reported as argparse reports it, with exit code 1
+        refusing, message = exc.args
+        refusing.print_usage(sys.stderr)
+        print(f"{refusing.prog}: error: {message}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 1
     except (CarlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,9 @@ and leaves, or scalars only) is written column by column, and any other
 list or dict of leaves of one kind is one C call; only the brackets of
 the leaves and the other containers that hold containers are written
 here, in the order and with the key conversion of the indent encoder.
+A 1-D numpy ``S<w>`` array is written as the JSON list of its strings:
+its bytes go into one array of fixed-width rows ``,<indent>"<bytes>"``,
+decoded once.
 Values are not changed after construction, a constructor checks what it
 stores and a value read off stored fields is a read-only property; every
 function here is pure.
@@ -344,16 +347,27 @@ def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
 
 
 _CONTAINERS = (dict, list, tuple)
+_NESTED = (*_CONTAINERS, np.ndarray)  # what a leaf container holds none of
 
 
 def _holds_container(boxes: Sequence, kinds: set) -> bool:
-    """Whether a dict, list or tuple is inside one of ``boxes``, the exact
-    dicts, lists and tuples of the types ``kinds``."""
+    """Whether a dict, list, tuple or array is inside one of ``boxes``, the
+    exact dicts, lists and tuples of the types ``kinds``."""
     if kinds == {dict}:
         items = chain.from_iterable(map(dict.values, boxes))
     else:
         items = chain.from_iterable(box.values() if type(box) is dict else box for box in boxes)
-    return any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
+    return any(map(issubclass, set(map(type, items)), repeat(_NESTED)))
+
+
+def _plain(bytes_: np.ndarray) -> bool:
+    """Whether every byte is printable ASCII that json writes as itself:
+    not a control byte, not above 0x7e, not ``"`` and not ``\\``."""
+    if not bytes_.size:
+        return True
+    low, high = int(bytes_.min()), int(bytes_.max())
+    escaped = (c for c in b'"\\' if low <= c <= high)
+    return 0x20 <= low and high <= 0x7E and not any((bytes_ == c).any() for c in escaped)
 
 
 def _indented_json(doc: Any) -> str:
@@ -378,6 +392,11 @@ def _indented_json(doc: Any) -> str:
     cycles refused in the pure-Python indent encoder's order, and a bulk
     shape that fails to encode is walked instead, so an unserialisable
     document raises the same exception type.
+
+    A 1-D ``S<w>`` array is written as the list of its strings, from one
+    array of rows ``,<indent>"<bytes>"``.  It must hold only bytes that
+    json writes as themselves (``_plain``); json's TypeError for an array
+    is raised for any other, as for any other value json cannot write.
     """
     make, string = json.encoder.c_make_encoder, json.encoder.encode_basestring_ascii
     refuse = json.JSONEncoder().default  # raises json's TypeError for an unserialisable value
@@ -411,7 +430,7 @@ def _indented_json(doc: Any) -> str:
         kinds = set(map(type, cells))
         boxes = kinds.intersection(_CONTAINERS)
         if sum(map(issubclass, kinds, containers)) > len(boxes):
-            return None  # a subclass of dict, list or tuple
+            return None  # an array, or a subclass of dict, list or tuple
         if not boxes:
             return scalars(cells)
         flags = list(map(isinstance, cells, repeat(_CONTAINERS)))
@@ -443,6 +462,18 @@ def _indented_json(doc: Any) -> str:
         row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names)
         return map((row + pads[depth] + "}").__mod__, zip(*columns))
 
+    def strings(value: Any, depth: int) -> str:
+        """The text of a 1-D ``S`` array written at ``depth``."""
+        if value.ndim != 1 or value.dtype.kind != "S" or not _plain(np.ascontiguousarray(value).view(np.uint8)):
+            refuse(value)
+        if not value.size:
+            return "[]"
+        reach(depth + 1)
+        lead = ("," + pads[depth + 1] + '"').encode()
+        rows = np.empty(len(value), [("lead", f"S{len(lead)}"), ("item", value.dtype), ("end", "S1")])
+        rows["lead"], rows["item"], rows["end"] = lead, value, b'"'
+        return "[" + str(rows.view(np.uint8)[1:], "ascii") + pads[depth] + "]"  # no comma before the first
+
     def bulk(value: Any, kinds: set, depth: int) -> Optional[str]:
         """The text of ``value`` written at ``depth`` if it is a table, or
         a list or dict of leaf containers of one kind; None otherwise."""
@@ -464,13 +495,16 @@ def _indented_json(doc: Any) -> str:
         return opener + inner + ("," + inner).join(items) + pads[depth] + closer
 
     reach(1)
-    scalar, containers = encoders[0], repeat(_CONTAINERS)
+    scalar, containers = encoders[0], repeat(_NESTED)
     out: list[str] = []
     opened: set[int] = set()  # ids of the containers being written, to refuse a cycle
     stack = [(iter([("", doc)]), 0, "", None)]  # (heads and values, depth, closer, id)
     while stack:
         items, depth, closer, mark = stack[-1]
         for head, value in items:
+            if type(value) is np.ndarray:
+                out += (head, strings(value, depth))
+                continue
             if not isinstance(value, _CONTAINERS) or not value:
                 out += (head, scalar(value, 0)[0])
                 continue

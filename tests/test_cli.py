@@ -417,6 +417,25 @@ class TestReportAndConfig:
         assert err.count("error:") == 1 and message in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("depth=3\ndpeth=3\n", "run.cfg:2: unrecognized arguments: --dpeth=3"),
+            ("# run\ndepth=2\n\ndepth=two\n", "run.cfg:4: argument --depth: invalid int value: 'two'"),
+            ("dpeth=3\nbudget=1\n", "run.cfg:1: unrecognized arguments: --dpeth=3"),
+        ],
+        ids=["second-line", "after-a-comment-and-a-blank", "first-of-two"],
+    )
+    def test_refused_config_line_is_named_by_file_and_line(self, tmp_path, capsys, lines, message):
+        data = write(tmp_path / "bool.csv", "id,f1,class\np,0,0\nq,1,1\n")
+        spec = {"action": "a1", "class": 1, "kind": "rule", "n": 1, "exprs": ["0"]}
+        actions = write(tmp_path / "actions.json", json.dumps([spec]))
+        config = write(tmp_path / "run.cfg", lines)
+        out = tmp_path / "inv.json"
+        assert run(["inverse", "--data", data, "--actions", actions, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+        assert not out.exists()
+
     def test_typed_option_from_config_is_the_flag(self, tmp_path):
         traces = write(
             tmp_path / "traces.csv",

@@ -11,6 +11,7 @@ import re
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -351,6 +352,101 @@ def test_json_writer_raises_as_the_indent_encoder_on_flat_records(tmp_path, doc)
     with pytest.raises(expected.type, match=re.escape(str(expected.value))):
         save_json(doc, dest)
     assert not dest.exists()
+
+
+# The characters json writes as themselves: printable ASCII but " and \.
+PLAIN = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
+
+
+def _strings(width: int, *words: str) -> np.ndarray:
+    return np.array([w.encode() for w in words], f"S{width}")
+
+
+@st.composite
+def _string_arrays(draw):
+    """A 1-D ``S<w>`` array of plain strings of exactly w bytes."""
+    width = draw(st.integers(1, 4))
+    return _strings(width, *draw(st.lists(st.text(PLAIN, min_size=width, max_size=width), max_size=6)))
+
+
+def _decoded(doc):
+    """``doc`` with each ``S`` array as the list of its ASCII strings."""
+    if isinstance(doc, np.ndarray):
+        return [word.decode("ascii") for word in doc.tolist()]
+    if isinstance(doc, dict):
+        return {k: _decoded(v) for k, v in doc.items()}
+    return [_decoded(v) for v in doc] if isinstance(doc, (list, tuple)) else doc
+
+
+@pytest.mark.parametrize("depth", range(4))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_json_writer_writes_a_string_array_as_the_list_of_its_strings(depth, data):
+    doc = data.draw(_string_arrays())
+    for _ in range(depth):
+        wrap = [lambda d: [d], lambda d: {"k": d, "n": 0}, lambda d: [1, d], lambda d: {"a": d, "b": [d, "x"]}]
+        doc = data.draw(st.sampled_from(wrap))(doc)
+    assert _written(doc) == _reference(_decoded(doc))
+
+
+def _inverse_depths(depth: int) -> dict:
+    """The shape of ``carlab inverse``'s document at ``depth``."""
+    region, rest = _strings(3, "001", "011"), _strings(3, "000", "010", "100")
+    rows = [
+        {"depth": d, "region": region, "cover": ["0*1"], "cumulative": region, "never_within": rest}
+        for d in range(depth + 1)
+    ]
+    return {"n": 3, "forall": region, "exists": _strings(3), "depths": rows}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _strings(1),
+        _strings(5),
+        {"k": _strings(2), "n": []},
+        _strings(1, "0", "1"),
+        [_strings(1, "0"), _strings(1)],
+        _inverse_depths(3),
+        _inverse_depths(6),  # more rows than keys: a table, whose columns hold arrays
+        [{"a": _strings(2, "01"), "b": 1}] * 3,
+        {"x": {"a": _strings(1, "0"), "b": 2}, "y": {"a": _strings(1), "b": 3}, "z": {"a": _strings(1), "b": 4}},
+        [[1, _strings(2, "ab")], [2, _strings(2, "cd")]],
+        {"k": [["x", 0], ["y", _strings(1, "z")]]},
+    ],
+    ids=["empty", "empty-S5", "empty-in-dict", "S1", "S1-list", "inverse-depth-3", "inverse-depth-6",
+         "table-column", "dict-of-records", "in-leaf-lists", "in-a-leaf-of-leaves"],
+)
+def test_json_writer_writes_string_arrays_in_every_shape(doc):
+    assert _written(doc) == _reference(_decoded(doc))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        _strings(2, 'a"'),
+        _strings(2, "a\\"),
+        _strings(3, "a\x00b"),
+        _strings(2, "a"),  # a short item: padded with NUL
+        np.array([b"\x80"]),
+        np.array([b"\x1f"]),
+        np.array([b"\x7f"]),
+        np.zeros((2, 2), "S1"),
+        np.array(["u"]),
+        np.zeros(2),
+    ],
+    ids=["quote", "backslash", "nul", "nul-padding", "0x80", "control", "del", "2-d", "str-array", "float-array"],
+)
+def test_json_writer_raises_as_json_for_an_array_it_does_not_write(tmp_path, array):
+    """An array is written only when each byte is one json writes as
+    itself; any other raises json's TypeError for an array, as json does."""
+    for doc in (array, {"k": array}, [{"a": array, "b": 1}] * 3):
+        with pytest.raises(TypeError) as expected:
+            _reference(doc)
+        dest = tmp_path / "out.json"
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            save_json(doc, dest)
+        assert not dest.exists()
 
 
 def _nested_text(depth: int) -> str:
