@@ -8,25 +8,25 @@ reachability of the normal class under per-class actions.
 A vertex is its int code (coordinate 1 is the high bit, so code order is
 ``all_vertices`` order), a vertex set an ascending code array at the API and
 a bool mask over all codes inside, an action an array of image codes, a
-subcube its stored (mask, value) pair.  Binary words like "0110" are
-checked where they enter; a subcube's ternary word like "0*1" (``*`` frees
-a coordinate) is only derived, for the JSON edge.  The vote tests a code
-against a cube as two half-tests, on its high and on its low bits, and
-counts every code at once as a chunked matrix product of those tests,
-exact by construction (``cover_counts``).
-Exact computations are capped at n = 20 and refuse larger inputs.
+subcube its stored (mask, value) pair, and a cover a ``CubeSet`` of (mask,
+value) arrays, read by the vote as they are, with ``Subcube`` its member
+view.  Binary words like "0110" are checked where they enter; a subcube's
+ternary word like "0*1" (``*`` frees a coordinate) is only derived, for the
+JSON edge.  Exact computations are capped at n = 20 and refuse larger inputs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import InitVar, dataclass
-from itertools import islice, product
-from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from itertools import product, repeat
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import CarlabError, LearningSet, _decimal
-from .lcpr import LDSet, LogicalDependency, VoteBatch, label_codes, vote
+from .lcpr import LDSet, VoteBatch, _by_key, _ldset, label_codes, vote
 
 MAX_EXACT_N = 20
 _CUBE_CHUNK = 8192  # cubes per matrix product in cover_counts: bounds its scratch memory
@@ -68,6 +68,36 @@ class Subcube:
             sub = (sub - free) & free
             if not sub:
                 return
+
+
+@dataclass(frozen=True, eq=False)
+class CubeSet(Set):
+    """Subcubes of the n-cube as two read-only int64 arrays, ascending by
+    (mask, value), one cube a row.  The members are built as ``Subcube``s
+    when first read, by iteration or ``in``; set operators return plain
+    sets."""
+
+    n: int
+    masks: np.ndarray
+    values: np.ndarray
+    _from_iterable = set
+
+    def __post_init__(self) -> None:
+        self.masks.flags.writeable = self.values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[Subcube]:
+        return iter(self._members)
+
+    def __contains__(self, cube: object) -> bool:
+        return cube in self._members
+
+    @cached_property
+    def _members(self) -> dict[Subcube, None]:
+        """The members in row order, as the keys of a dict."""
+        return dict.fromkeys(map(Subcube, repeat(self.n), self.masks.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -247,13 +277,12 @@ def _region(codes: Sequence[int], n: int) -> np.ndarray:
     return mask
 
 
-def reduced_dnf(f: PartialBooleanFunction) -> set[Subcube]:
+def reduced_dnf(f: PartialBooleanFunction) -> CubeSet:
     """All maximal subcubes covering at least one positive and no negative."""
-    codes = lambda words: np.array([int(v, 2) for v in words], np.int64)
-    return _cover(codes(f.positives), codes(f.negatives), f.n)
+    return _cover(_word_codes(list(f.positives), f.n), _word_codes(list(f.negatives), f.n), f.n)
 
 
-def _cover(positives: np.ndarray, negatives: np.ndarray, n: int) -> set[Subcube]:
+def _cover(positives: np.ndarray, negatives: np.ndarray, n: int) -> CubeSet:
     """The maximal subcubes through the positive codes that hold no
     negative code.
 
@@ -304,7 +333,8 @@ def _cover(positives: np.ndarray, negatives: np.ndarray, n: int) -> set[Subcube]
         at, bit = np.nonzero(bits)
         masks = (1 << n) - 1 ^ (word[at] << 6 | bit)
         keys.append(masks << n | p[row[at]] & masks)
-    return {Subcube(n, key >> n, key & (1 << n) - 1) for key in np.unique(np.concatenate(keys)).tolist()}
+    keys = np.unique(np.concatenate(keys))
+    return CubeSet(n, keys >> n, keys & (1 << n) - 1)
 
 
 def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
@@ -312,17 +342,26 @@ def cover_counts(cubes: Iterable[Subcube], n: int) -> np.ndarray:
     on the grid of (high n // 2 bits, low bits) codes, the sum of ``A.T @ B``
     over chunks of cubes, A and B their 0/1 tests on each half.  Exact: a
     float64 sum is an integer at most the cube count, and no list nears 2^53."""
-    grid, cubes = _all_codes(n).reshape(1 << n // 2, -1), iter(cubes)  # a row per high half
+    grid = _all_codes(n).reshape(1 << n // 2, -1)  # a row per high half
+    widths, masks, values = _cube_arrays(cubes)
+    if (widths != n).any():
+        wrong = Subcube(*(int(a[np.argmax(widths != n)]) for a in (widths, masks, values)))
+        raise CarlabError(f"dimension mismatch: subcube {wrong.word!r} for n={n}")
     counts = np.zeros(grid.shape)
-    while chunk := list(islice(cubes, _CUBE_CHUNK)):
-        for cube in chunk:
-            if cube.n != n:
-                raise CarlabError(f"dimension mismatch: subcube {cube.word!r} for n={n}")
-        mask, value = np.array([(c.mask, c.value) for c in chunk]).T[..., None]
+    for start in range(0, len(masks), _CUBE_CHUNK):
+        mask, value = (a[start : start + _CUBE_CHUNK, None] for a in (masks, values))
         # The last code of each half has all of that half's bits set.
         half = lambda codes: (codes & mask == value & codes[-1]).astype(float)
         counts += half(grid[:, 0]).T @ half(grid[0])
     return counts.astype(np.int64).ravel()
+
+
+def _cube_arrays(cubes: Iterable[Subcube]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The widths, masks and values of ``cubes``: a CubeSet's arrays as
+    they are, any other iterable of Subcube read once."""
+    if isinstance(cubes, CubeSet):
+        return np.full(len(cubes), cubes.n), cubes.masks, cubes.values
+    return tuple(np.array([(c.n, c.mask, c.value) for c in cubes], np.int64).reshape(-1, 3).T)
 
 
 def vote_vertices(rdnfs: Mapping[int, Collection[Subcube]], n: int) -> VoteBatch:
@@ -340,11 +379,13 @@ def forall_exists_partition(
 ) -> RegionPartition:
     """Split vertices by cover side: positive-only (certain), both
     (ambiguous), neither (uncovered)."""
-    pos_rdnf, neg_rdnf = list(pos_rdnf), list(neg_rdnf)
-    if n is None and not pos_rdnf + neg_rdnf:
-        raise CarlabError("dimension unknown: no cubes and no n")
-    n = (pos_rdnf + neg_rdnf)[0].n if n is None else n
-    return RegionPartition.from_masks(cover_counts(pos_rdnf, n) > 0, cover_counts(neg_rdnf, n) > 0)
+    sides = [c if isinstance(c, Collection) else tuple(c) for c in (pos_rdnf, neg_rdnf)]
+    if n is None:  # a CubeSet's width, else the first cube's
+        widths = [side.n if isinstance(side, CubeSet) else next(iter(side)).n for side in sides if side]
+        if not widths:
+            raise CarlabError("dimension unknown: no cubes and no n")
+        n = widths[0]
+    return RegionPartition.from_masks(*(cover_counts(side, n) > 0 for side in sides))
 
 
 def backward_reach(
@@ -395,7 +436,7 @@ def backward_reach(
     )
 
 
-def multiclass_rdnf(learning_set: LearningSet) -> dict[int, set[Subcube]]:
+def multiclass_rdnf(learning_set: LearningSet) -> dict[int, CubeSet]:
     """One-vs-rest subcube covers, one per class (Boolean mode only)."""
     if learning_set.mode != "boolean":
         raise CarlabError("multiclass_rdnf requires a Boolean-mode learning set")
@@ -421,13 +462,18 @@ def _overlap(words: list[str]) -> CarlabError:
 
 def subcubes_to_ldset(rdnfs: Mapping[int, Iterable[Subcube]]) -> LDSet:
     """Convert per-class subcube covers into box predicates so the voting
-    classifier applies unchanged in the Boolean domain."""
-    bounds = lambda c: {k + 1: float(c.value >> (c.n - 1 - k) & 1) for k in c.fixed_positions()}
-    by_class = {}
-    for index in sorted(rdnfs):
-        lds = (LogicalDependency(index, bounds(c), bounds(c)) for c in rdnfs[index])
-        by_class[index] = tuple(sorted(lds, key=LogicalDependency.key))
-    return LDSet(by_class=by_class)
+    classifier applies unchanged in the Boolean domain: a fixed coordinate
+    is bounded to its bit on both sides, a free one is open."""
+    classes = sorted(rdnfs)
+    arrays = [np.stack(_cube_arrays(rdnfs[i])) for i in classes]  # rows: widths, masks, values
+    codes = np.repeat(np.arange(len(classes)), [a.shape[1] for a in arrays])
+    widths, masks, values = np.concatenate([np.zeros((3, 0), np.int64), *arrays], axis=1)[..., None]
+    shift = widths - 1 - np.arange(widths.max(initial=0))  # feature j + 1's bit, negative past the cube
+    fixed = (shift >= 0) & (masks >> shift.clip(0) & 1 == 1)
+    width = max(np.flatnonzero(fixed.any(axis=0)) + 1, default=0)  # as wide as the last feature bounded
+    bits = (values >> shift.clip(0) & 1)[:, :width].astype(float)
+    lower, upper = (np.where(fixed[:, :width], bits, bound) for bound in (-np.inf, np.inf))
+    return _ldset(tuple(classes), *_by_key(codes, lower, upper))
 
 
 def vector_to_vertex(vector: Sequence[float]) -> str:
@@ -444,18 +490,21 @@ def subcube_cover(region: Sequence[int], n: int) -> tuple[Subcube, ...]:
     Rendering aid for reports; the vertex set stays the exact
     representation.  Each cube grows from the first uncovered vertex by
     freeing coordinates 1..n in turn, each while the cube stays inside.
+    Freeing coordinate k moves the seed's k-neighbour in, so only the
+    coordinates whose neighbour is inside are tried.
     """
     inside = _region(region, n)
     covered = np.zeros_like(inside)
+    bits = 1 << np.arange(n - 1, -1, -1)  # coordinate k's bit
     cover = []
     for v in np.flatnonzero(inside).tolist():
         if covered[v]:
             continue
         cube, mask = np.array([v]), (1 << n) - 1
-        for k in range(n):
-            flipped = cube ^ 1 << (n - 1 - k)
+        for bit in bits[inside[v ^ bits]].tolist():
+            flipped = cube ^ bit
             if inside[flipped].all():
-                cube, mask = np.concatenate([cube, flipped]), mask ^ 1 << (n - 1 - k)
+                cube, mask = np.concatenate([cube, flipped]), mask ^ bit
         cover.append(Subcube(n, mask, v & mask))
         covered[cube] = True
     return tuple(cover)

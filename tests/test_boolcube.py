@@ -419,6 +419,33 @@ def test_subcube_cover_matches_greedy_on_words(n, data):
     assert subcube_cover(codes(region), n) == _greedy_cover_by_words(region, n)
 
 
+@given(st.integers(min_value=7, max_value=10), st.sampled_from([0.01, 0.1, 0.5, 0.9, 0.99]), st.randoms())
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+def test_subcube_cover_matches_greedy_on_words_on_larger_cubes(n, density, rng):
+    """Sparse regions leave most neighbours outside, dense ones most inside:
+    the coordinates skipped for an outside neighbour never change the cover."""
+    region = {v for v in all_vertices(n) if rng.random() < density}
+    assert subcube_cover(codes(region), n) == _greedy_cover_by_words(region, n)
+
+
+class TestSubcubeCoverAtTheCap:
+    N = 20
+
+    def test_whole_cube_is_one_cube(self):
+        assert [c.word for c in subcube_cover(np.arange(1 << self.N), self.N)] == ["*" * self.N]
+
+    def test_half_cube_is_one_cube(self):
+        assert [c.word for c in subcube_cover(np.arange(1 << self.N - 1), self.N)] == ["0" + "*" * (self.N - 1)]
+
+    def test_blocks_without_a_neighbour_stay_apart(self):
+        """342 blocks of 2^10 codes whose high halves have even parity:
+        no two differ in one coordinate, so each is its own cube."""
+        highs = [h for h in range(1 << 10) if not bin(h).count("1") % 2][:342]
+        region = (np.array(highs)[:, None] << 10 | np.arange(1 << 10)).ravel()
+        cover = subcube_cover(region, self.N)
+        assert [c.word for c in cover] == [format(h, "010b") + "*" * 10 for h in highs]
+
+
 RULE_TOKENS = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.tuples(
         st.just(n),

@@ -4,11 +4,13 @@ same subcube covers."""
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlab import boolcube
 from carlab.boolcube import (
     BooleanAction,
+    CubeSet,
     RegionPartition,
     Subcube,
     all_vertices,
@@ -19,8 +21,8 @@ from carlab.boolcube import (
     subcubes_to_ldset,
     vote_vertices,
 )
-from carlab.core import LearningSample, LearningSet
-from carlab.lcpr import classify_batch
+from carlab.core import CarlabError, LearningSample, LearningSet
+from carlab.lcpr import LDSet, LogicalDependency, classify_batch
 from conftest import cube
 
 
@@ -140,3 +142,109 @@ def test_cover_counts_across_chunks():
         expected = loop_counts(cubes, n).tolist()
         assert cover_counts(cubes, n).tolist() == expected
         assert cover_counts((c for c in cubes), n).tolist() == expected
+
+
+def cube_set(cubes, n):
+    """The CubeSet of some subcubes of the n-cube, as ``_cover`` makes one."""
+    keys = np.unique(np.array([c.mask << n | c.value for c in cubes], np.int64))
+    return CubeSet(n, keys >> n, keys & (1 << n) - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.lists(subcubes(n), max_size=12), subcubes(n))))
+def test_cube_set_is_the_set_of_its_subcubes(case):
+    n, cubes, other = case
+    members, cubes = set(cubes), cube_set(cubes, n)
+    assert cubes == members and members == cubes and not cubes != members
+    assert list(cubes) == sorted(members, key=lambda c: (c.mask, c.value))
+    assert len(cubes) == len(members) and cubes.masks.dtype == cubes.values.dtype == np.int64
+    assert (other in cubes) == (other in members)
+    assert all(c in cubes for c in members)
+    assert Subcube(n + 1, 0, 0) not in cubes and "*" * n not in cubes
+    assert set().union(cubes) == members and cubes | set() == members and cubes & members == members
+    for array in (cubes.masks, cubes.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(cubes)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(boolean_sets())
+def test_covers_are_cube_sets_read_as_arrays(learning_set):
+    rdnfs, n = multiclass_rdnf(learning_set), learning_set.n
+    assert all(isinstance(cubes, CubeSet) and cubes.n == n for cubes in rdnfs.values())
+    as_lists = {i: list(cubes) for i, cubes in rdnfs.items()}
+    for cubes in rdnfs.values():
+        assert cover_counts(cubes, n).tolist() == loop_counts(cubes, n).tolist()
+    assert vote_vertices(rdnfs, n).counts.tolist() == vote_vertices(as_lists, n).counts.tolist()
+    for pos, neg in ((rdnfs[0], rdnfs[1]), (cube_set([], n), rdnfs[1])):
+        # n is read from a nonempty side; the partition is the one with n given.
+        inferred, given_n = forall_exists_partition(pos, neg), forall_exists_partition(list(pos), iter(list(neg)), n=n)
+        for name in ("forall_region", "exists_region", "uncovered"):
+            assert np.array_equal(getattr(inferred, name), getattr(given_n, name)), name
+
+
+@pytest.mark.parametrize("size", [6, 7, 8, 15, 22])
+def test_cover_counts_of_a_cube_set_across_chunks(monkeypatch, size):
+    """Chunks of 7 cubes: one short of a chunk, one chunk, past one, and
+    past two."""
+    monkeypatch.setattr(boolcube, "_CUBE_CHUNK", 7)
+    rng, n = random.Random(size), 6
+    cubes = set()
+    while len(cubes) < size:
+        mask = rng.randrange(2**n)
+        cubes.add(Subcube(n, mask, rng.randrange(2**n) & mask))
+    cubes = cube_set(cubes, n)
+    assert len(cubes) == size and cover_counts(cubes, n).tolist() == loop_counts(cubes, n).tolist()
+
+
+def test_cube_set_of_another_width_is_refused_by_name():
+    wide = cube_set([cube("1*1"), cube("0*1")], 3)
+    message = "dimension mismatch: subcube '0*1' for n=2"
+    for call in (
+        lambda: cover_counts(wide, 2),
+        lambda: cover_counts(list(wide), 2),
+        lambda: vote_vertices({0: cube_set([cube("0*")], 2), 1: wide}, 2),
+        lambda: forall_exists_partition(cube_set([cube("0*")], 2), wide),
+    ):
+        with pytest.raises(CarlabError) as error:
+            call()
+        assert str(error.value) == message
+    with pytest.raises(CarlabError, match="dimension unknown"):
+        forall_exists_partition(cube_set([], 2), [])
+
+
+def ldset_by_dependencies(rdnfs):
+    """The box form of subcube covers, one LogicalDependency per cube:
+    its fixed coordinates bounded to their bits on both sides."""
+    bounds = lambda c: {k + 1: float(c.value >> (c.n - 1 - k) & 1) for k in c.fixed_positions()}
+    lds = lambda i: sorted((LogicalDependency(i, bounds(c), bounds(c)) for c in rdnfs[i]), key=LogicalDependency.key)
+    return LDSet(by_class={i: lds(i) for i in rdnfs})
+
+
+def assert_same_ldset(got, expected):
+    assert got == expected
+    assert (got.class_ids, got.sizes) == (expected.class_ids, expected.sizes)
+    assert got.lower.shape == expected.lower.shape and got.upper.shape == expected.upper.shape
+    assert np.array_equal(got.lower, expected.lower) and np.array_equal(got.upper, expected.upper)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(boolean_sets(), st.randoms())
+def test_box_form_of_cube_sets_and_cube_lists(learning_set, rng):
+    rdnfs = multiclass_rdnf(learning_set)
+    expected = ldset_by_dependencies(rdnfs)
+    assert_same_ldset(subcubes_to_ldset(rdnfs), expected)
+    shuffled = {i: rng.sample(list(cubes), len(cubes)) for i, cubes in rdnfs.items()}
+    assert_same_ldset(subcubes_to_ldset(shuffled), expected)
+
+
+@pytest.mark.parametrize(
+    "rdnfs",
+    [{}, {0: []}, {0: [cube("***")]}, {3: [cube("*0*"), cube("1**")], 1: [cube("**1"), cube("0*0")], 2: []}],
+    ids=["no-class", "empty-class", "free-cube", "unsorted-classes"],
+)
+def test_box_form_of_hand_made_covers(rdnfs):
+    assert_same_ldset(subcubes_to_ldset(rdnfs), ldset_by_dependencies(rdnfs))
