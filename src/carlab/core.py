@@ -20,19 +20,10 @@ path, which finds the errors.  Columns are checked whole, and
 Key columns are coded by ``_unique``, through a table rather than a sort
 when their keys span few cells, and ``_count_rows`` counts rows of such
 keys with one ``np.bincount``.
-``save_json`` writes the bytes of
-``json.dumps(doc, sort_keys=True, indent=2)`` without ``json``'s
-pure-Python indent encoder: every scalar and every container of scalars
-(a leaf) is encoded by json's C encoder, whose item separator is the
-newline and indent of its depth.  A table (a list or dict of more plain
-dicts than they have keys, all with the same str keys, holding scalars
-and leaves, or scalars only) is written column by column, and any other
-list or dict of leaves of one kind is one C call; only the brackets of
-the leaves and the other containers that hold containers are written
-here, in the order and with the key conversion of the indent encoder.
-A 1-D numpy ``S<w>`` array is written as the JSON list of its strings:
-its bytes go into one array of fixed-width rows ``,<indent>"<bytes>"``,
-decoded once.
+``save_json`` writes the bytes of ``json.dumps(doc, sort_keys=True,
+indent=2)`` made by json's C encoder, not by its pure-Python indent
+encoder (see ``_indented_json``).  The whole document is encoded before
+the file opens, and its pieces are then written as they were made.
 Values are not changed after construction, a constructor checks what it
 stores and a value read off stored fields is a read-only property; every
 function here is pure.
@@ -350,16 +341,6 @@ _CONTAINERS = (dict, list, tuple)
 _NESTED = (*_CONTAINERS, np.ndarray)  # what a leaf container holds none of
 
 
-def _holds_container(boxes: Sequence, kinds: set) -> bool:
-    """Whether a dict, list, tuple or array is inside one of ``boxes``, the
-    exact dicts, lists and tuples of the types ``kinds``."""
-    if kinds == {dict}:
-        items = chain.from_iterable(map(dict.values, boxes))
-    else:
-        items = chain.from_iterable(box.values() if type(box) is dict else box for box in boxes)
-    return any(map(issubclass, set(map(type, items)), repeat(_NESTED)))
-
-
 def _plain(bytes_: np.ndarray) -> bool:
     """Whether every byte is printable ASCII that json writes as itself:
     not a control byte, not above 0x7e, not ``"`` and not ``\\``."""
@@ -370,18 +351,17 @@ def _plain(bytes_: np.ndarray) -> bool:
     return 0x20 <= low and high <= 0x7E and not any((bytes_ == c).any() for c in escaped)
 
 
-def _indented_json(doc: Any) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, made by json's C encoder.
+def _indented_json(doc: Any) -> list[str]:
+    """The pieces of ``json.dumps(doc, sort_keys=True, indent=2)``, made by
+    json's C encoder, in order.
 
-    Two shapes of container are written in bulk, made only of plain
-    dicts, lists and tuples.  A table, a list or dict of more dicts than
-    they have keys, all with the same str keys and holding only scalars
-    and leaf containers (flat records of scalars included), is written
-    column by column: one C call for a column's scalars, one for its
-    leaf containers, and each row from one %-template (``%`` escaped in
-    the keys).  Any other list or dict of leaf containers of one kind
-    (dicts, or lists and tuples, with no container inside) is one C
-    call.  The C text of many leaves is cut between them
+    A leaf container (a plain dict, list or tuple with no container
+    inside) is one C call.  A table, a list or dict of more plain dicts
+    than they have keys, all with the same str keys and holding only
+    scalars and leaf containers (flat records of scalars included), is
+    written column by column: one C call for a column's scalars, one for
+    its leaf containers, and each row from one %-template (``%`` escaped
+    in the keys).  The C text of a column's leaves is cut between them
     without parsing: json escapes every newline inside a string, and a
     separator inside a leaf is followed by a scalar, so ``]`` or ``}``,
     the separator and ``[`` or ``{`` occur only between leaves.
@@ -389,9 +369,9 @@ def _indented_json(doc: Any) -> str:
     Any other container that holds containers is walked on an explicit
     stack, with no Python frame per level, so any depth ``json.loads``
     reads is written.  Items are visited, keys sorted and converted, and
-    cycles refused in the pure-Python indent encoder's order, and a bulk
-    shape that fails to encode is walked instead, so an unserialisable
-    document raises the same exception type.
+    cycles refused in the pure-Python indent encoder's order, and a table
+    that fails to encode is walked instead, so an unserialisable document
+    raises the same exception type.
 
     A 1-D ``S<w>`` array is written as the list of its strings, from one
     array of rows ``,<indent>"<bytes>"``.  It must hold only bytes that
@@ -435,16 +415,21 @@ def _indented_json(doc: Any) -> str:
             return scalars(cells)
         flags = list(map(isinstance, cells, repeat(_CONTAINERS)))
         boxed = list(compress(cells, flags))
-        if _holds_container(boxed, boxes):
-            return None
+        inside = map(dict.values, boxed) if boxes == {dict} else (b.values() if type(b) is dict else b for b in boxed)
+        if any(map(issubclass, set(map(type, chain.from_iterable(inside))), containers)):
+            return None  # a container inside a cell
         if len(boxed) == len(cells):
             return leaves(cells, depth)
         texts = iter(scalars([c for c, flag in zip(cells, flags) if not flag])), iter(leaves(boxed, depth))
         return [next(texts[flag]) for flag in flags]
 
-    def table(rows: Sequence[dict], depth: int) -> Optional[Iterable[str]]:
-        """The texts of the rows of a table written at ``depth``; None
-        unless ``rows`` is one."""
+    def table(value: Any, kinds: set, depth: int) -> Optional[str]:
+        """The text of ``value`` written at ``depth`` if it is a table;
+        None otherwise."""
+        if kinds != {dict}:
+            return None
+        is_dict = isinstance(value, dict)
+        heads, rows = zip(*sorted(value.items())) if is_dict else ((), value)
         names = rows[0].keys()
         if len(rows) <= len(names) or set(map(len, rows)) != {len(names)} or set(map(type, names)) != {str}:
             return None
@@ -453,46 +438,32 @@ def _indented_json(doc: Any) -> str:
             cells = [list(map(itemgetter(k), rows)) for k in names]
         except KeyError:  # a row with other keys
             return None
+        reach(depth + 3)
         columns = []
-        for texts in map(column, cells, repeat(depth + 1)):
+        for texts in map(column, cells, repeat(depth + 2)):
             if texts is None:
                 return None
             columns.append(texts)
-        cell = "," + pads[depth + 1]
-        row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names)
-        return map((row + pads[depth] + "}").__mod__, zip(*columns))
-
-    def strings(value: Any, depth: int) -> str:
-        """The text of a 1-D ``S`` array written at ``depth``."""
-        if value.ndim != 1 or value.dtype.kind != "S" or not _plain(np.ascontiguousarray(value).view(np.uint8)):
-            refuse(value)
-        if not value.size:
-            return "[]"
-        reach(depth + 1)
-        lead = ("," + pads[depth + 1] + '"').encode()
-        rows = np.empty(len(value), [("lead", f"S{len(lead)}"), ("item", value.dtype), ("end", "S1")])
-        rows["lead"], rows["item"], rows["end"] = lead, value, b'"'
-        return "[" + str(rows.view(np.uint8)[1:], "ascii") + pads[depth] + "]"  # no comma before the first
-
-    def bulk(value: Any, kinds: set, depth: int) -> Optional[str]:
-        """The text of ``value`` written at ``depth`` if it is a table, or
-        a list or dict of leaf containers of one kind; None otherwise."""
-        if kinds != {dict} and not kinds <= {list, tuple}:
-            return None
-        reach(depth + 3)
-        inner = pads[depth + 1]
-        is_dict = isinstance(value, dict)
-        heads, cells = zip(*sorted(value.items())) if is_dict else ((), value)
-        items = table(cells, depth + 1) if kinds == {dict} else None
-        if items is None:
-            if _holds_container(cells, kinds):
-                return None
-            items = leaves(cells, depth + 1)
+        inner, cell = pads[depth + 1], "," + pads[depth + 2]
+        row = "{" + cell[1:] + cell.join(string(k).replace("%", "%%") + ": %s" for k in names) + inner + "}"
+        items = map(row.__mod__, zip(*columns))
         if is_dict:
             heads = map(string if set(map(type, heads)) == {str} else key, heads)
             items = map("%s: %s".__mod__, zip(heads, items))
         opener, closer = ("{", "}") if is_dict else ("[", "]")
         return opener + inner + ("," + inner).join(items) + pads[depth] + closer
+
+    def strings(value: Any, depth: int) -> tuple[str, ...]:
+        """The pieces of a 1-D ``S`` array written at ``depth``."""
+        if value.ndim != 1 or value.dtype.kind != "S" or not _plain(np.ascontiguousarray(value).view(np.uint8)):
+            refuse(value)
+        if not value.size:
+            return ("[]",)
+        reach(depth + 1)
+        lead = ("," + pads[depth + 1] + '"').encode()
+        rows = np.empty(len(value), [("lead", f"S{len(lead)}"), ("item", value.dtype), ("end", "S1")])
+        rows["lead"], rows["item"], rows["end"] = lead, value, b'"'
+        return "[", str(rows.view(np.uint8)[1:], "ascii"), pads[depth] + "]"  # no comma before the first
 
     reach(1)
     scalar, containers = encoders[0], repeat(_NESTED)
@@ -503,7 +474,7 @@ def _indented_json(doc: Any) -> str:
         items, depth, closer, mark = stack[-1]
         for head, value in items:
             if type(value) is np.ndarray:
-                out += (head, strings(value, depth))
+                out += (head, *strings(value, depth))
                 continue
             if not isinstance(value, _CONTAINERS) or not value:
                 out += (head, scalar(value, 0)[0])
@@ -516,7 +487,7 @@ def _indented_json(doc: Any) -> str:
                 out += (head, text[0], pads[inner], text[1:-1], pads[depth], text[-1])
                 continue
             try:
-                text = bulk(value, kinds, depth)
+                text = table(value, kinds, depth)
             except (KeyError, TypeError, ValueError):
                 text = None  # walked below, to raise in the indent encoder's order
             if text is not None:
@@ -537,28 +508,27 @@ def _indented_json(doc: Any) -> str:
             stack.pop()
             out.append(closer)
             opened.discard(mark)
-    return "".join(out)
-
-
-_WRITE_CHUNK = 1 << 16  # characters handed to the file at a time
+    return out
 
 
 def save_json(doc: Any, dest: Union[str, Path, None]) -> None:
     """Write ``doc`` as key-sorted, indented JSON with a trailing newline;
-    to stdout when ``dest`` is None or empty.  The text is written in
-    slices, so no second copy of it, encoded or with its newline, is made."""
-    text = _indented_json(doc)
+    to stdout when ``dest`` is None or empty.  The whole document is
+    encoded before the file opens, so one that cannot be written leaves no
+    file; its pieces are then written as they were made, never joined."""
+    pieces = _indented_json(doc)
     with contextlib.nullcontext(sys.stdout) if not dest else open(dest, "w", encoding="utf-8") as out:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            out.write(text[start : start + _WRITE_CHUNK])
+        out.writelines(pieces)
         out.write("\n")
 
 
 def _parse_index(value: Any, what: str) -> int:
-    """A JSON index: an int, and not a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise DataFormatError(f"{what} must be an integer, got {value!r}")
+    """A JSON index: an int in the int64 range, and not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataFormatError(f"{what} must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise DataFormatError(f"{what} must fit in 64 bits, got {value!r}")
+    return value
 
 
 def _parse_number(value: Any, what: str) -> float:

@@ -275,8 +275,10 @@ def _grow_boxes(
     and, per seed, the number of counter points coinciding with it; a
     seed whose count exceeds the budget is unseparable and its bounds
     are meaningless.  Seeds are grown in chunks of at most about
-    ``_CHUNK_CELLS`` seed-by-counter cells.
+    ``_CHUNK_CELLS`` seed-by-counter cells.  A budget of at least the
+    counter points cannot bind, and is read as their count.
     """
+    budget = min(budget, len(counter))
     lower = points.copy()
     # The upper bound is walked as a lower bound of the negated feature:
     # negation is exact, so both sides share one walk.

@@ -389,13 +389,16 @@ _ROW_KINDS = {"p": {int, float}, "r": {int, float}, "s": {int}, "a": {str}, "s'"
 
 def _transition_columns(rows: list) -> Optional[dict[str, list]]:
     """The fields of the transition rows as columns, the numbers as floats;
-    None unless every row holds each field with its exact kind, and every
-    action is nonempty."""
+    None unless every row holds each field with its exact kind, every
+    action is nonempty and every state fits in 64 bits."""
     try:
         columns = {key: list(map(itemgetter(key), rows)) for key in _ROW_KINDS}
     except (KeyError, TypeError):
         return None
     if any(not set(map(type, columns[key])) <= kinds for key, kinds in _ROW_KINDS.items()) or "" in columns["a"]:
+        return None
+    states = columns["s"] + columns["s'"]
+    if not -(2**63) <= min(states, default=0) <= max(states, default=0) < 2**63:
         return None
     columns["p"], columns["r"] = list(map(float, columns["p"])), list(map(float, columns["r"]))
     return columns

@@ -624,6 +624,10 @@ def test_valid_json_inputs_run_clean(tmp_path, command):
         ("fit-mdp", ("unleveled",), [2.5], "unleveled class must be an integer, got 2.5"),
         ("inverse", (0, "class"), 1.0, "class must be an integer, got 1.0"),
         ("inverse", (0, "n"), True, "n must be an integer, got True"),
+        ("classify", (0, "class"), 2**63, "class must fit in 64 bits, got 9223372036854775808"),
+        ("eval-policy", ("transitions", 1, "s'"), -(2**63) - 1, "s' must fit in 64 bits, got -9223372036854775809"),
+        ("fit-mdp", ("height",), 2**64, "height must fit in 64 bits, got 18446744073709551616"),
+        ("inverse", (0, "class"), 2**63, "class must fit in 64 bits, got 9223372036854775808"),
     ],
 )
 def test_json_index_must_be_an_int(tmp_path, capsys, command, path, value, message):
@@ -744,6 +748,18 @@ def test_mine_warns_once_per_unseparable_seed(tmp_path, capsys):
         for seed in ("a", "b")
     ]
     assert json.loads(out.read_text()) == [{"class": 1, "lower": {"1": 2.0}, "upper": {}}]
+
+
+def test_mine_reads_a_budget_past_the_rows_as_the_row_count(contracting, tmp_path):
+    """A violation budget of at least the training rows cannot bind, however
+    large: it mines what a budget of the row count mines."""
+    rows = len(contracting["data"].read_text(encoding="utf-8").splitlines()) - 1
+    written = []
+    for budget in (rows, 2**63, 10**30):
+        out = tmp_path / f"lds-{budget}.json"
+        assert run(["mine", "--data", contracting["data"], "--budget", budget, "--out", out]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[2] == written[0]
 
 
 def test_inverse_rejects_affine_action(tmp_path, capsys):

@@ -9,6 +9,7 @@ import io
 import json
 import re
 import tokenize
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,20 +319,38 @@ def _written_by_calls(monkeypatch, doc) -> tuple[str, int]:
         ([{"on": True, "off": False}, {"on": None, "off": 0}, {"on": 1, "off": 1.0}], 2),
         ({"x": {"s": 1, "p": 0.5}, "y": {"s": 2, "p": 0.25}, "z": {"s": 3, "p": -0.0}}, 2),
         ({3: {"s": 1}, 1: {"s": None}}, 3),  # and one call per int key
-        ([{"a": 1, "b": 2, "c": 3}, {"a": 4, "b": 5, "c": 6}, {"a": 7, "b": 8, "c": 9}], 1),
-        ([{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}], 1),
-        ([{"a": 1, "b": 2}, {"a": 3}, {"a": 5, "b": 6}], 1),
-        ([{"a": 1}, {"a": 2}, {}], 1),
+        ([{"a": 1, "b": 2, "c": 3}, {"a": 4, "b": 5, "c": 6}, {"a": 7, "b": 8, "c": 9}], 3),
+        ([{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}], 3),
+        ([{"a": 1, "b": 2}, {"a": 3}, {"a": 5, "b": 6}], 3),
+        ([{"a": 1}, {"a": 2}, {}], 3),
     ],
     ids=["percent-zero-big-ints", "bools-and-none", "dict-of-records", "int-keyed-records", "rows-equal-keys",
          "mixed-keys", "short-row", "empty-row"],
 )
 def test_flat_records_take_the_table_path_when_they_are_a_table(monkeypatch, doc, calls):
     """A table of scalars is one C call per column; records that are not a
-    table, one row fewer than the keys included, stay one C call."""
+    table, one row fewer than the keys included, are walked: one C call per
+    record, an empty one included."""
     text, made = _written_by_calls(monkeypatch, doc)
     assert text == _reference(doc)
     assert made == calls
+
+
+def test_json_writer_holds_no_joined_copy_of_the_text(tmp_path):
+    """``save_json`` writes the pieces it made, so its peak allocation
+    stays well under the two copies a joined text would take."""
+    words = np.array([b"%016d" % i for i in range(200_000)], "S16")
+    doc = {f"k{j}": words.copy() for j in range(6)}
+    dest = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        save_json(doc, dest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = dest.stat().st_size
+    assert size == 6 * 200_000 * 24 + 87  # 28.8 MB
+    assert peak < 1.5 * size
 
 
 @pytest.mark.parametrize(
