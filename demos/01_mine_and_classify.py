@@ -38,7 +38,7 @@ for i, boxes in sorted(rules.by_class.items()):
 print("\nclassification of probe points:")
 for probe in [(0.5, 0.5), (2.5, 2.5), (4.5, 4.5), (9.0, 9.0)]:
     outcome = classify(probe, rules)
-    scores = {i: round(similarity(probe, rules, i), 3) for i in rules.classes()}
+    scores = {i: round(similarity(probe, rules, i), 3) for i in rules.class_ids}
     label = outcome.label if outcome.label is not None else f"indeterminate ({outcome.reason})"
     print(f"  {probe} -> {label}   scores={scores}")
 

@@ -43,7 +43,6 @@ from .lcpr import (
     ClassifyOutcome,
     LDSet,
     LogicalDependency,
-    MiningConfig,
     UnseparableSeedError,
     classify,
     eval_ld,

@@ -54,9 +54,6 @@ class Subcube:
         bits = format(self.value, f"0{self.n}b")
         return "".join(b if self.mask >> (self.n - 1 - k) & 1 else "*" for k, b in enumerate(bits))
 
-    def fixed_positions(self) -> tuple[int, ...]:
-        return tuple(k for k in range(self.n) if self.mask >> (self.n - 1 - k) & 1)
-
     def contains(self, vertex: str) -> bool:
         return _code(vertex, self.n) & self.mask == self.value
 

@@ -31,7 +31,6 @@ from .core import (
     save_json,
     save_trace_log,
 )
-from .lcpr import MiningConfig
 
 
 class _UsageError(Exception):
@@ -49,8 +48,12 @@ class _Parser(argparse.ArgumentParser):
 def _config_flags(path: str) -> list[tuple[str, str]]:
     """The lines of a KEY=VALUE config file as ``--key=value`` flags, each
     after its ``path:line``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     flags = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -70,8 +73,7 @@ def _require(args: argparse.Namespace, name: str) -> str:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode=args.mode)
-    config = MiningConfig(violation_budget=args.budget)
-    lds = lcpr.mine_lds(learning_set, config)
+    lds = lcpr.mine_lds(learning_set, args.budget)
     for warning in lds.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     save_json(lcpr.ldset_to_json(lds), args.out)
@@ -79,8 +81,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    lds = lcpr.load_ldset(_require(args, "lds"))
     ids, X, _ = _read_dataset(_require(args, "data"), labelled=False)
+    lds = lcpr.load_ldset(_require(args, "lds"), X.shape[1])
     votes = lcpr.classify_batch(X, lds)
     names = [str(i) for i in votes.classes]
     labels = np.where(votes.labels < 0, None, votes.labels).tolist()
@@ -149,14 +151,14 @@ def _cmd_eval_policy(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     learning_set = load_learning_set(_require(args, "data"), mode=args.mode)
-    lds = lcpr.load_ldset(_require(args, "lds"))
+    lds = lcpr.load_ldset(_require(args, "lds"), learning_set.n)
     specs = carsim.load_actions(_require(args, "actions"))
     carsim.check_action_sizes(specs, learning_set.n)
     actions = carsim.register_actions(specs, learning_set.deviated_count)
     report = carsim.run_car(learning_set, lcpr.ld_classifier(lds), actions, args.max_steps)
     save_json(carsim.report_to_json(report), args.out)
     table = report.table
-    if args.trace_out and len(table):
+    if args.trace_out:
         save_trace_log(table, args.trace_out)
     if args.emit_dataset:
         # Raw emission: validation happens when the file is re-ingested.

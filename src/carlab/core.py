@@ -789,15 +789,6 @@ def load_learning_set(source: Union[str, Path], mode: str = "real") -> LearningS
     return LearningSet(*_read_dataset(source, labelled=True), mode.lower())
 
 
-def load_vectors(source: Union[str, Path]) -> list[tuple[str, FeatureVector]]:
-    """Read ``id,f1,...,fn[,class]`` rows; a trailing class column is ignored.
-
-    Raises DataFormatError, naming ``path:line``, on a non-finite value.
-    """
-    ids, X, _ = _read_dataset(source, labelled=False)
-    return list(zip(ids, map(tuple, X.tolist())))
-
-
 def _reprs(column: np.ndarray) -> list[str]:
     """The ``repr`` of each value of a numeric column, as written to a CSV
     file: computed once per distinct bit pattern, so -0.0 stays -0.0."""
@@ -896,10 +887,10 @@ def load_trace_log(source: Union[str, Path]) -> TraceTable:
 
 def save_trace_log(traces: Traces, dest: Union[str, Path]) -> None:
     """Write a trace log CSV, objects in id order, that round-trips
-    through load_trace_log."""
+    through load_trace_log; a table of no rows is written as its header."""
     table = TraceTable.from_events(traces)
-    if not len(table):
-        raise DataFormatError("cannot save an empty trace log")
+    if not table.state.shape[1]:
+        raise DataFormatError("cannot save a trace log with no feature columns")
     order, names = table.id_order(), table.actions + ("",)
     numbers = (table.step[order], table.timestamp[order], *table.state[order].T, table.label[order])
     _write_csv(

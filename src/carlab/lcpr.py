@@ -5,7 +5,7 @@ A logical dependency (LD) is an axis-aligned box predicate
     P(x) = AND_{j in w1} (lower_j <= x_j)  AND_{j in w2} (x_j <= upper_j)
 
 attached to one class.  An LD is admissible when it covers at least one
-training point of its own class and at most ``violation_budget`` points of
+training point of its own class and at most ``budget`` points of
 the other classes (zero by default).  Mining grows, from every own-class
 seed, the admissible box that is maximal on the finite grid of training
 feature values: no single bound can be moved to the adjacent grid value,
@@ -72,11 +72,14 @@ class LogicalDependency:
         )
 
 
-def _check_box(lower: dict[int, float], upper: dict[int, float]) -> None:
+def _check_box(lower: dict[int, float], upper: dict[int, float], n: Optional[int] = None) -> None:
+    """Refuse a feature index below 1, or above ``n`` when given, a NaN bound and an empty box."""
     for bounds in (lower, upper):
         for j, v in bounds.items():
             if j < 1:
                 raise CarlabError(f"feature index {j} out of range")
+            if n is not None and j > n:
+                raise CarlabError(f"feature index {j} out of range for n={n}")
             if math.isnan(v):
                 raise CarlabError(f"NaN bound on feature {j}")
     for j, lo in lower.items():
@@ -136,9 +139,6 @@ class LDSet:
     def all_lds(self) -> Iterable[LogicalDependency]:
         return chain.from_iterable(self.by_class.values())
 
-    def classes(self) -> tuple[int, ...]:
-        return self.class_ids
-
 
 def _ldset(class_ids, codes, lower, upper, warnings=()) -> LDSet:
     """The LDSet of the boxes ``lower`` / ``upper`` of classes
@@ -159,12 +159,14 @@ def _by_key(codes, lower, upper, unique=False) -> tuple[np.ndarray, np.ndarray, 
     each side's (feature, bound) items, open sides left out, so a feature
     side sorts by (tag, value): tag 1 and the bound if bounded; if open,
     tag 0 (the items end first) when no later feature of the side is
-    bounded, else tag 2 (the next item names a later feature)."""
+    bounded, else tag 2 (the next item names a later feature).  A feature
+    side no row bounds is not keyed: its tags are 0 or 2, and the next
+    side some row bounds orders the rows the same way."""
     keys = [codes]
     for bounds, bounded in ((lower, lower > -np.inf), (upper, upper < np.inf)):
         later = np.cumsum(bounded[:, ::-1], axis=1)[:, ::-1] > bounded
         tags, values = np.where(bounded, 1, np.where(later, 2, 0)), np.where(bounded, bounds, 0.0)
-        for j in range(bounds.shape[1]):
+        for j in np.flatnonzero(bounded.any(axis=0)).tolist():
             keys += [tags[:, j], values[:, j]]
     order = np.lexsort(keys[::-1])
     if unique and len(order):
@@ -179,15 +181,6 @@ def _bounded_sides(lds: LDSet, names: Sequence) -> Iterator[tuple[int, dict, dic
     for index, lower, upper in rows:
         lower = {j: v for j, v in zip(names, lower) if v != -math.inf}
         yield index, lower, {j: v for j, v in zip(names, upper) if v != math.inf}
-
-
-@dataclass(frozen=True)
-class MiningConfig:
-    violation_budget: int = 0
-
-    def __post_init__(self) -> None:
-        if self.violation_budget < 0:
-            raise CarlabError("violation_budget must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -276,8 +269,11 @@ def _grow_boxes(
     seed whose count exceeds the budget is unseparable and its bounds
     are meaningless.  Seeds are grown in chunks of at most about
     ``_CHUNK_CELLS`` seed-by-counter cells.  A budget of at least the
-    counter points cannot bind, and is read as their count.
+    counter points cannot bind, and is read as their count; a negative
+    one raises.
     """
+    if budget < 0:
+        raise CarlabError("violation_budget must be >= 0")
     budget = min(budget, len(counter))
     lower = points.copy()
     # The upper bound is walked as a lower bound of the negated feature:
@@ -356,11 +352,7 @@ def _unseparable(object_id: str, coincident: int) -> str:
     )
 
 
-def grow_maximal_ld(
-    seed: LearningSample,
-    learning_set: LearningSet,
-    config: Optional[MiningConfig] = None,
-) -> LogicalDependency:
+def grow_maximal_ld(seed: LearningSample, learning_set: LearningSet, budget: int = 0) -> LogicalDependency:
     """Grow the maximal admissible box around one seed.
 
     Starts from the point box at the seed and relaxes bounds greedily:
@@ -371,24 +363,19 @@ def grow_maximal_ld(
     blocked step stays blocked and a single sweep yields a box on which
     no single-bound relaxation is admissible.
     """
-    config = config or MiningConfig()
     X, y = learning_set.X, learning_set.labels
     point = np.array([seed.features], dtype=float)
     if point.shape[1] != X.shape[1]:
         raise CarlabError(
             f"seed {seed.object_id!r} has {point.shape[1]} features, expected {X.shape[1]}"
         )
-    lower, upper, coincident = _grow_boxes(
-        point, X[y != seed.label], _grids(X), config.violation_budget
-    )
-    if coincident[0] > config.violation_budget:
+    lower, upper, coincident = _grow_boxes(point, X[y != seed.label], _grids(X), budget)
+    if coincident[0] > budget:
         raise UnseparableSeedError(_unseparable(seed.object_id, int(coincident[0])))
     return next(_ldset((seed.label,), np.zeros(1, np.intp), lower, upper).all_lds())
 
 
-def mine_lds(
-    learning_set: LearningSet, config: Optional[MiningConfig] = None
-) -> LDSet:
+def mine_lds(learning_set: LearningSet, budget: int = 0) -> LDSet:
     """Mine maximal admissible LDs from every seed of every class.
 
     Each seed's box is the one ``grow_maximal_ld`` grows; the seeds of a
@@ -396,7 +383,6 @@ def mine_lds(
     failures; duplicate boxes are removed, the first seed's kept, and each
     class's boxes are sorted canonically (see ``_by_key``).
     """
-    budget = (config or MiningConfig()).violation_budget
     X, y = learning_set.X, learning_set.labels
     grids = _grids(X)
     lower = np.empty_like(X)
@@ -578,7 +564,7 @@ def indeterminateness_areas(
     points inside such a box score positively for both classes.
     """
     areas = []
-    classes = lds.classes()
+    classes = lds.class_ids
     for ia, ca in enumerate(classes):
         for cb in classes[ia + 1 :]:
             for ld_a in lds.by_class[ca]:
@@ -595,9 +581,10 @@ def ldset_to_json(lds: LDSet) -> list[dict]:
     return [{"class": i, "lower": lower, "upper": upper} for i, lower, upper in _bounded_sides(lds, names)]
 
 
-def ldset_from_json(data: list[dict]) -> LDSet:
+def ldset_from_json(data: list[dict], n: Optional[int] = None) -> LDSet:
     """The first bad entry raises: lower, upper, class, then the box
-    checks; a negative class raises once every entry is read."""
+    checks, which refuse a feature past ``n`` when n is given, before any
+    matrix is built; a negative class raises once every entry is read."""
     labels, boxes = [], []
     for entry in data:
         box = tuple(
@@ -605,7 +592,7 @@ def ldset_from_json(data: list[dict]) -> LDSet:
             for side in ("lower", "upper")
         )
         labels.append(_parse_index(entry["class"], "class"))
-        _check_box(*box)
+        _check_box(*box, n)
         boxes.append(box)
     class_ids, codes = np.unique(np.array(labels, object), return_inverse=True)
     return _ldset(class_ids, *_by_key(codes, *_matrices(boxes)))
@@ -615,5 +602,6 @@ def save_ldset(lds: LDSet, dest: Union[str, Path]) -> None:
     save_json(ldset_to_json(lds), dest)
 
 
-def load_ldset(source: Union[str, Path]) -> LDSet:
-    return load_json(source, ldset_from_json)
+def load_ldset(source: Union[str, Path], n: Optional[int] = None) -> LDSet:
+    """The LD set of a JSON file; with ``n``, one bounding a feature past n raises."""
+    return load_json(source, lambda data: ldset_from_json(data, n))

@@ -206,7 +206,9 @@ def extract_relation(traces: Traces) -> ClassTransitionGraph:
 
 
 def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
-    """Read a transition CSV with header from_class,action,to_class,count."""
+    """Read a transition CSV with header from_class,action,to_class,count,
+    each row checked as ``Transition`` checks one, with its ``path:line``,
+    before the counts of equal rows are summed."""
     path = Path(source)
 
     def kinds(header: list[str]) -> list[type]:
@@ -214,8 +216,14 @@ def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
             raise DataFormatError(f"{path}: bad header {header!r}")
         return [int, str, int, int]
 
-    _, (src, (names, action), dst, count), _, malformed, unread = _read_csv(path, kinds)
-    _raise_first([malformed, *unread])
+    _, (src, (names, action), dst, count), where, malformed, unread = _read_csv(path, kinds)
+    _raise_first([
+        malformed, *unread,
+        (src == NORMAL_CLASS, lambda k: f"{where(k)}: no action leaves the normal class"),
+        (count < 1, lambda k: f"{where(k)}: transition count must be >= 1"),
+        (action == (names.index("") if "" in names else -1), lambda k: f"{where(k)}: transition without action label"),
+        (np.minimum(src, dst) < 0, lambda k: f"{where(k)}: negative class index {min(src[k], dst[k])}"),
+    ])
     sums = _count_rows(src, action, dst, weights=count)
     return _graph({(s, names[a], d): c for s, a, d, c in sums})
 
@@ -264,23 +272,26 @@ def _components(succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
     return components
 
 
-def _path(succ: dict[int, tuple[int, ...]], src: int, dst: int) -> list[int]:
-    """Shortest step path src -> dst, visiting successors in ascending order."""
-    parent: dict[int, Optional[int]] = {src: None}
-    queue = deque([src])
+def _bfs(adj: dict[int, Iterable[int]], root: int) -> dict[int, Optional[int]]:
+    """Each class reached from ``root`` along ``adj`` (neighbours in the given order), in
+    breadth-first visit order, mapped to the class it was reached from; the root to None."""
+    parent: dict[int, Optional[int]] = {root: None}
+    queue = deque([root])
     while queue:
         cur = queue.popleft()
-        if cur == dst:
-            out = [cur]
-            while parent[cur] is not None:
-                cur = parent[cur]
-                out.append(cur)
-            return out[::-1]
-        for nxt in succ[cur]:
+        for nxt in adj[cur]:
             if nxt not in parent:
                 parent[nxt] = cur
                 queue.append(nxt)
-    raise CarlabError("internal: expected path missing")
+    return parent
+
+
+def _path(succ: dict[int, tuple[int, ...]], src: int, dst: int) -> list[int]:
+    """Shortest step path src -> dst, visiting successors in ascending order."""
+    path, parent = [dst], _bfs(succ, src)
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def check_poset(g: ClassTransitionGraph) -> PosetReport:
@@ -317,17 +328,12 @@ def build_level_diagram(g: ClassTransitionGraph) -> LevelDiagram:
     such edges break the strict level-by-level shape without making the
     leveling itself wrong.
     """
-    pred: dict[int, set[int]] = {c: set() for c in g.classes}
-    for s, d in g.step_pairs():
-        pred[d].add(s)
-    levels: dict[int, int] = {NORMAL_CLASS: 0}
-    queue = deque([NORMAL_CLASS])
-    while queue:
-        cur = queue.popleft()
-        for up in sorted(pred.get(cur, ())):
-            if up not in levels:
-                levels[up] = levels[cur] + 1
-                queue.append(up)
+    pred: dict[int, list[int]] = {c: [] for c in g.classes}
+    for s, d in sorted(g.step_pairs()):
+        pred[d].append(s)
+    levels: dict[int, int] = {}
+    for c, below in _bfs(pred, NORMAL_CLASS).items():
+        levels[c] = 0 if below is None else levels[below] + 1
     unleveled = tuple(sorted(c for c in g.classes if c not in levels))
     warnings = []
     for s, d in sorted(g.step_pairs()):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from carlab.boolcube import all_vertices, multiclass_rdnf, subcubes_to_ldset
 from carlab.carsim import ActionSpec, save_actions
 from carlab.cli import main
-from carlab.core import load_trace_log, load_vectors, save_learning_set
+from carlab.core import _read_dataset, load_trace_log, save_learning_set
 from carlab.lcpr import classify, load_ldset
 from carlab import synth
 
@@ -108,7 +109,8 @@ class TestMineClassify:
             assert run(["classify", "--lds", lds_path, "--data", data, "--out", table]) == 0
             lds = load_ldset(lds_path)
             expected = []
-            for object_id, x in load_vectors(data):
+            ids, X, _ = _read_dataset(data, labelled=False)
+            for object_id, x in zip(ids, X.tolist()):
                 outcome = classify(x, lds)
                 scores = {str(i): v for i, v in outcome.scores.items()}
                 expected.append({"id": object_id, "label": outcome.label, "reason": outcome.reason, "scores": scores})
@@ -1069,3 +1071,64 @@ def test_the_cached_parser_gives_what_a_fresh_one_gives(chain_transitions, tmp_p
     assert [code for code, *_ in cached[:-1]] == [1, 0, 0, 0, 0]
     assert "unrecognized arguments: --levels 2" in cached[0][2]
     assert "usage: carlab diagram" in cached[2][1] and "usage: carlab" in cached[3][1]
+
+
+AFFINE_A1 = {"action": "a1", "class": 1, "kind": "affine", "alpha": [1.0], "beta": [1.0]}  # for one-feature data
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("key", ["2000000", "1000000000000"])
+def test_rule_on_a_feature_past_the_data_is_refused_where_the_rules_are_read(tmp_path, capsys, command, key):
+    """The rules are checked against the data's width before any bound
+    matrix is built, so a far feature index is one error, at once."""
+    lds = write(tmp_path / "lds.json", json.dumps([{"class": 0, "lower": {key: 0.5}}, {"class": 1, "upper": {"1": 0.5}}]))
+    data = write(tmp_path / "data.csv", "id,f1,class\np,0.25,1\nq,0.75,0\n")
+    actions = write(tmp_path / "actions.json", json.dumps([AFFINE_A1]))
+    out = tmp_path / "out.json"
+    argv = [command, "--lds", lds, "--data", data] + (["--actions", actions] if command == "simulate" else [])
+    start = time.perf_counter()
+    assert run(argv + ["--out", out]) == 1
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == f"error: {lds}: feature index {key} out of range for n=1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diagram", "validate-poset"])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("1,a,0,-1\n1,a,0,3\n", "2: transition count must be >= 1"),
+        ("1,a,0,1\n0,b,1,2\n", "3: no action leaves the normal class"),
+        ("1,a,0,2\n2,,0,1\n", "3: transition without action label"),
+        ("1,a,0,1\n1,a,-1,1\n", "3: negative class index -1"),
+    ],
+    ids=["count", "normal-source", "no-action", "negative-class"],
+)
+def test_transition_rows_are_checked_before_they_are_summed(tmp_path, capsys, command, rows, message):
+    path = write(tmp_path / "t.csv", "from_class,action,to_class,count\n" + rows)
+    out = tmp_path / "out.json"
+    assert run([command, "--transitions", path, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{message}\n"
+    assert not out.exists()
+
+
+def test_config_that_is_not_utf8_is_named(chain_transitions, tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / "out.json"
+    config.write_bytes(b"\xffdepth=2\n")
+    assert run(["diagram", "--transitions", chain_transitions, "--config", config, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert not out.exists()
+
+
+def test_simulate_writes_a_header_only_trace_log_when_every_object_abstains(tmp_path):
+    """Every object abstains at step 0, so the trace log has no rows: it
+    is still written, over a stale file, and ``fit-mdp`` reads it."""
+    data = write(tmp_path / "data.csv", "id,f1,class\na,0.25,1\nb,9.0,0\n")
+    lds = write(tmp_path / "lds.json", json.dumps([{"class": c, "lower": {"1": 50.0}} for c in (0, 1)]))
+    actions = write(tmp_path / "actions.json", json.dumps([AFFINE_A1]))
+    traces = write(tmp_path / "traces.csv", "stale\n")
+    argv = ["simulate", "--data", data, "--lds", lds, "--actions", actions, "--trace-out", traces]
+    assert run(argv + ["--out", tmp_path / "run.json"]) == 0
+    assert traces.read_text().splitlines() == ["id,step,timestamp,f1,class,action"]
+    assert run(["fit-mdp", "--traces", traces, "--out", tmp_path / "mdp.json"]) == 0

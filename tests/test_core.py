@@ -202,6 +202,14 @@ def test_trace_round_trip(tmp_path):
         assert getattr(loaded, column).tolist() == getattr(expected, column).tolist()
 
 
+def test_trace_log_without_feature_columns_is_refused(tmp_path):
+    """A table of no rows is written as its header, unless that header has
+    no feature column, which the reader would refuse."""
+    with pytest.raises(DataFormatError, match="no feature columns"):
+        save_trace_log([], tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_from_events_sorts_flat_events():
     events = [
         TraceEvent("a", 1, 1.0, (1.0,), 0, None),

@@ -219,7 +219,7 @@ def test_cube_set_of_another_width_is_refused_by_name():
 def ldset_by_dependencies(rdnfs):
     """The box form of subcube covers, one LogicalDependency per cube:
     its fixed coordinates bounded to their bits on both sides."""
-    bounds = lambda c: {k + 1: float(c.value >> (c.n - 1 - k) & 1) for k in c.fixed_positions()}
+    bounds = lambda c: {k + 1: float(ch) for k, ch in enumerate(c.word) if ch != "*"}
     lds = lambda i: sorted((LogicalDependency(i, bounds(c), bounds(c)) for c in rdnfs[i]), key=LogicalDependency.key)
     return LDSet(by_class={i: lds(i) for i in rdnfs})
 

@@ -5,7 +5,6 @@ from carlab.core import CarlabError, LearningSample, LearningSet
 from carlab.lcpr import (
     LDSet,
     LogicalDependency,
-    MiningConfig,
     UnseparableSeedError,
     classify,
     eval_ld,
@@ -105,9 +104,7 @@ class TestGrowMaximal:
             [LearningSample("a", (1.0,), 0), LearningSample("b", (1.0,), 1)],
             mode="real",
         )
-        grown = grow_maximal_ld(
-            ls.samples[0], ls, MiningConfig(violation_budget=1)
-        )
+        grown = grow_maximal_ld(ls.samples[0], ls, budget=1)
         assert grown.lower == {} and grown.upper == {}
 
 
@@ -260,7 +257,7 @@ class TestSimilarityAndClassify:
         lds = self.make_ldset()
         for x in [(0.5,), (-1.0,), (3.0,), (9.5,)]:
             out = classify(x, lds)
-            scores = {i: similarity(x, lds, i) for i in lds.classes()}
+            scores = {i: similarity(x, lds, i) for i in lds.class_ids}
             for scale in (0.5, 3.0, 117.0):
                 scaled = {i: scale * v for i, v in scores.items()}
                 best = max(scaled.values())
@@ -313,7 +310,7 @@ def test_gamma_bounds_property():
         lds = mine_lds(ls)
         for _ in range(10):
             x = (rng.uniform(-2, 12), rng.uniform(-2, 12))
-            for i in lds.classes():
+            for i in lds.class_ids:
                 assert 0.0 <= similarity(x, lds, i) <= 1.0
 
 
@@ -334,8 +331,11 @@ def test_nan_bound_rejected(side):
 
 
 def test_mining_config_validation():
-    with pytest.raises(Exception, match="violation_budget"):
-        MiningConfig(violation_budget=-1)
+    ls = LearningSet.build([LearningSample("a", (1.0,), 0), LearningSample("b", (2.0,), 1)])
+    with pytest.raises(CarlabError, match="violation_budget must be >= 0"):
+        mine_lds(ls, budget=-1)
+    with pytest.raises(CarlabError, match="violation_budget must be >= 0"):
+        grow_maximal_ld(ls.samples[0], ls, budget=-1)
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=4))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from carlab import synth
 from carlab.boolcube import multiclass_rdnf, vote_vertices
 from carlab.core import LearningSample, LearningSet
-from carlab.lcpr import MiningConfig, ldset_to_json, mine_lds
+from carlab.lcpr import ldset_to_json, mine_lds
 
 
 def code_of(sample):
@@ -93,7 +93,6 @@ def noisy_learning_sets(draw):
 def test_row_order_leaves_the_mined_lds_unchanged(learning_set, budget, data):
     order = data.draw(st.permutations(range(learning_set.m)))
     shuffled = LearningSet.build([learning_set.samples[k] for k in order])
-    config = MiningConfig(violation_budget=budget)
-    before, after = mine_lds(learning_set, config), mine_lds(shuffled, config)
+    before, after = mine_lds(learning_set, budget), mine_lds(shuffled, budget)
     assert json.dumps(ldset_to_json(after)) == json.dumps(ldset_to_json(before))
     assert sorted(after.warnings) == sorted(before.warnings)

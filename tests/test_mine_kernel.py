@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from carlab import lcpr, synth
 from carlab.core import LearningSample, LearningSet
-from carlab.lcpr import MiningConfig, UnseparableSeedError, grow_maximal_ld, mine_lds
+from carlab.lcpr import UnseparableSeedError, grow_maximal_ld, mine_lds
 
 import oracles
 
@@ -43,7 +43,7 @@ def greedy_mining(learning_set, budget):
 
 
 def assert_mines_greedy(learning_set, budget):
-    lds = mine_lds(learning_set, MiningConfig(violation_budget=budget))
+    lds = mine_lds(learning_set, budget)
     boxes, warnings = greedy_mining(learning_set, budget)
     assert list(lds.warnings) == warnings
     assert set(lds.by_class) == set(boxes)
@@ -64,7 +64,6 @@ def test_mine_lds_matches_greedy_walk(learning_set, budget):
 def test_grow_maximal_ld_matches_greedy_walk(learning_set, budget, data):
     points = [s.features for s in learning_set.samples]
     labels = [s.label for s in learning_set.samples]
-    config = MiningConfig(violation_budget=budget)
     # A seed need not be a training point: it may lie off the grid.
     outside = LearningSample(
         "outside",
@@ -75,9 +74,9 @@ def test_grow_maximal_ld_matches_greedy_walk(learning_set, budget, data):
         box, coincident = oracles.greedy_box(points, labels, seed.features, seed.label, budget)
         if box is None:
             with pytest.raises(UnseparableSeedError, match=f"with {coincident} counter"):
-                grow_maximal_ld(seed, learning_set, config)
+                grow_maximal_ld(seed, learning_set, budget)
         else:
-            grown = grow_maximal_ld(seed, learning_set, config)
+            grown = grow_maximal_ld(seed, learning_set, budget)
             assert grown.class_index == seed.label
             assert oracles.box_of_ld(grown, learning_set.n) == box
 
@@ -95,7 +94,7 @@ def test_coincident_counter_points(budget):
     ]
     learning_set = LearningSet.build([LearningSample(*r) for r in rows])
     assert_mines_greedy(learning_set, budget)
-    assert len(mine_lds(learning_set, MiningConfig(violation_budget=budget)).warnings) == (
+    assert len(mine_lds(learning_set, budget).warnings) == (
         {0: 5, 1: 1, 2: 0}[budget]
     )
 
