@@ -119,24 +119,30 @@ class BooleanAction:
     substitution rule.
 
     Rule tokens, one per output coordinate: "0", "1", "xK" (copy input
-    coordinate K, 1-based), "~xK" (negate input coordinate K).  Compiled
-    once into ``image`` (not a field): the image code of every vertex code.
-    A table is not kept once compiled; ``table_words`` writes it back from
+    coordinate K, 1-based), "~xK" (negate input coordinate K).  A table is
+    a dict of n-bit words, or its image codes in code order, an int64 array,
+    as ``carsim.load_actions`` reads a fixed-width table.  Compiled once
+    into ``image`` (not a field): the image code of every vertex code.  A
+    table is not kept once compiled; ``table_words`` writes it back from
     ``image``.  Actions are equal when their names, rules and images are.
     """
 
     action_id: str
     n: int
-    table: InitVar[Optional[dict[str, str]]] = None
+    table: InitVar[Union[dict[str, str], np.ndarray, None]] = None
     exprs: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self, table: Optional[dict[str, str]]) -> None:
+    def __post_init__(self, table: Union[dict[str, str], np.ndarray, None]) -> None:
         if self.n < 1:
             raise CarlabError(f"bad Boolean action size n={self.n!r}")
         if (table is None) == (self.exprs is None):
             raise CarlabError("exactly one of table/exprs must be given")
         n, codes = self.n, _all_codes(self.n)
-        if table is not None:
+        if isinstance(table, np.ndarray):
+            if table.shape != codes.shape or table.dtype != codes.dtype or table.min() < 0 or table.max() >= codes.size:
+                raise CarlabError(f"a table image must be {codes.size} int64 codes in [0, {codes.size})")
+            image = table
+        elif table is not None:
             keys, outputs = _word_codes(list(table), n), _word_codes(list(table.values()), n)
             # Keys are distinct, so 2^n n-bit keys are all the n-bit words.
             if len(table) != codes.size or keys is None:
@@ -178,7 +184,7 @@ class BooleanAction:
 
     def table_words(self) -> dict[str, str]:
         """The table of the action, word to image word, in code order."""
-        words = [format(code, f"0{self.n}b") for code in range(len(self.image))]
+        words = code_words(np.arange(len(self.image)), self.n).astype(str).tolist()
         return dict(zip(words, map(words.__getitem__, self.image.tolist())))
 
 
@@ -241,10 +247,12 @@ def _word_codes(words: list, n: int) -> Optional[np.ndarray]:
 
 
 def _bit_codes(bits: np.ndarray) -> np.ndarray:
-    """The codes of rows of 0/1 integers, the first column the high bit."""
+    """The codes of rows of bits, the first column the high bit.  Only the
+    low bit of each entry is read, so rows of 0/1 integers and of ASCII
+    "0"/"1" digits read alike."""
     codes = np.zeros(len(bits), np.int64)
     for column in bits.T:
-        codes = codes << 1 | column
+        codes = codes << 1 | column & 1
     return codes
 
 
@@ -488,20 +496,22 @@ def subcube_cover(region: Sequence[int], n: int) -> tuple[Subcube, ...]:
     representation.  Each cube grows from the first uncovered vertex by
     freeing coordinates 1..n in turn, each while the cube stays inside.
     Freeing coordinate k moves the seed's k-neighbour in, so only the
-    coordinates whose neighbour is inside are tried.
+    coordinates whose neighbour is inside are tried.  The next seed is
+    found by a byte search over the codes still uncovered.
     """
     inside = _region(region, n)
-    covered = np.zeros_like(inside)
+    left = bytearray(inside.tobytes())  # 1 at each inside code not yet covered
+    uncovered = np.frombuffer(left, bool)  # the same bytes
     bits = 1 << np.arange(n - 1, -1, -1)  # coordinate k's bit
     cover = []
-    for v in np.flatnonzero(inside).tolist():
-        if covered[v]:
-            continue
+    v = left.find(1)
+    while v >= 0:
         cube, mask = np.array([v]), (1 << n) - 1
         for bit in bits[inside[v ^ bits]].tolist():
             flipped = cube ^ bit
             if inside[flipped].all():
                 cube, mask = np.concatenate([cube, flipped]), mask ^ bit
         cover.append(Subcube(n, mask, v & mask))
-        covered[cube] = True
+        uncovered[cube] = False
+        v = left.find(1, v + 1)
     return tuple(cover)

@@ -15,6 +15,8 @@ and the mean steps are read-only views of those.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -22,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .boolcube import BooleanAction
+from .boolcube import BooleanAction, _bit_codes
 from .core import (
     CarlabError,
     DataFormatError,
@@ -37,6 +39,7 @@ from .core import (
     _parse_name,
     _parse_number,
     _parse_strings,
+    _refuse_constant,
     _trace_table,
     load_json,
     save_json,
@@ -355,7 +358,7 @@ def actions_from_json(data: list[dict]) -> list[ActionSpec]:
         if kind == "affine":
             fields = {k: tuple(_parse_number(v, k) for v in entry[k]) for k in ("alpha", "beta")}
         elif kind == "table":
-            if not isinstance(entry["map"], dict):
+            if not isinstance(entry["map"], (dict, np.ndarray)):  # an array: a table read by _read_tables
                 raise DataFormatError(f"map must be an object, got {entry['map']!r}")
             fields = {"n": _parse_index(entry["n"], "n"), "table": entry["map"]}
         elif kind == "rule":
@@ -376,7 +379,89 @@ def save_actions(specs: Sequence[ActionSpec], dest: Union[str, Path]) -> None:
 
 
 def load_actions(source: Union[str, Path]) -> list[ActionSpec]:
-    return load_json(source, actions_from_json)
+    return load_json(source, actions_from_json, _read_tables)
+
+
+# The opening of a table map whose keys and values are words, up to its
+# second key: the first entry, its colon and the separator after it.
+_FIRST_ENTRY = re.compile(rb'\{[ \t\n\r]*("([01]+)"[ \t\n\r]*:[ \t\n\r]*"([01]+)")([ \t\n\r]*,[ \t\n\r]*)"')
+_CLOSE = re.compile(rb"[ \t\n\r]*\}")
+_BLOCK_ROWS = 8192  # table entries per block in _fixed_table: a block of the byte matrix stays in cache
+
+
+def _read_tables(data: bytes) -> Optional[list]:
+    """The action document ``data`` as ``json.loads`` reads it, each table
+    map whose keys and values are n-bit words, its 2^n entries laid out
+    alike, given as its image codes; None if no map is, or on any doubt.
+
+    The rest of the document, each such map replaced by the placeholder
+    ``{"": k}``, goes to ``json.loads``; it holds no ``""``, so every dict
+    keyed "" is a placeholder, and each must land as the map of an entry
+    whose n is its width.  A map is a valid JSON object, as the
+    placeholder is, and neither can start inside a string of a valid
+    document, so the short text parses exactly when the whole text does,
+    to the same values but for the maps.
+    """
+    pieces, images, at = [], [], 0
+    while (match := _FIRST_ENTRY.search(data, at)) is not None:
+        table = _fixed_table(data, match)
+        if table is None:
+            return None
+        pieces.append(data[at : match.start()])
+        images.append(table[0])
+        at = table[1]
+    pieces.append(data[at:])
+    if not images or any(b'""' in piece for piece in pieces):
+        return None
+    text = b"".join(piece + b'{"": %d}' % k for k, piece in enumerate(pieces[:-1])) + pieces[-1]
+    try:
+        doc = json.loads(text.decode("utf-8"), parse_constant=_refuse_constant)
+    except (ValueError, RecursionError):
+        return None
+    landed = 0
+    for entry in doc if isinstance(doc, list) else ():
+        table = entry.get("map") if isinstance(entry, dict) else None
+        if isinstance(table, dict) and "" in table:
+            image = images[table[""]]
+            if entry.get("n") != len(image).bit_length() - 1:
+                return None
+            entry["map"], landed = image, landed + 1
+    return doc if landed == len(images) else None
+
+
+def _fixed_table(data: bytes, match: re.Match) -> Optional[tuple[np.ndarray, int]]:
+    """The image codes of the table map whose first entry ``match`` found,
+    and the offset past its closing brace; None unless its 2^n entries,
+    n the width of the first key, hold that entry's bytes but for the 0/1
+    digits, each but the last followed by the same separator, and the keys
+    are every word once.
+
+    The entries are a (2^n x stride) byte matrix over ``data``, read a
+    block of rows at a time, so each block's column passes run in cache."""
+    entry, key, value, separator = match.groups()
+    n, width, stride = len(key), len(entry), len(entry) + len(separator)
+    if len(value) != n or n >= len(data).bit_length():  # 2^n entries cannot fit
+        return None
+    start, count = match.start(1), 1 << n
+    if start + (count - 1) * stride + width > len(data):
+        return None
+    rows = np.ndarray((count, width), np.uint8, data, start, (stride, 1))  # "<key>": "<value>"
+    entries = np.ndarray((count - 1, stride), np.uint8, data, start, (stride, 1))  # with the separator, but the last
+    # Where the first entry has a digit, a byte must be "0" or "1" (0x30 or
+    # 0x31); anywhere else, the first entry's byte.
+    template = np.frombuffer(entry + separator, np.uint8)
+    care = np.where(template | 1 == ord("1"), 0xFE, 0xFF).astype(np.uint8)
+    want = template & care
+    if ((rows[-1] & care[:width]) != want[:width]).any():
+        return None
+    image = np.full(count, -1)
+    for at in range(0, count, _BLOCK_ROWS):
+        block = rows[at : at + _BLOCK_ROWS]
+        if ((entries[at : at + _BLOCK_ROWS] & care) != want).any():
+            return None
+        image[_bit_codes(block[:, 1 : 1 + n])] = _bit_codes(block[:, width - 1 - n : width - 1])
+    close = _CLOSE.match(data, start + (count - 1) * stride + width)
+    return None if close is None or (image < 0).any() else (image, close.end())
 
 
 def report_to_json(report: CarRunReport) -> dict:

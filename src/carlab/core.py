@@ -318,17 +318,24 @@ def _refuse_constant(name: str) -> Any:
     raise ValueError(f"non-finite number {name}")
 
 
-def load_json(source: Union[str, Path], parse: Callable[[Any], T]) -> T:
+def load_json(source: Union[str, Path], parse: Callable[[Any], T],
+              fast: Optional[Callable[[bytes], Any]] = None) -> T:
     """Build an object from the JSON document at ``source`` with ``parse``.
 
     Invalid JSON, the non-standard literals ``NaN``, ``Infinity`` and
     ``-Infinity``, a document nested too deep to read, a missing key, a
     value of the wrong type and a value the object rejects each raise one
-    DataFormatError naming the file.
+    DataFormatError naming the file.  ``fast``, if given, reads the file's
+    bytes into a document that ``parse`` takes as it takes the one
+    ``json.loads`` reads, or gives None on any doubt; the text is then
+    read as above, so the errors are the same either way.
     """
     path = Path(source)
     try:
-        return parse(json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant))
+        doc = fast(path.read_bytes()) if fast else None
+        if doc is None:
+            doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        return parse(doc)
     except KeyError as exc:
         raise DataFormatError(f"{path}: missing key {exc}") from None
     except RecursionError:

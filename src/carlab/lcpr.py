@@ -92,7 +92,10 @@ def _matrices(boxes: Sequence[tuple[dict[int, float], dict[int, float]]]) -> np.
     """The lower and upper bound matrices of (lower, upper) bound dicts, one
     row per box, as wide as the largest feature index named."""
     width = max((j for box in boxes for side in box for j in side), default=0)
-    matrices = np.full((2, len(boxes), width), np.inf)
+    try:
+        matrices = np.full((2, len(boxes), width), np.inf)
+    except (MemoryError, ValueError):  # ValueError: a size numpy cannot address
+        raise CarlabError(f"feature index {width} out of range: no memory for bound matrices that wide") from None
     matrices[0] = -np.inf
     for matrix, sides in zip(matrices, zip(*boxes)):
         rows = [k for k, side in enumerate(sides) for _ in side]

@@ -187,6 +187,17 @@ def test_a_nan_bound_is_refused_after_the_earlier_checks():
         ldset_from_json([_entry(lower={"2": 3.0}, upper={"2": math.nan, "1": -1.0})])
 
 
+def test_a_far_feature_without_n_is_refused_by_its_index(tmp_path):
+    # Without n the bound matrices are as wide as the largest index named.
+    message = "feature index 1000000000000 out of range: no memory for bound matrices that wide"
+    with pytest.raises(CarlabError, match=f"^{message}$"):
+        ldset_from_json([{"class": 0, "lower": {"1000000000000": 0.5}}])
+    path = tmp_path / "lds.json"
+    path.write_text(json.dumps([_entry(), _entry(upper={"100000000000000000000": 1.0})]))
+    with pytest.raises(CarlabError, match=f"^{re.escape(str(path))}: feature index 100000000000000000000 out of range"):
+        load_ldset(path)
+
+
 def test_a_negative_class_is_refused_wherever_a_set_is_made():
     # -1 is the vote's abstention code, so no class may have it.
     with pytest.raises(CarlabError, match="^negative class index -1$"):
