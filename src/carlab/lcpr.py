@@ -10,10 +10,11 @@ the other classes (zero by default).  Mining grows, from every own-class
 seed, the admissible box that is maximal on the finite grid of training
 feature values: no single bound can be moved to the adjacent grid value,
 or removed, without covering counter-class points beyond the budget.
-The seeds of one class are grown together, in chunks of bounded size,
-by one kernel that reproduces the greedy walk of ``grow_maximal_ld``
-exactly: it keeps, per seed and counter point, the number of box sides
-excluding that point, and finds where each bound's walk stops by one
+All seeds are grown together by one kernel that reproduces the greedy
+walk of ``grow_maximal_ld`` exactly: each counter point can block only
+the box side of the last feature where it differs from the seed, so
+each side scans, over one sort of the points, just the counter points
+that can block it, nearest first, and finds where the walk stops by one
 search on the feature's grid instead of stepping through it.  An LD set
 is its bound matrices: one row per box, -inf / +inf on an open side, rows
 grouped by class; mined boxes go straight into them, ordered by one sort.
@@ -29,6 +30,7 @@ cover counts, never float scores.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -227,8 +229,8 @@ def is_admissible(
     return Admissibility(admissible=own >= 1 and counter <= budget, own_covered=own, counter_covered=counter)
 
 
-# Cells per kernel chunk, row-by-LD when voting and seed-by-counter-point
-# when mining: bounds the kernels' scratch memory.
+# Cells per kernel chunk, row-by-LD when voting and seed-by-candidate when
+# mining: bounds the kernels' scratch memory.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -236,116 +238,117 @@ def _grids(X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per feature, the sorted distinct training values for the lower-bound
     walk and their negation for the upper-bound walk, each padded with
     +inf so that "the next grid value" always exists."""
-    sides = []
-    for j in range(X.shape[1]):
-        grid = np.unique(X[:, j])
-        sides.append((np.append(grid, np.inf), np.append(-grid[::-1], np.inf)))
-    return sides
+    return [(np.append(grid, np.inf), np.append(-grid[::-1], np.inf)) for grid in map(np.unique, X.T)]
 
 
-def _nth_largest(values: np.ndarray, blocked: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per row of ``blocked``, the (r+1)-th largest of the blocked
-    ``values``, duplicates counted; -inf for a row with none blocked."""
-    top = int(r.max(initial=0))
-    if top == 0:
-        # No float matrix is materialised on the common zero-budget path.
-        return np.max(
-            np.broadcast_to(values, blocked.shape), axis=1, where=blocked, initial=-np.inf
-        )
-    ranked = np.where(blocked, values, -np.inf)
-    width = ranked.shape[1]
-    part = np.partition(ranked, np.arange(width - 1 - top, width), axis=1)
-    return part[np.arange(len(ranked)), width - 1 - r]
+def _grow_boxes(X: np.ndarray, labels: np.ndarray, seeds, grids: list[tuple[np.ndarray, np.ndarray]], budget: int):
+    """Run the greedy walk of ``grow_maximal_ld`` from the rows ``seeds``
+    of X in lockstep, each against the rows of X labelled otherwise.
 
+    Returns the seeds' lower and upper bound arrays (-inf / +inf where a
+    bound was dropped) and, per seed, the number of counter points
+    coinciding with it; a seed whose count exceeds the budget is
+    unseparable and its bounds are meaningless.  A budget that is a bool,
+    not an integer or negative raises.
 
-def _grow_boxes(
-    points: np.ndarray,
-    counter: np.ndarray,
-    grids: list[tuple[np.ndarray, np.ndarray]],
-    budget: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grow the boxes around seed ``points`` of one class in lockstep.
-
-    ``counter`` holds the other classes' training points.  Returns the
-    lower and upper bound arrays (-inf / +inf where a bound was dropped)
-    and, per seed, the number of counter points coinciding with it; a
-    seed whose count exceeds the budget is unseparable and its bounds
-    are meaningless.  Seeds are grown in chunks of at most about
-    ``_CHUNK_CELLS`` seed-by-counter cells.  A budget of at least the
-    counter points cannot bind, and is read as their count; a negative
-    one raises.
+    A counter point can block only the side of the last feature j where
+    it differs from the seed: until then the point box after j excludes
+    it, and after it the point stays where that side left it.  So side j
+    is blocked by the counter points equal to the seed after j, beyond it
+    on j and inside the box before j.  Sorted by reversed coordinates,
+    those equal after j are one run, split by the seed's value on j, and
+    each side scans its part outward from the seed (``_scan``).
     """
-    if budget < 0:
-        raise CarlabError("violation_budget must be >= 0")
-    budget = min(budget, len(counter))
-    lower = points.copy()
-    # The upper bound is walked as a lower bound of the negated feature:
-    # negation is exact, so both sides share one walk.
-    neg_upper = -points
-    coincident = np.empty(len(points), dtype=np.intp)
-    step = max(1, _CHUNK_CELLS // max(1, len(counter)))
-    for a in range(0, len(points), step):
-        coincident[a : a + step] = _grow_chunk(
-            counter, grids, budget, lower[a : a + step], neg_upper[a : a + step]
-        )
-    return lower, -neg_upper, coincident
+    if isinstance(budget, (bool, np.bool_)) or not hasattr(type(budget), "__index__") or budget < 0:
+        raise CarlabError(f"violation_budget must be >= 0 and an integer, got {budget!r}")
+    budget = min(operator.index(budget), len(X))
+    # The returned arrays are made before the scratch arrays, so that they
+    # do not sit above them on the heap.
+    lower, upper, coincident = X[seeds].copy(), X[seeds].copy(), np.empty(len(seeds), np.intp)
+    order = np.lexsort(X.T)
+    codes, at = np.unique(labels[order], return_inverse=True)[1], np.argsort(order)[seeds]
+    # Each class scans only its counter rows: ``counter`` holds them in
+    # sorted order, one block per class, and ``place[c * m + q]`` is the
+    # position in class c's block of the first of them at or after row q.
+    classes, own = np.unique(codes[at], return_inverse=True)
+    other = codes != classes[:, None]
+    counter, place = order[np.nonzero(other)[1]], np.concatenate(([0], np.cumsum(other)))
+    # Column i: a sorted row differs from the one before on a feature i or later.
+    changes = np.zeros((len(X) - 1, X.shape[1] + 1), bool)
+    for j in reversed(range(X.shape[1])):
+        column = X[order, j]
+        changes[:, j] = (column[1:] != column[:-1]) | changes[:, j + 1]
 
+    def run(i: int) -> list[np.ndarray]:
+        """Each seed's run of rows not differing in column i, in its block."""
+        key = np.concatenate(([0], np.cumsum(changes[:, i])))
+        sizes = np.bincount(key)
+        end = np.cumsum(sizes)
+        return [place[own * len(X) + bound[key[at]]] for bound in (end - sizes, end)]
 
-def _grow_chunk(
-    counter: np.ndarray,
-    grids: list[tuple[np.ndarray, np.ndarray]],
-    budget: int,
-    lower: np.ndarray,
-    neg_upper: np.ndarray,
-) -> np.ndarray:
-    """Run the greedy walk of ``grow_maximal_ld`` for a chunk of seeds,
-    updating the point boxes ``lower`` / ``neg_upper`` in place; returns
-    the coincident counter counts.
-
-    ``excluded[s, r]`` counts the sides of seed s's box that exclude
-    counter point r, so the points blocked only by the side being relaxed
-    are those excluded once and lying beyond that side.  With slack
-    r = budget - violations, the walk steps past a blocked value while at
-    most r blocked points lie at or beyond it, so it ends just past the
-    (r+1)-th nearest blocked value, or drops the bound when at most r
-    points are blocked.
-    """
-    n = counter.shape[1]
-    excluded = np.zeros((len(lower), len(counter)), dtype=np.min_scalar_type(n))
-    for j in range(n):
-        excluded += counter[:, j] != lower[:, j, None]
-    coincident = np.count_nonzero(excluded == 0, axis=1)
-    # Unseparable seeds get zero slack so the walk stays defined; their
-    # boxes are discarded.
+    runs = map(run, range(X.shape[1] + 1))  # made as the walk needs them
+    here_lo, here_hi = next(runs)
+    np.subtract(here_hi, here_lo, out=coincident)
+    # Unseparable seeds get zero slack so the walk stays defined.
     slack = np.maximum(budget - coincident, 0)
-    out = np.empty(excluded.shape, dtype=bool)
-    blocked = np.empty_like(out)
-    scratch = np.empty_like(out)
-    for j, (grid, neg_grid) in enumerate(grids):
-        for bound, values, walk in (
-            (lower, counter[:, j], grid),
-            (neg_upper, -counter[:, j], neg_grid),
+    for j, ((grid, neg_grid), (after_lo, after_hi)) in enumerate(zip(grids, runs)):
+        # The upper bound is walked as a lower bound of the negated feature.
+        for bounds, sign, walk, first, step, count in (
+            (lower, 1, grid, here_lo - 1, -1, here_lo - after_lo),
+            (upper, -1, neg_grid, here_hi, 1, after_hi - here_hi),
         ):
-            np.less(values, bound[:, j, None], out=out)
-            np.equal(excluded, 1, out=blocked)
-            blocked &= out
-            drop = np.count_nonzero(blocked, axis=1) <= slack
-            stop = _nth_largest(values, blocked, np.where(drop, 0, slack))
-            stop[drop] = -np.inf
+            stop, beyond = _scan(X, counter, lower, upper, j, sign, first, step, count, slack, budget)
             # The walk ends on the grid value just past ``stop``, or stays
             # put when that value is not beyond the bound (an off-grid seed).
+            bound = sign * bounds[:, j]
             nearest = walk[np.searchsorted(walk, stop, side="right")]
-            new = np.where(nearest < bound[:, j], nearest, bound[:, j])
-            new[drop] = -np.inf
-            if budget:  # at zero budget the slack stays all zeros
-                np.greater(values, stop[:, None], out=scratch)
-                scratch &= blocked
-                slack -= np.count_nonzero(scratch, axis=1)
-            np.greater_equal(values, new[:, None], out=scratch)
-            scratch &= out
-            excluded -= scratch
-            bound[:, j] = new
-    return coincident
+            new = np.where(nearest < bound, nearest, bound)
+            new[stop == -np.inf] = -np.inf
+            bounds[:, j] = sign * new
+            slack -= beyond
+        here_lo, here_hi = after_lo, after_hi
+    return lower, upper, coincident
+
+
+def _scan(X, counter, lower, upper, j, sign, first, step, count, slack, budget):
+    """Per seed s, over the rows ``counter[first[s] + step * i]``, i below
+    ``count[s]``, that lie inside the box ``lower`` / ``upper`` before
+    feature j: the (slack+1)-th largest ``sign * X[q, j]``, -inf when at
+    most slack rows are there, and how many lie strictly beyond it.  The
+    rows come largest first; the seeds scan them in lockstep blocks,
+    doubled each round up to about ``_CHUNK_CELLS`` cells, and a seed
+    leaves once its stop is found or its rows end."""
+    tests = [k for k in range(j) if (lower[:, k] > -np.inf).any() or (upper[:, k] < np.inf).any()]
+    stop, beyond = np.full(len(first), -np.inf), np.zeros(len(first), np.intp)
+    active, offset, width = np.flatnonzero(count), 0, 1
+    # Per active seed: the rows found inside, and with a budget, those found
+    # before the run of equal values the last block ended in, and its value.
+    (found, before_run), last = np.zeros((2, len(active)), np.intp), np.full(len(active), np.nan)
+    while len(active):
+        block = min(width, max(1, _CHUNK_CELLS // len(active)))
+        offsets = offset + np.arange(block)
+        inside = offsets < count[active, None]
+        rows = counter[first[active, None] + step * np.minimum(offsets, count[active, None] - 1)]
+        for k in tests:
+            values = X[:, k][rows]
+            inside &= (values >= lower[active, k, None]) & (values <= upper[active, k, None])
+        rank = found[:, None] + np.cumsum(inside, axis=1)
+        seeds, at = np.nonzero(inside & (rank == slack[active, None] + 1))
+        stop[active[seeds]] = sign * X[:, j][rows[seeds, at]]
+        if budget:
+            values = X[:, j][rows]
+            edge = values != np.column_stack([last, values[:, :-1]])
+            run = np.maximum.accumulate(np.where(edge, np.arange(block), -1), axis=1)
+            prior = np.take_along_axis(rank - inside, np.maximum(run, 0), axis=1)
+            prior = np.where(run < 0, before_run[:, None], prior)
+            beyond[active[seeds]] = prior[seeds, at]
+            before_run, last = prior[:, -1], values[:, -1]
+        short, more = rank[:, -1] <= slack[active], offset + block < count[active]
+        beyond[active[short & ~more]] = rank[short & ~more, -1]
+        going = short & more
+        active, found, before_run, last = active[going], rank[going, -1], before_run[going], last[going]
+        offset, width = offset + block, 2 * block
+    return stop, beyond
 
 
 def _unseparable(object_id: str, coincident: int) -> str:
@@ -372,7 +375,10 @@ def grow_maximal_ld(seed: LearningSample, learning_set: LearningSet, budget: int
         raise CarlabError(
             f"seed {seed.object_id!r} has {point.shape[1]} features, expected {X.shape[1]}"
         )
-    lower, upper, coincident = _grow_boxes(point, X[y != seed.label], _grids(X), budget)
+    if np.isnan(point).any():
+        raise CarlabError(f"seed {seed.object_id!r} has a NaN feature")
+    grids, X, y = _grids(X), np.vstack([X, point]), np.append(y, seed.label)
+    lower, upper, coincident = _grow_boxes(X, y, [len(X) - 1], grids, budget)
     if coincident[0] > budget:
         raise UnseparableSeedError(_unseparable(seed.object_id, int(coincident[0])))
     return next(_ldset((seed.label,), np.zeros(1, np.intp), lower, upper).all_lds())
@@ -381,21 +387,14 @@ def grow_maximal_ld(seed: LearningSample, learning_set: LearningSet, budget: int
 def mine_lds(learning_set: LearningSet, budget: int = 0) -> LDSet:
     """Mine maximal admissible LDs from every seed of every class.
 
-    Each seed's box is the one ``grow_maximal_ld`` grows; the seeds of a
-    class are grown together.  Unseparable seeds become warnings, not
-    failures; duplicate boxes are removed, the first seed's kept, and each
-    class's boxes are sorted canonically (see ``_by_key``).
+    Each seed's box is the one ``grow_maximal_ld`` grows; every seed is
+    grown in one lockstep walk over one sort of the set (``_grow_boxes``).
+    Unseparable seeds become warnings, not failures; duplicate boxes are
+    removed, the first seed's kept, and each class's boxes are sorted
+    canonically (see ``_by_key``).
     """
     X, y = learning_set.X, learning_set.labels
-    grids = _grids(X)
-    lower = np.empty_like(X)
-    upper = np.empty_like(X)
-    coincident = np.empty(len(X), dtype=np.intp)
-    for label in np.unique(y):
-        seeds = y == label
-        lower[seeds], upper[seeds], coincident[seeds] = _grow_boxes(
-            X[seeds], X[~seeds], grids, budget
-        )
+    lower, upper, coincident = _grow_boxes(X, y, np.arange(len(X)), _grids(X), budget)
     keep = coincident <= budget
     warnings = [_unseparable(learning_set.ids[k], coincident[k]) for k in np.flatnonzero(~keep).tolist()]
     # As wide as the largest feature bounded, which is all the vote checks a row for.
