@@ -38,9 +38,10 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, TypeVar, Union
@@ -264,21 +265,27 @@ def _unique(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     distinct values, ascending, the first row of each and the index of each
     row's value among them.
 
-    An int column that fits a table (see ``_offsets``), or an ``S1``/``S2``
-    column that does when read as big-endian ``u1``/``u2``, so that number
-    order is byte order, is coded through a table of its span: the first
-    row of each key by ``np.minimum.at``, and the index of each present key
-    by a running count.  Any other column is sorted by ``np.unique``, only
-    at its run heads (rows whose value differs from the row before, where
-    every value first appears) when it has runs, as a trace log's ids do."""
-    keys = column.view(f">u{column.itemsize}") if column.dtype.kind == "S" and column.itemsize <= 2 else column
+    The keys of an ``S1``, ``S2``, ``S4`` or ``S8`` column are its texts
+    read as big-endian ints, so that number order is byte order; of any
+    other column, its values.  Int keys that fit a table (see
+    ``_offsets``) are coded through a table of their span: the first row
+    of each key by ``np.minimum.at``, and the index of each present key by
+    a running count.  Other keys are sorted by ``np.unique``, only at
+    their run heads (rows whose key differs from the row before, where
+    every key first appears) when they have runs, as a trace log's ids
+    do."""
+    keys = column
+    if column.dtype.kind == "S" and column.itemsize in (1, 2, 4, 8):
+        keys = column.view(f">u{column.itemsize}").astype(np.uint64 if column.itemsize == 8 else np.intp)
     table = _offsets(keys)
     if table is None:
-        heads = np.flatnonzero(np.append(True, column[1:] != column[:-1])[: len(column)])
-        if len(heads) == len(column):
-            return np.unique(column, return_index=True, return_inverse=True)
-        values, first, inverse = np.unique(column[heads], return_index=True, return_inverse=True)
-        return values, heads[first], np.repeat(inverse, np.diff(heads, append=len(column)))
+        heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
+        if len(heads) == len(keys):
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        else:
+            _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+            first, inverse = heads[first], np.repeat(inverse, np.diff(heads, append=len(keys)))
+        return column[first], first, inverse
     at, _, span = table
     first = np.full(span, len(at), np.intp)
     np.minimum.at(first, at, np.arange(len(at)))
@@ -595,10 +602,12 @@ def _check_feature_header(fields: Sequence[str]) -> int:
 # A row check: the mask of the rows that fail it, and the message for row k.
 _Check = tuple[np.ndarray, Callable[[int], str]]
 
-# A column's kind: float, int, str, or None for a column that is not read.
-# A str column is read as its distinct texts, in order of first appearance,
-# and the index of each row's text among them.
-_Kinds = Callable[[list[str]], Sequence[Optional[type]]]
+# A column's kind: float, int, str, or None for a column that is not read;
+# or (float, k), which reads the next k columns, all float, as one (rows x k)
+# matrix.  A str column is read as its distinct texts, in order of first
+# appearance, and the index of each row's text among them.
+_Kind = Union[None, type, tuple[type, int]]
+_Kinds = Callable[[list[str]], Sequence[_Kind]]
 
 # A quote, which only csv.reader parses, and the line breaks of str.splitlines
 # that are not line breaks to csv.reader: a file with none of them has no
@@ -607,8 +616,9 @@ _NOT_SPLIT = '"\v\f\x1c\x1d\x1e\x85\u2028\u2029'
 
 # The ASCII bytes that keep a file from np.loadtxt: those of _NOT_SPLIT, since
 # csv.reader reads such a file under its field limit (and only it parses a
-# quote), and NUL, which an ``S`` field drops at its end.
-_NOT_LOADTXT = [b'"', b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e", b"\x00"]
+# quote), and NUL, which an ``S`` field drops at its end.  All are below the
+# comma, so the delimiter scan finds them.
+_NOT_LOADTXT = b'"\v\f\x1c\x1d\x1e\x00'
 
 
 def _codes(column: np.ndarray) -> tuple[list, np.ndarray]:
@@ -619,63 +629,129 @@ def _codes(column: np.ndarray) -> tuple[list, np.ndarray]:
     return values[order].tolist(), np.argsort(order)[inverse]
 
 
-def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]]:
-    """The header of the nonempty ASCII CSV text ``data``, which holds none
-    of _NOT_LOADTXT, and the columns of its rows, each read by its kind,
-    as ``csv.reader`` reads them; None unless it has rows and two columns
-    or more (a blank line would pass for a row of one empty field), each
-    line after the header holds one field per column and ends as the
-    others do, in LF or in CRLF (the last line may lack its LF), and each
-    field reads.
+def _spans(kinds: Sequence[_Kind]) -> list[int]:
+    """The number of columns each kind reads."""
+    return [kind[1] if isinstance(kind, tuple) else 1 for kind in kinds]
 
-    np.loadtxt reads the rows in C: a float column as float64, parsed by
-    the function ``float()`` calls, and any other as ``S<w>``, where w is
-    the widest field of the column.  None, too, when those fixed-width
-    columns would take more bytes than the text.  An int column is read
-    as canonical decimal once per distinct text."""
-    first, _, body = data.partition(b"\n")
-    first = first.removesuffix(b"\r")
-    if b"\r" in first:
+
+# The delimiter scan takes about this many bytes of whole lines at a time, so
+# that its arrays stay small enough for the allocator to reuse, not map anew.
+_SCAN_BYTES = 1 << 18
+
+# 10, 100, ..., 10**18: an int has one decimal digit more than the powers of
+# ten its magnitude reaches.
+_TENS = 10 ** np.arange(1, 19, dtype=np.uint64)
+
+
+def _decimal_length(column: np.ndarray) -> int:
+    """The total length of the canonical decimal texts of an int64 column."""
+    low, high = int(column.min(initial=0)), int(column.max(initial=0))
+    magnitude = (np.abs(column) if low < 0 else column).view(np.uint64)  # -2**63 is its own abs, read as 2**63
+    total = len(column) + (np.count_nonzero(column < 0) if low < 0 else 0)
+    return total + sum(np.count_nonzero(magnitude >= ten) for ten in _TENS[_TENS <= max(high, -low)])
+
+
+def _line_bounds(block: np.ndarray, line: np.ndarray) -> Optional[np.ndarray]:
+    """The delimiters of the whole lines of ASCII text ``block`` (the last
+    may lack its LF) as a (lines x ``len(line)``) matrix of positions, if
+    each line's commas and line end are the bytes ``line``; None if not,
+    or if the text holds a byte of _NOT_LOADTXT.  One scan finds the bytes
+    below the comma: the delimiters, and any quote, NUL, space, sign or
+    tab."""
+    ends = np.flatnonzero(block <= ord(","))
+    marks = block[ends]
+    if block[-1] != ord("\n"):  # the last line's end, or its LF
+        end = line[line != ord(",")][-1 if block[-1] == ord("\r") else 0 :]
+        ends, marks = np.append(ends, len(block) + np.arange(len(end))), np.append(marks, end)
+    for _ in range(2):  # the second time without the bytes that are not delimiters
+        lines = len(ends) // len(line)
+        if len(ends) == lines * len(line) and (marks.reshape(lines, len(line)) == line).all():
+            return ends.reshape(lines, len(line))
+        delimiter = (marks == ord(",")) | (marks == ord("\r")) | (marks == ord("\n"))
+        if delimiter.all() or not set(marks[~delimiter].tolist()).isdisjoint(_NOT_LOADTXT):
+            break  # a blank, ragged or whitespace-only line, a lone CR, two kinds of line end, or a quote
+        ends, marks = ends[delimiter], marks[delimiter]
+    return None
+
+
+def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]]:
+    """The header of the nonempty ASCII CSV text ``data`` and its columns,
+    each read by its kind, as ``csv.reader`` reads them; None unless it
+    holds no byte of _NOT_LOADTXT, has rows and two columns or more, each
+    line after the header holds one field per column and ends as the
+    header does, in LF or in CRLF (the last line may lack its LF), and
+    each field reads.
+
+    ``_line_bounds`` checks the lines a block at a time, and their
+    delimiters give the width w of the widest field of each str column
+    and the total width of each int column.  np.loadtxt then reads the
+    rows in C from a ``BytesIO`` of ``data``, past the header: a float
+    column as float64, parsed by the function ``float()`` calls, a (float,
+    k) kind as one ``("f8", (k,))`` field, an int column as int64 and any
+    other as ``S<w>``, w rounded up to 1, 2, 4 or 8 when it is at most 8,
+    so that its texts compare as ints (see ``_unique``).  A text that
+    np.loadtxt reads as an int is a sign and digits, with any blanks
+    around them (the float fallback of older numpy, which warns, is
+    refused), and only its canonical decimal is as short as its
+    value's, so an int column as wide in total as its values' canonical
+    texts reads as ``_decimal`` reads it.  None, too, when the ``S``
+    columns would take more bytes than the text.  A number column is a
+    view of the table np.loadtxt fills."""
+    start = data.find(b"\n") + 1  # the first byte of the first row
+    head = data[: start - 1]
+    crlf = head.endswith(b"\r")
+    head = head.removesuffix(b"\r")
+    if not start or b"\r" in head or not set(head).isdisjoint(_NOT_LOADTXT):
         return None
-    header = first.decode("ascii").split(",") if first else []
+    header = head.decode("ascii").split(",") if head else []
     types = kinds(header)
-    if len(types) < 2 or not body.strip(b"\r\n"):
+    spans = _spans(types)
+    if sum(spans) < 2:
         return None
-    body = body if body.endswith(b"\n") else body + b"\n"
-    chars = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero((chars == ord(",")) | (chars == ord("\r")) | (chars == ord("\n")))
-    line = [ord(",")] * (len(types) - 1) + [ord("\r")] * body.endswith(b"\r\n") + [ord("\n")]
-    rows = len(ends) // len(line)
-    if len(ends) != rows * len(line) or (chars[ends].reshape(rows, len(line)) != line).any():
-        return None  # a blank, ragged or whitespace-only line, a lone CR, or two kinds of line end
-    widths = (np.diff(np.concatenate(([-1], ends))) - 1).reshape(rows, len(line)).max(axis=0).tolist()
-    if rows * sum(w for w, kind in zip(widths, types) if kind is not float) > len(data):
-        return None
-    dtype = [(f"c{j}", "f8" if kind is float else f"S{max(w, 1)}") for j, (w, kind) in enumerate(zip(widths, types))]
-    try:
-        table = np.loadtxt(io.StringIO(body.decode("ascii")), dtype, comments=None, delimiter=",", quotechar=None,
-                           ndmin=1)
-    except ValueError:
-        return None
-    columns = []
-    for name, kind in zip(table.dtype.names, types):
-        if kind is float or kind is None:  # a copy, so no column keeps the table alive
-            columns.append(None if kind is None else table[name].copy())
-            continue
-        texts, codes = _codes(table[name]) if kind is str else _unique(table[name])[::2]
-        texts = [text.decode("ascii") for text in texts]
-        try:  # np.array refuses a None with TypeError and an int past int64 with OverflowError
-            columns.append((texts, codes) if kind is str else np.array(list(map(_decimal, texts)), np.int64)[codes])
-        except (TypeError, OverflowError):
+    line = np.array([ord(",")] * (sum(spans) - 1) + [ord("\r")] * crlf + [ord("\n")], np.uint8)
+    # The first column of each kind not read as float, by the kind's index.
+    fixed = {k: j for k, (kind, j) in enumerate(zip(types, accumulate([0, *spans]))) if kind in (None, int, str)}
+    widths, rows, at, chars = dict.fromkeys(fixed, 0), 0, start, np.frombuffer(data, np.uint8)
+    while at < len(data):
+        stop = data.find(b"\n", at + _SCAN_BYTES) + 1 or len(data)
+        bounds = _line_bounds(chars[at:stop], line)
+        if bounds is None:
             return None
+        for k, j in fixed.items():
+            width = bounds[:, j] - (bounds[:, j - 1] if j else np.concatenate(([-1], bounds[:-1, -1]))) - 1
+            widths[k] = widths[k] + int(width.sum()) if types[k] is int else max(widths[k], int(width.max()))
+        rows, at = rows + len(bounds), stop
+    formats = {k: "i8" if types[k] is int else f"S{w if w > 8 else 1 << max(w - 1, 0).bit_length()}"
+               for k, w in widths.items()}
+    if not rows or rows * sum(int(f[1:]) for f in formats.values() if f[0] == "S") > len(data):
+        return None
+    dtype = [
+        (f"c{k}", "f8", (span,)) if isinstance(kind, tuple) else (f"c{k}", formats.get(k, "f8"))
+        for k, (kind, span) in enumerate(zip(types, spans))
+    ]
+    stream = io.BytesIO(data)
+    stream.seek(start)
+    try:
+        with warnings.catch_warnings():  # older numpy reads an int field such as "1e2" through a float, and warns
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(stream, dtype, comments=None, delimiter=",", quotechar=None, ndmin=1, encoding="ascii")
+    except (ValueError, DeprecationWarning):
+        return None
+    if any(_decimal_length(table[f"c{k}"]) != w for k, w in widths.items() if types[k] is int):
+        return None
+    columns = [None if kind is None else table[name] for name, kind in zip(table.dtype.names, types)]
+    for k in (k for k, kind in enumerate(types) if kind is str):
+        texts, codes = _codes(columns[k])
+        columns[k] = [text.decode("ascii") for text in texts], codes
     return header, columns
 
 
 def _read_csv(path: Path, kinds: _Kinds) -> tuple[list[str], list, Callable[[int], str], Optional[_Check], list]:
     """The header of a CSV file, which must not be empty, the columns of its
-    nonblank rows, ``where(k)``, the ``path:line`` of row k, the check that
-    each row has as many fields as the header (None when all do) and one
-    check per column that each of its fields reads (None when all do).
+    nonblank rows, one per kind, ``where(k)``, the ``path:line`` of row k,
+    the check that each row has as many fields as the header (None when
+    all do) and one check per column that each of its fields reads (None
+    when all do).
 
     ``kinds(header)`` checks the header and gives the kind of each column
     (see ``_Kinds``); ``_column`` reads a column of each kind.  An ASCII
@@ -684,11 +760,11 @@ def _read_csv(path: Path, kinds: _Kinds) -> tuple[list[str], list, Callable[[int
     wrong field count is read as that many empty fields, so it fails that
     check first."""
     data = path.read_bytes()
-    if data and data.isascii() and not any(c in data for c in _NOT_LOADTXT):
+    if data and data.isascii():
         read = _loadtxt_read(data, kinds)
         if read is not None:
             header, columns = read
-            return header, columns, lambda k: f"{path}:{k + 2}", None, [None] * len(columns)
+            return header, columns, lambda k: f"{path}:{k + 2}", None, [None] * len(header)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -713,9 +789,13 @@ def _read_csv(path: Path, kinds: _Kinds) -> tuple[list[str], list, Callable[[int
     if bad.any():
         records = [[""] * width if b else record for record, b in zip(records, bad.tolist())]
         malformed = (bad, lambda k: f"{where(k)}: malformed row, expected {width} fields")
-    fields = list(chain.from_iterable(records))
-    read = [_column(fields[j::width], kind, where) for j, kind in enumerate(types)]
-    return header, [column for column, _ in read], where, malformed, [check for _, check in read]
+    fields, spans = list(chain.from_iterable(records)), _spans(types)
+    each = [float if isinstance(kind, tuple) else kind for kind, span in zip(types, spans) for _ in range(span)]
+    read = [_column(fields[j::width], kind, where) for j, kind in enumerate(each)]
+    columns = iter(column for column, _ in read)
+    blocks = [np.column_stack(list(islice(columns, span))) if isinstance(kind, tuple) else next(columns)
+              for kind, span in zip(types, spans)]
+    return header, blocks, where, malformed, [check for _, check in read]
 
 
 def _float_or_none(text: str) -> Optional[float]:
@@ -769,18 +849,19 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> tuple[tuple[str, 
     ``path:line``."""
     path = Path(source)
 
-    def kinds(header: list[str]) -> list[Optional[type]]:
+    def kinds(header: list[str]) -> list[_Kind]:
         has_class = header[-1:] == ["class"]
         if len(header) < 2 + has_class or header[0] != "id" or labelled and not has_class:
             raise DataFormatError(f"{path}: bad header {header!r}")
         n = _check_feature_header(header[1 : len(header) - has_class])
-        return [str] + [float] * n + [int if labelled else None] * has_class
+        return [str, (float, n)] + [int if labelled else None] * has_class
 
-    header, columns, where, malformed, unread = _read_csv(path, kinds)
-    (names, codes), n = columns[0], len(header) - 1 - (header[-1] == "class")
+    header, ((names, codes), X, *labels), where, malformed, unread = _read_csv(path, kinds)
+    n, labels = X.shape[1], labels[0] if labelled else None
     ids = tuple(map(names.__getitem__, codes.tolist()))
-    X, labels = np.column_stack(columns[1 : n + 1]), columns[-1] if labelled else None
-    non_finite = (~np.isfinite(X).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}")
+    non_finite = None if math.isfinite(X.sum()) else (  # a sum is finite only when each term is
+        ~np.isfinite(X).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}"
+    )
     checks = [malformed, *unread[1 : n + 1], non_finite, *unread[n + 1 :]]
     if labelled:
         checks += [
@@ -841,10 +922,12 @@ def _trace_table(
     rank = {name: k for k, name in enumerate(actions)} | {"": -1}
     action = np.array([rank[name] for name in names], np.int64)[action]
     at = (lambda k: "") if where is None else (lambda k: f"{where(k)}: ")
-    finite = np.isfinite(timestamp) & np.isfinite(state).all(axis=1)
     object_id = lambda k: repr(object_ids[obj[k]])
     normal, event = label == NORMAL_CLASS, lambda k: f"event ({object_id(k)}, step {step[k]})"
     *fields, class_field = unread
+    finite = np.isfinite(timestamp)
+    if not math.isfinite(state.sum()):  # a sum is finite only when each term is
+        finite &= np.isfinite(state).all(axis=1)
     _raise_first([
         *fields,
         (~finite, lambda k: f"{at(k)}non-finite value for {object_id(k)}"),
@@ -856,16 +939,21 @@ def _trace_table(
         (label < 0, lambda k: f"{at(k)}negative class index {label[k]}"),
         (obj == (object_ids.index("") if "" in object_ids else -1), lambda k: f"{at(k)}object_id must be nonempty"),
     ])
-    ahead = np.diff(obj)
-    if (ahead < 0).any() or (np.diff(step)[ahead == 0] < 0).any():  # not yet by object, then step
+    ahead, rise = np.diff(obj), np.diff(step)
+    if (ahead < 0).any() or (rise[ahead == 0] < 0).any():  # not yet by object, then step
         order = np.lexsort((step, obj))
         obj, step, timestamp, state, label, action = (
             column[order] for column in (obj, step, timestamp, state, label, action)
         )
-    k = np.arange(len(obj)) - np.searchsorted(obj, obj)  # position within the object
-    gap = lambda r: f"{origin}gap in step numbering for {object_id(r)} (expected step {k[r]}, got {step[r]})"
-    late = lambda r: f"{origin}non-increasing timestamp for {object_id(r)} at step {k[r]}"
-    _raise_first([(step != k, gap), ((k > 0) & (timestamp <= np.roll(timestamp, 1)), late)])
+        ahead, rise = np.diff(obj), np.diff(step)
+    same = ahead == 0  # row r + 1 is of row r's object
+    k = lambda r: r - int(np.searchsorted(obj, obj[r]))  # the place of row r in its object
+    gap = lambda r: f"{origin}gap in step numbering for {object_id(r)} (expected step {k(r)}, got {step[r]})"
+    late = lambda r: f"{origin}non-increasing timestamp for {object_id(r)} at step {k(r)}"
+    # The first row whose step is not its place is the first whose step is
+    # neither 0 at its object's first row nor one more than the step before.
+    steps = np.concatenate((step[:1] != 0, np.where(same, rise, step[1:] + 1) != 1))
+    _raise_first([(steps, gap), (np.append(False, same & (timestamp[1:] <= timestamp[:-1]))[: len(obj)], late)])
     return TraceTable(tuple(object_ids), obj, step, timestamp, state, label, actions, action)
 
 
@@ -879,16 +967,15 @@ def load_trace_log(source: Union[str, Path]) -> TraceTable:
     """
     path = Path(source)
 
-    def kinds(header: list[str]) -> list[type]:
+    def kinds(header: list[str]) -> list[_Kind]:
         if len(header) < 6 or header[:3] != ["id", "step", "timestamp"] or header[-2:] != ["class", "action"]:
             raise DataFormatError(f"{path}: bad header {header!r}")
-        return [str, int] + [float] * (_check_feature_header(header[3:-2]) + 1) + [int, str]
+        return [str, int, float, (float, _check_feature_header(header[3:-2])), int, str]
 
     _, columns, where, malformed, unread = _read_csv(path, kinds)
-    (object_ids, obj), step, timestamp, *state, label, (names, action) = columns
+    (object_ids, obj), step, timestamp, state, label, (names, action) = columns
     return _trace_table(
-        object_ids, obj, step, timestamp, np.column_stack(state), label, names, action, where,
-        (malformed, *unread[1:-1]), f"{path}: ",
+        object_ids, obj, step, timestamp, state, label, names, action, where, (malformed, *unread[1:-1]), f"{path}: ",
     )
 
 

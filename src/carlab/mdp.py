@@ -5,10 +5,12 @@ States are class labels; the normal class is absorbing under a synthetic
 distances, so progress toward the normal class pays off and regression
 costs, and cumulative reward telescopes along any trace.
 
-Value iteration, policy evaluation and policy comparison share one
-Bellman backup over the model compiled once into flat outcome rows, and
-every backup sums its terms in model order, so each value rounds exactly
-as a scalar loop over states, sorted actions and listed outcomes would.
+A model is held once, compiled once into flat outcome rows: each (state,
+action) pair, by state and then sorted action, owns a run of rows, and
+each row is one listed outcome.  Value iteration, policy evaluation and
+policy comparison share one Bellman backup over those rows, and every
+backup sums its terms in row order, so each value rounds exactly as a
+scalar loop over states, sorted actions and listed outcomes would.
 Each sweep loop keeps its row terms in a scratch buffer of its own, not
 on the cached backup that threads may share, and multiplies a policy's
 weight into each probability once: a term is ``(w * p) * future``.
@@ -21,19 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import itemgetter, ne
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import poset
 from .core import (
     CarlabError,
     NORMAL_CLASS,
     Traces,
     TraceTable,
     _count_rows,
+    _equal_fields,
     _parse_index,
     _parse_indices,
     _parse_name,
@@ -41,7 +46,6 @@ from .core import (
     load_json,
     save_json,
 )
-from .poset import LevelDiagram, build_level_diagram, distance_to_normal, extract_relation
 
 STAY_ACTION = "stay"
 ROW_SUM_TOL = 1e-12
@@ -51,65 +55,131 @@ OPTIMAL_ATOL = 1e-8  # values within this of the best count as optimal
 Outcomes = tuple[tuple[int, float, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MDPModel:
+    """A checked model as flat outcome rows, its arrays read-only.
+
+    Pair k is action ``pair_action[k]`` at state ``states[pair_state[k]]``,
+    the pairs by state, in ``states`` order, then by action.  Row i, one
+    outcome of pair ``pair[i]``, reaches ``states[dst[i]]`` with
+    probability ``p[i]`` and reward ``r[i]``; a pair's rows run in listed
+    order.  ``MDPModel(states, gamma, transitions)`` compiles {state:
+    {action: ((destination, p, r), ...)}}, which ``transitions`` views."""
+
     states: tuple[int, ...]
     gamma: float
-    transitions: dict[int, dict[str, Outcomes]]
+    pair_state: np.ndarray
+    pair_action: tuple[str, ...]
+    pair: np.ndarray
+    dst: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma < 1.0:
-            raise CarlabError("gamma must lie in [0, 1)")
-        members = set(self.states)
-        if len(members) != len(self.states):
-            raise CarlabError(f"states {list(self.states)} list a state twice")
-        if set(self.transitions) != members:
-            raise CarlabError(f"transition sources {sorted(self.transitions)} are not the states {sorted(members)}")
-        for s in self.states:
-            if not self.transitions[s]:
-                raise CarlabError(f"state {s} has no actions")
-            for a, outcomes in self.transitions[s].items():
-                total = 0.0
-                for dst, p, r in outcomes:
-                    if dst not in members:
-                        raise CarlabError(f"unknown destination state {dst}")
-                    if not 0.0 <= p <= 1.0:
-                        raise CarlabError(f"row ({s}, {a}): probability {p!r} outside [0, 1]")
-                    if not math.isfinite(r):
-                        raise CarlabError(f"row ({s}, {a}): non-finite reward {r!r}")
-                    total += p
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    raise CarlabError(
-                        f"row ({s}, {a}) sums to {total!r}, expected 1"
-                    )
-        if NORMAL_CLASS in members:
-            row = self.transitions[NORMAL_CLASS]
-            if row != {STAY_ACTION: ((NORMAL_CLASS, 1.0, 0.0),)}:
-                raise CarlabError("the normal class must be absorbing")
+    __eq__ = _equal_fields
+
+    def __init__(self, states: Sequence[int], gamma: float, transitions: Mapping[int, Mapping[str, Outcomes]]):
+        pairs = [(s, a, outcomes) for s, actions in transitions.items() for a, outcomes in actions.items()]
+        rows = [row for *_, outcomes in pairs for row in outcomes]
+        s, a, outcomes = zip(*pairs) if pairs else ((), (), ())
+        dst, p, r = zip(*rows) if rows else ((), (), ())
+        _model(self, states, gamma, transitions, s, a, list(map(len, outcomes)), dst, p, r)
+
+    @cached_property
+    def transitions(self) -> Mapping[int, Mapping[str, Outcomes]]:
+        """{state: {action: outcomes}}, actions sorted, built on first read."""
+        outcomes = zip([self.states[k] for k in self.dst.tolist()], self.p.tolist(), self.r.tolist())
+        view: dict[int, dict[str, Outcomes]] = {s: {} for s in self.states}
+        sizes = np.bincount(self.pair, minlength=len(self.pair_action)).tolist()
+        for k, a, size in zip(self.pair_state.tolist(), self.pair_action, sizes):
+            view[self.states[k]][a] = tuple(islice(outcomes, size))
+        return MappingProxyType({s: MappingProxyType(actions) for s, actions in view.items()})
 
     def actions(self, state: int) -> tuple[str, ...]:
-        return tuple(sorted(self.transitions[state]))
+        return tuple(self.transitions[state])
 
     @cached_property
     def _backup(self) -> "_Backup":
         return _Backup(self)
 
 
+def _model(
+    model: MDPModel, states: Sequence[int], gamma: float, sources: Iterable[int], pair_state: Sequence[int],
+    pair_action: Sequence[str], sizes: Sequence[int], dst: Sequence[int], p: Sequence[float], r: Sequence[float],
+) -> MDPModel:
+    """``model``, its fields set to the rows of (state, action) pairs,
+    given in any order: pair k, action ``pair_action[k]`` at state
+    ``pair_state[k]``, owns the next ``sizes[k]`` destinations ``dst``,
+    probabilities ``p`` and rewards ``r``; ``sources`` are the states
+    given pairs.
+
+    Checked as a loop would check it that takes the states in order, each
+    state's pairs as given and each pair's rows in order: gamma in [0, 1),
+    no state listed twice, the sources the states; each state with an
+    action, each row with a known destination, a probability in [0, 1]
+    and a finite reward, each pair's probabilities, added in row order,
+    summing to 1 within ROW_SUM_TOL; the normal class, if a state,
+    absorbing.  The checks run on arrays, and the loop only to find the
+    first failure."""
+    if not 0.0 <= gamma < 1.0:
+        raise CarlabError("gamma must lie in [0, 1)")
+    index = {s: k for k, s in enumerate(states)}
+    if len(index) != len(states):
+        raise CarlabError(f"states {list(states)} list a state twice")
+    if set(sources) != index.keys():
+        raise CarlabError(f"transition sources {sorted(sources)} are not the states {sorted(index)}")
+    position, sizes = np.array([index[s] for s in pair_state], np.intp), np.array(sizes, np.intp)
+    pair, ids = np.repeat(np.arange(len(sizes)), sizes), np.array(states, np.int64)
+    dst, p, r = np.array(dst, np.int64), np.array(p, float), np.array(r, float)
+    sorter = np.argsort(ids)
+    at = sorter[np.searchsorted(ids, dst, sorter=sorter).clip(max=len(ids) - 1)]  # each destination's state, if known
+    known, total = ids[at] == dst, np.bincount(pair, p, minlength=len(sizes))
+    if not (
+        known.all() and ((0.0 <= p) & (p <= 1.0)).all() and np.isfinite(r).all()
+        and (np.abs(total - 1.0) <= ROW_SUM_TOL).all() and len(set(position.tolist())) == len(states)
+    ):
+        rows = np.split(np.arange(len(p)), np.cumsum(sizes)[:-1])
+        for j, s in enumerate(states):
+            mine = np.flatnonzero(position == j).tolist()
+            if not mine:
+                raise CarlabError(f"state {s} has no actions")
+            for k in mine:
+                a, total = pair_action[k], 0.0
+                for i in rows[k].tolist():
+                    if not known[i]:
+                        raise CarlabError(f"unknown destination state {dst[i]}")
+                    if not 0.0 <= p[i] <= 1.0:
+                        raise CarlabError(f"row ({s}, {a}): probability {p[i].item()!r} outside [0, 1]")
+                    if not math.isfinite(r[i]):
+                        raise CarlabError(f"row ({s}, {a}): non-finite reward {r[i].item()!r}")
+                    total += p[i].item()
+                if abs(total - 1.0) > ROW_SUM_TOL:
+                    raise CarlabError(f"row ({s}, {a}) sums to {total!r}, expected 1")
+    normal = np.flatnonzero(ids[position] == NORMAL_CLASS)  # the normal class's pairs
+    if NORMAL_CLASS in index and [(pair_action[k], *(c[pair == k].tolist() for c in (dst, p, r))) for k in normal] != [
+        (STAY_ACTION, [NORMAL_CLASS], [1.0], [0.0])
+    ]:
+        raise CarlabError("the normal class must be absorbing")
+    canon = sorted(range(len(sizes)), key=lambda k: (position[k], pair_action[k]))
+    rank = np.empty(len(canon), np.intp)
+    rank[canon] = np.arange(len(canon))
+    rows = np.argsort(rank[pair], kind="stable")
+    arrays = dict(pair_state=position[canon], pair=rank[pair[rows]], dst=at[rows], p=p[rows], r=r[rows])
+    for array in arrays.values():
+        array.flags.writeable = False
+    vars(model).update(states=tuple(states), gamma=gamma, pair_action=tuple(pair_action[k] for k in canon), **arrays)
+    return model
+
+
 class _Backup:
-    """A model's Bellman backup over flat outcome rows, ordered by state,
-    sorted action and listed outcome: each (state, action) pair owns a run
-    of rows, and each state a run of pairs starting at ``first_pair``."""
+    """A model's Bellman backup over its outcome rows: each state owns a
+    run of pairs starting at ``first_pair``."""
 
     def __init__(self, mdp: MDPModel) -> None:
-        index = {s: k for k, s in enumerate(mdp.states)}
-        self.gamma = mdp.gamma
-        self.pairs = [(s, a) for s in mdp.states for a in mdp.actions(s)]
-        self.pair_state = np.array([index[s] for s, _ in self.pairs])
-        self.first_pair = np.searchsorted(self.pair_state, np.arange(len(index)))
-        outcomes = [mdp.transitions[s][a] for s, a in self.pairs]
-        dst, p, r = zip(*chain.from_iterable(outcomes))
-        self.pair = np.repeat(np.arange(len(self.pairs)), list(map(len, outcomes)))
-        self.dst, self.p, self.r = np.array(list(map(index.__getitem__, dst))), np.array(p), np.array(r)
+        self.gamma, self.pair, self.dst, self.p, self.r, self.pair_state = (
+            mdp.gamma, mdp.pair, mdp.dst, mdp.p, mdp.r, mdp.pair_state
+        )
+        self.pairs = [(mdp.states[k], a) for k, a in zip(mdp.pair_state.tolist(), mdp.pair_action)]
+        self.first_pair = np.searchsorted(self.pair_state, np.arange(len(mdp.states)))
         self.src = self.pair_state[self.pair]
         self.reward = float(np.max(np.abs(self.r)))  # the largest |reward|
 
@@ -123,11 +193,11 @@ class _Backup:
             scale, index, size = self.p, self.pair, len(self.pairs)
         else:
             scale, index, size = weights[self.pair] * self.p, self.src, len(self.first_pair)
-        terms = np.empty(len(self.p))
+        terms, gamma, dst, r = np.empty(len(self.p)), self.gamma, self.dst, self.r
 
         def backup(values: np.ndarray) -> np.ndarray:
-            np.take(self.gamma * values, self.dst, out=terms, mode="wrap")  # every dst is a state index
-            np.add(self.r, terms, out=terms)
+            (gamma * values).take(dst, out=terms, mode="wrap")  # every dst is a state index
+            np.add(r, terms, out=terms)
             np.multiply(scale, terms, out=terms)
             return np.bincount(index, terms, minlength=size)
 
@@ -183,25 +253,21 @@ class ComparisonReport:
         return "matches-optimal" if matches else "suboptimal"
 
 
-def reward_from_levels(diagram: LevelDiagram):
+def reward_from_levels(diagram: poset.LevelDiagram):
     """Reward callable (s, a, s') -> level(s) - level(s')."""
 
     def reward(s: int, a: str, dst: int) -> float:
-        return float(distance_to_normal(diagram, s) - distance_to_normal(diagram, dst))
+        return float(poset.distance_to_normal(diagram, s) - poset.distance_to_normal(diagram, dst))
 
     return reward
 
 
-def _neg_level_reward(diagram: LevelDiagram):
-    def reward(s: int, a: str, dst: int) -> float:
-        return float(-distance_to_normal(diagram, dst))
-
-    return reward
+_REWARD_SHAPES = ("level-diff", "neg-level")
 
 
 def estimate_mdp(
     traces: Traces,
-    diagram: Optional[LevelDiagram] = None,
+    diagram: Optional[poset.LevelDiagram] = None,
     gamma: float = 0.9,
     smoothing: float = 0.0,
     reward_shape: str = "level-diff",
@@ -210,24 +276,19 @@ def estimate_mdp(
 
     P(s, a, s') = (count + smoothing) / (row count + smoothing * |S|),
     with the counts and states of ``extract_relation(traces)``; actions
-    per state are those observed there.  The normal class gets the
-    synthetic absorbing row.  Rewards follow ``diagram``, by default the
-    level diagram of that same relation.
+    per state are those observed there, and an action's outcomes are the
+    states s' with P > 0, ascending.  The normal class gets the synthetic
+    absorbing row.  Rewards follow the levels of ``diagram``, by default
+    the level diagram of that same relation: level(s) - level(s') under
+    ``level-diff``, -level(s') under ``neg-level``.
     """
     if not (math.isfinite(smoothing) and smoothing >= 0):
         raise CarlabError(f"smoothing must be a finite number >= 0, got {smoothing!r}")
-    graph = extract_relation(traces)
+    graph = poset.extract_relation(traces)
     if diagram is None:
-        diagram = build_level_diagram(graph)
-    if reward_shape == "level-diff":
-        reward = reward_from_levels(diagram)
-    elif reward_shape == "neg-level":
-        reward = _neg_level_reward(diagram)
-    else:
+        diagram = poset.build_level_diagram(graph)
+    if reward_shape not in _REWARD_SHAPES:
         raise CarlabError(f"unknown reward shape {reward_shape!r}")
-    counts: dict[tuple[int, str], dict[int, int]] = {}  # in (s, a) order, as the edges
-    for e in graph.edges:
-        counts.setdefault((e.src, e.action), {})[e.dst] = e.count
     states = graph.classes
     for s in states:
         if s not in diagram.levels:
@@ -236,20 +297,20 @@ def estimate_mdp(
         if not graph.successors[s]:
             raise CarlabError(f"state {s} has no observed action")
     ordered = tuple(sorted(states))
-    size = len(ordered)
-    transitions: dict[int, dict[str, Outcomes]] = {
-        NORMAL_CLASS: {STAY_ACTION: ((NORMAL_CLASS, 1.0, 0.0),)}
-    }
-    for (s, a), row in counts.items():
-        total = sum(row.values())
-        outcomes = []
-        for dst in ordered:
-            raw = row.get(dst, 0)
-            p = (raw + smoothing) / (total + smoothing * size)
-            if p > 0.0:
-                outcomes.append((dst, p, reward(s, a, dst)))
-        transitions.setdefault(s, {})[a] = tuple(outcomes)
-    return MDPModel(states=ordered, gamma=gamma, transitions=transitions)
+    index, pairs = {s: k for k, s in enumerate(ordered)}, {}
+    counts = np.zeros((len({(e.src, e.action) for e in graph.edges}), len(ordered)), np.int64)
+    for e in graph.edges:  # the pairs in (s, a) order, as the edges
+        counts[pairs.setdefault((e.src, e.action), len(pairs)), index[e.dst]] = e.count
+    p = (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + smoothing * len(ordered))
+    level = np.array([diagram.levels[s] for s in ordered], np.int64)
+    k, d = np.nonzero(p > 0)  # each pair's outcomes, by destination
+    reward = (level[[index[s] for s, _ in pairs]][k] if reward_shape == "level-diff" else 0) - level[d]
+    return _model(
+        object.__new__(MDPModel), ordered, gamma, ordered,
+        [NORMAL_CLASS, *(s for s, _ in pairs)], [STAY_ACTION, *(a for _, a in pairs)],
+        [1, *np.bincount(k, minlength=len(pairs)).tolist()], np.append(NORMAL_CLASS, np.array(ordered)[d]),
+        np.append(1.0, p[k, d]), np.append(0.0, reward),
+    )
 
 
 def _fixed_point(step, backup: "_Backup", tol: float) -> tuple[np.ndarray, int]:
@@ -280,7 +341,7 @@ def _fixed_point(step, backup: "_Backup", tol: float) -> tuple[np.ndarray, int]:
             if iterations == 2 * bound:
                 raise CarlabError(f"values still move by {delta!r} after {iterations} sweeps (tolerance {tol!r})")
             new_values = step(values)
-            delta = float(np.max(np.abs(new_values - values)))
+            delta = float(abs(new_values - values).max())
             values, iterations = new_values, iterations + 1
             if not math.isfinite(delta):
                 raise CarlabError(f"values overflow float64 in sweep {iterations}")
@@ -314,11 +375,13 @@ def policy_evaluation(
 ) -> ValueFunction:
     """Iterative fixed-point evaluation of a (possibly stochastic) policy
     that decides at exactly the model's states."""
+    backup = mdp._backup
+    available = set(backup.pairs)
     for s in mdp.states:
         if s not in policy.decision:
             raise CarlabError(f"policy does not cover state {s}")
         for a in policy.support(s):
-            if a not in mdp.transitions[s]:
+            if (s, a) not in available:
                 raise CarlabError(f"policy uses unavailable action {a!r} at {s}")
         if not all(w >= 0 for w in policy.decision[s].values()):
             raise CarlabError(f"policy distribution at {s} has a negative weight")
@@ -328,7 +391,6 @@ def policy_evaluation(
     extra = set(policy.decision).difference(mdp.states)
     if extra:
         raise CarlabError(f"policy decides at state {min(extra)}, which the model does not have")
-    backup = mdp._backup
     weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
     values, _ = _fixed_point(backup.sweep(weights), backup, tol)
     return dict(zip(mdp.states, values.tolist()))
@@ -374,63 +436,67 @@ def compare_policies(
 
 
 def mdp_to_json(mdp: MDPModel) -> dict:
-    """JSON form: {states, gamma, transitions: [{s, a, s', p, r}]}."""
-    rows = []
-    for s in mdp.states:
-        for a in mdp.actions(s):
-            for dst, p, r in mdp.transitions[s][a]:
-                rows.append({"s": s, "a": a, "s'": dst, "p": p, "r": r})
-    return {"states": list(mdp.states), "gamma": mdp.gamma, "transitions": rows}
+    """JSON form: {states, gamma, transitions: [{s, a, s', p, r}]}, one
+    transition per outcome row, in row order."""
+    states, pair = mdp.states, mdp.pair.tolist()
+    rows = zip(
+        [states[k] for k in mdp.pair_state[mdp.pair].tolist()], [mdp.pair_action[k] for k in pair],
+        [states[k] for k in mdp.dst.tolist()], mdp.p.tolist(), mdp.r.tolist(),
+    )
+    return {
+        "states": list(states), "gamma": mdp.gamma,
+        "transitions": [{"s": s, "a": a, "s'": dst, "p": p, "r": r} for s, a, dst, p, r in rows],
+    }
 
 
-# The exact kinds of the fields of a transition row.
-_ROW_KINDS = {"p": {int, float}, "r": {int, float}, "s": {int}, "a": {str}, "s'": {int}}
+# Each field of a transition row, in the order a row is read: the exact
+# kinds of its value, and its reader.
+_ROW_FIELDS = {
+    "p": ({int, float}, _parse_number), "r": ({int, float}, _parse_number), "s": ({int}, _parse_index),
+    "a": ({str}, _parse_name), "s'": ({int}, _parse_index),
+}
 
 
 def _transition_columns(rows: list) -> Optional[dict[str, list]]:
-    """The fields of the transition rows as columns, the numbers as floats;
-    None unless every row holds each field with its exact kind, every
-    action is nonempty and every state fits in 64 bits."""
+    """The fields of the transition rows as columns; None unless every row
+    holds each field with its exact kind, every action is nonempty and
+    every state fits in 64 bits."""
     try:
-        columns = {key: list(map(itemgetter(key), rows)) for key in _ROW_KINDS}
+        columns = {key: list(map(itemgetter(key), rows)) for key in _ROW_FIELDS}
     except (KeyError, TypeError):
         return None
-    if any(not set(map(type, columns[key])) <= kinds for key, kinds in _ROW_KINDS.items()) or "" in columns["a"]:
+    if any(not set(map(type, columns[key])) <= kinds for key, (kinds, _) in _ROW_FIELDS.items()) or "" in columns["a"]:
         return None
     states = columns["s"] + columns["s'"]
     if not -(2**63) <= min(states, default=0) <= max(states, default=0) < 2**63:
         return None
-    columns["p"], columns["r"] = list(map(float, columns["p"])), list(map(float, columns["r"]))
     return columns
 
 
 def mdp_from_json(data: dict) -> MDPModel:
     """The model of an MDP JSON document.  Its transition rows are read by
-    column, each column checked once; a document that fails a check is
-    read a row at a time, which raises at the first row and field (in
-    the order p, r, s, a, s') that fails."""
+    column, each column checked once; when a check fails, the rows are
+    read one at a time, to raise at the first row and field (in the
+    order p, r, s, a, s') that fails or, when none does (a value of a
+    subclass of float or int, say), to give the columns.  A pair's rows are its rows in
+    document order, wherever they stand."""
     rows = data["transitions"]
-    columns = _transition_columns(rows) if isinstance(rows, list) else None
-    transitions: dict[int, dict[str, list]] = {}
+    columns = _transition_columns(rows)
     if columns is None:
+        columns = {key: [] for key in _ROW_FIELDS}
         for row in rows:
-            p, r = (_parse_number(row[key], key) for key in ("p", "r"))
-            s, a = _parse_index(row["s"], "s"), _parse_name(row["a"], "a")
-            transitions.setdefault(s, {}).setdefault(a, []).append((_parse_index(row["s'"], "s'"), p, r))
-    else:
-        keys = list(zip(columns["s"], columns["a"]))
-        outcomes = list(zip(columns["s'"], columns["p"], columns["r"]))
-        starts = [*compress(range(len(keys)), chain([True], map(ne, keys[1:], keys))), len(keys)]
-        for start, end in zip(starts, starts[1:]):  # one run of rows per (s, a), in most documents
-            s, a = keys[start]
-            transitions.setdefault(s, {}).setdefault(a, []).extend(outcomes[start:end])
-    return MDPModel(
-        states=_parse_indices(data["states"], "state"),
-        gamma=_parse_number(data["gamma"], "gamma"),
-        transitions={
-            s: {a: tuple(outs) for a, outs in acts.items()}
-            for s, acts in transitions.items()
-        },
+            for key, (_, parse) in _ROW_FIELDS.items():
+                columns[key].append(parse(row[key], key))
+    states, gamma = _parse_indices(data["states"], "state"), _parse_number(data["gamma"], "gamma")
+    keys = list(zip(columns["s"], columns["a"]))
+    heads = [*compress(range(len(keys)), chain([True], map(ne, keys[1:], keys)))]  # runs of rows of one pair
+    pairs: dict[tuple[int, str], int] = {}
+    runs = [pairs.setdefault(keys[k], len(pairs)) for k in heads]
+    pair = np.repeat(np.array(runs, np.intp), np.diff([*heads, len(keys)]))
+    order = np.argsort(pair, kind="stable")  # a pair's later runs join its first
+    return _model(
+        object.__new__(MDPModel), states, gamma, {s for s, _ in pairs}, [s for s, _ in pairs], [a for _, a in pairs],
+        np.bincount(pair, minlength=len(pairs)), *(np.array(columns[key])[order] for key in ("s'", "p", "r")),
     )
 
 
