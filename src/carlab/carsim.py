@@ -467,17 +467,7 @@ def _fixed_table(data: bytes, match: re.Match) -> Optional[tuple[np.ndarray, int
 def report_to_json(report: CarRunReport) -> dict:
     stall = lambda info: None if info is None else {"kind": info.kind, "step": info.step}
     objects = {
-        object_id: {
-            "converged": steps is not None,
-            "steps_to_normal": steps,
-            "stall": stall(report.stalls.get(object_id)),
-        }
+        object_id: {"steps_to_normal": steps, "stall": stall(report.stalls.get(object_id))}
         for object_id, steps in report.steps_to_normal.items()
     }
-    return {
-        "max_steps": report.max_steps,
-        "objects": objects,
-        "fraction_normal_within": list(report.fraction_normal_within),
-        "mean_steps": report.mean_steps,
-        "metrics": convergence_metrics(report),
-    }
+    return {"max_steps": report.max_steps, "objects": objects, "metrics": convergence_metrics(report)}

@@ -200,7 +200,6 @@ def _cmd_inverse(args: argparse.Namespace) -> int:
         )
     payload = {
         "n": n,
-        "start_region": "forall",
         "forall": boolcube.code_words(partition.forall_region, n),
         "exists": boolcube.code_words(partition.exists_region, n),
         "uncovered": boolcube.code_words(partition.uncovered, n),

@@ -15,7 +15,9 @@ typed columns, as the reader of the format names their kinds.  An ASCII
 file with no quote or NUL whose lines hold one field per column is read
 in C by ``np.loadtxt`` (``_loadtxt_read``); a file it does not take, or
 whose fields do not all read, goes through ``csv.reader``, the general
-path, which finds the errors.  Columns are checked whole, and
+path, which finds the errors.  ``np.loadtxt`` parses only float fields:
+on both paths an int field is text until ``_decimal`` reads it, once per
+distinct text.  Columns are checked whole, and
 ``_raise_first`` reports the row a row-at-a-time reader would stop at.
 Key columns are coded by ``_unique``, through a table rather than a sort
 when their keys span few cells, and ``_count_rows`` counts rows of such
@@ -38,7 +40,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
@@ -638,19 +639,6 @@ def _spans(kinds: Sequence[_Kind]) -> list[int]:
 # that its arrays stay small enough for the allocator to reuse, not map anew.
 _SCAN_BYTES = 1 << 18
 
-# 10, 100, ..., 10**18: an int has one decimal digit more than the powers of
-# ten its magnitude reaches.
-_TENS = 10 ** np.arange(1, 19, dtype=np.uint64)
-
-
-def _decimal_length(column: np.ndarray) -> int:
-    """The total length of the canonical decimal texts of an int64 column."""
-    low, high = int(column.min(initial=0)), int(column.max(initial=0))
-    magnitude = (np.abs(column) if low < 0 else column).view(np.uint64)  # -2**63 is its own abs, read as 2**63
-    total = len(column) + (np.count_nonzero(column < 0) if low < 0 else 0)
-    return total + sum(np.count_nonzero(magnitude >= ten) for ten in _TENS[_TENS <= max(high, -low)])
-
-
 def _line_bounds(block: np.ndarray, line: np.ndarray) -> Optional[np.ndarray]:
     """The delimiters of the whole lines of ASCII text ``block`` (the last
     may lack its LF) as a (lines x ``len(line)``) matrix of positions, if
@@ -683,20 +671,18 @@ def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]
     each field reads.
 
     ``_line_bounds`` checks the lines a block at a time, and their
-    delimiters give the width w of the widest field of each str column
-    and the total width of each int column.  np.loadtxt then reads the
-    rows in C from a ``BytesIO`` of ``data``, past the header: a float
-    column as float64, parsed by the function ``float()`` calls, a (float,
-    k) kind as one ``("f8", (k,))`` field, an int column as int64 and any
-    other as ``S<w>``, w rounded up to 1, 2, 4 or 8 when it is at most 8,
-    so that its texts compare as ints (see ``_unique``).  A text that
-    np.loadtxt reads as an int is a sign and digits, with any blanks
-    around them (the float fallback of older numpy, which warns, is
-    refused), and only its canonical decimal is as short as its
-    value's, so an int column as wide in total as its values' canonical
-    texts reads as ``_decimal`` reads it.  None, too, when the ``S``
-    columns would take more bytes than the text.  A number column is a
-    view of the table np.loadtxt fills."""
+    delimiters give the width w of the widest field of each column not
+    read as float.  np.loadtxt then reads the rows in C from a
+    ``BytesIO`` of ``data``, past the header: a float column as float64,
+    parsed by the function ``float()`` calls, a (float, k) kind as one
+    ``("f8", (k,))`` field, and any other as ``S<w>``, w rounded up to 1,
+    2, 4 or 8 when it is at most 8, so that its texts compare as ints
+    (see ``_unique``).  np.loadtxt parses no int: an int column is read
+    as ``_column`` reads it, each distinct text by ``_decimal``, and None
+    unless every text is canonical decimal int64, so none is wider than
+    the 20 bytes of "-9223372036854775808".  None, too, when the ``S``
+    columns of the other kinds would take more bytes than the text.  A
+    float column is a view of the table np.loadtxt fills."""
     start = data.find(b"\n") + 1  # the first byte of the first row
     head = data[: start - 1]
     crlf = head.endswith(b"\r")
@@ -719,11 +705,12 @@ def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]
             return None
         for k, j in fixed.items():
             width = bounds[:, j] - (bounds[:, j - 1] if j else np.concatenate(([-1], bounds[:-1, -1]))) - 1
-            widths[k] = widths[k] + int(width.sum()) if types[k] is int else max(widths[k], int(width.max()))
+            widths[k] = max(widths[k], int(width.max()))
         rows, at = rows + len(bounds), stop
-    formats = {k: "i8" if types[k] is int else f"S{w if w > 8 else 1 << max(w - 1, 0).bit_length()}"
-               for k, w in widths.items()}
-    if not rows or rows * sum(int(f[1:]) for f in formats.values() if f[0] == "S") > len(data):
+    formats = {k: f"S{w if w > 8 else 1 << max(w - 1, 0).bit_length()}" for k, w in widths.items()}
+    ints = [k for k in fixed if types[k] is int]
+    row_bytes = sum(int(formats[k][1:]) for k in fixed if k not in ints)  # of the S columns kept as text
+    if not rows or any(widths[k] > 20 for k in ints) or rows * row_bytes > len(data):
         return None
     dtype = [
         (f"c{k}", "f8", (span,)) if isinstance(kind, tuple) else (f"c{k}", formats.get(k, "f8"))
@@ -732,14 +719,16 @@ def _loadtxt_read(data: bytes, kinds: _Kinds) -> Optional[tuple[list[str], list]
     stream = io.BytesIO(data)
     stream.seek(start)
     try:
-        with warnings.catch_warnings():  # older numpy reads an int field such as "1e2" through a float, and warns
-            warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt(stream, dtype, comments=None, delimiter=",", quotechar=None, ndmin=1, encoding="ascii")
-    except (ValueError, DeprecationWarning):
-        return None
-    if any(_decimal_length(table[f"c{k}"]) != w for k, w in widths.items() if types[k] is int):
+        table = np.loadtxt(stream, dtype, comments=None, delimiter=",", quotechar=None, ndmin=1, encoding="ascii")
+    except ValueError:
         return None
     columns = [None if kind is None else table[name] for name, kind in zip(table.dtype.names, types)]
+    for k in ints:
+        texts, _, inverse = _unique(columns[k])
+        try:  # fromiter refuses a None with TypeError, and an int past int64 with OverflowError
+            columns[k] = np.fromiter(map(_decimal, map(bytes.decode, texts.tolist())), np.int64, len(texts))[inverse]
+        except (TypeError, OverflowError):
+            return None
     for k in (k for k, kind in enumerate(types) if kind is str):
         texts, codes = _codes(columns[k])
         columns[k] = [text.decode("ascii") for text in texts], codes

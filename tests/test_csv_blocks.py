@@ -1,14 +1,14 @@
 """The fast CSV reader's block scan and int fields, against ``csv.reader``.
 
 ``core._loadtxt_read`` checks a file's lines ``_SCAN_BYTES`` at a time and
-has np.loadtxt parse its int fields.  Each file here is read with the
-blocks cut to a few bytes, and must read as it reads through
-``csv.reader`` (``_loadtxt_read`` declining every file), or fail with the
-same message; a file that is valid must not reach ``csv.reader`` at all.
+reads its int fields as text, each distinct text by ``core._decimal``.
+Each file here is read with the blocks cut to a few bytes, and must read
+as it reads through ``csv.reader`` (``_loadtxt_read`` declining every
+file), or fail with the same message; a file that is valid must not
+reach ``csv.reader`` at all.
 """
 
 import csv
-import warnings
 
 import numpy as np
 import pytest
@@ -117,10 +117,14 @@ def test_datasets_read_the_same_in_small_blocks(tmp_path, block, crlf, last_lf, 
     assert isinstance(fast, str) != valid
 
 
-# Int fields that np.loadtxt must not read: exponents whose text is as wide
-# as the value's decimal ("1e2" for 100), or narrower ("1e9"), beside
-# leading zeros that make up the width, and a value past int64.
-NOT_INTS = ["1e2", "5e2", "1e9", "0000000", "10000000000000000000", "9223372036854775808"]
+# Int fields that are not canonical decimal int64: exponents whose text is
+# as wide as the value's decimal ("1e2" for 100), or narrower ("1e9"),
+# beside leading zeros that make up the width; a signed zero and a plus
+# sign; values past int64, the last wider than any int64's 20 bytes.
+NOT_INTS = [
+    "1e2", "5e2", "1e9", "0000000", "-0", "+7",
+    "10000000000000000000", "9223372036854775808", "100000000000000000000",
+]
 
 
 @pytest.mark.parametrize("bad", NOT_INTS)
@@ -140,20 +144,26 @@ def test_int_fields_take_only_canonical_decimal(tmp_path, bad, block):
     assert fast.endswith(f"bad integer value {bad!r}")
 
 
-def test_an_int_field_that_loadtxt_reads_with_a_warning_goes_to_csv_reader(tmp_path, monkeypatch):
-    """numpy before the float fallback expired read "1e2" as the int 100,
-    with a DeprecationWarning; the fast reader must not keep such a read."""
-    real = np.loadtxt
+def _trace(path):
+    table = load_trace_log(path)
+    return table.label.tolist(), table.step.tolist()
 
-    def warning_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
-        return real(*args, **kwargs)
 
-    path = tmp_path / "transitions.csv"
-    path.write_bytes(b"from_class,action,to_class,count\n1,a,0,100\n2,b,1,3\n")
-    expected = _transitions(path)
-    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-    reader, calls = csv.reader, []
-    monkeypatch.setattr(csv, "reader", lambda *args, **kwargs: calls.append(1) or reader(*args, **kwargs))
-    assert _transitions(path) == expected
-    assert calls == [1]
+def test_the_ends_of_int64_read_without_csv_reader(tmp_path):
+    """A count of 2**63 - 1 reads, and a class of -2**63 (20 bytes) reads
+    and is refused as negative, on the fast route as on csv.reader; an
+    int field of 21 bytes is declined before np.loadtxt sizes a column
+    for it."""
+    counts = tmp_path / "transitions.csv"
+    counts.write_bytes(b"from_class,action,to_class,count\n1,a,0,9223372036854775807\n2,b,1,3\n")
+    fast, slow = _routes(_transitions, counts, 1 << 18, True)
+    assert fast == slow == {(1, "a", 0): 2**63 - 1, (2, "b", 1): 3}
+    traces = tmp_path / "traces.csv"
+    traces.write_bytes(b"id,step,timestamp,f1,class,action\na,0,0.5,1.0,0,\na,1,1.5,2.0,-9223372036854775808,x\n")
+    fast, slow = _routes(_trace, traces, 1 << 18, True)
+    assert fast == slow
+    assert fast == f"{traces}:3: negative class index {-2**63}"
+    wide = b"from_class,action,to_class,count\n1,a,0,100000000000000000000\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", _refuse)
+        assert core._loadtxt_read(wide, lambda header: [int, str, int, int]) is None
