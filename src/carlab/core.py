@@ -848,7 +848,9 @@ def _read_dataset(source: Union[str, Path], labelled: bool) -> tuple[tuple[str, 
     header, ((names, codes), X, *labels), where, malformed, unread = _read_csv(path, kinds)
     n, labels = X.shape[1], labels[0] if labelled else None
     ids = tuple(map(names.__getitem__, codes.tolist()))
-    non_finite = None if math.isfinite(X.sum()) else (  # a sum is finite only when each term is
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or inf - inf is just not finite, unwarned
+        total = X.sum()
+    non_finite = None if math.isfinite(total) else (  # a sum is finite only when each term is
         ~np.isfinite(X).all(axis=1), lambda k: f"{where(k)}: non-finite value for {ids[k]!r}"
     )
     checks = [malformed, *unread[1 : n + 1], non_finite, *unread[n + 1 :]]
@@ -915,7 +917,9 @@ def _trace_table(
     normal, event = label == NORMAL_CLASS, lambda k: f"event ({object_id(k)}, step {step[k]})"
     *fields, class_field = unread
     finite = np.isfinite(timestamp)
-    if not math.isfinite(state.sum()):  # a sum is finite only when each term is
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or inf - inf is just not finite, unwarned
+        total = state.sum()
+    if not math.isfinite(total):  # a sum is finite only when each term is
         finite &= np.isfinite(state).all(axis=1)
     _raise_first([
         *fields,

@@ -11,9 +11,9 @@ each row is one listed outcome.  Value iteration, policy evaluation and
 policy comparison share one Bellman backup over those rows, and every
 backup sums its terms in row order, so each value rounds exactly as a
 scalar loop over states, sorted actions and listed outcomes would.
-Each sweep loop keeps its row terms in a scratch buffer of its own, not
-on the cached backup that threads may share, and multiplies a policy's
-weight into each probability once: a term is ``(w * p) * future``.
+Each backup keeps its row terms in a scratch buffer of its own and
+multiplies a policy's weight into each probability once: a term is
+``(w * p) * future``.
 A comparison's ``max_regret`` and ``verdict`` are read-only properties of
 its regret and agreement, under the tolerance that picks optimal actions.
 """
@@ -79,10 +79,10 @@ class MDPModel:
 
     def __init__(self, states: Sequence[int], gamma: float, transitions: Mapping[int, Mapping[str, Outcomes]]):
         pairs = [(s, a, outcomes) for s, actions in transitions.items() for a, outcomes in actions.items()]
-        rows = [row for *_, outcomes in pairs for row in outcomes]
-        s, a, outcomes = zip(*pairs) if pairs else ((), (), ())
-        dst, p, r = zip(*rows) if rows else ((), (), ())
-        _model(self, states, gamma, transitions, s, a, list(map(len, outcomes)), dst, p, r)
+        rows = [(k, *row) for k, (*_, outcomes) in enumerate(pairs) for row in outcomes]
+        s, a, _ = zip(*pairs) if pairs else ((), (), ())
+        pair, dst, p, r = zip(*rows) if rows else ((), (), (), ())
+        _model(self, states, gamma, transitions, s, a, pair, dst, p, r)
 
     @cached_property
     def transitions(self) -> Mapping[int, Mapping[str, Outcomes]]:
@@ -97,20 +97,17 @@ class MDPModel:
     def actions(self, state: int) -> tuple[str, ...]:
         return tuple(self.transitions[state])
 
-    @cached_property
-    def _backup(self) -> "_Backup":
-        return _Backup(self)
-
 
 def _model(
     model: MDPModel, states: Sequence[int], gamma: float, sources: Iterable[int], pair_state: Sequence[int],
-    pair_action: Sequence[str], sizes: Sequence[int], dst: Sequence[int], p: Sequence[float], r: Sequence[float],
+    pair_action: Sequence[str], pair: Sequence[int], dst: Sequence[int], p: Sequence[float], r: Sequence[float],
 ) -> MDPModel:
     """``model``, its fields set to the rows of (state, action) pairs,
-    given in any order: pair k, action ``pair_action[k]`` at state
-    ``pair_state[k]``, owns the next ``sizes[k]`` destinations ``dst``,
-    probabilities ``p`` and rewards ``r``; ``sources`` are the states
-    given pairs.
+    each given in any order: pair k is action ``pair_action[k]`` at state
+    ``pair_state[k]``, and row i, one outcome of pair ``pair[i]``, has
+    destination ``dst[i]``, probability ``p[i]`` and reward ``r[i]``; a
+    pair's rows are its outcomes in the order given.  ``sources`` are
+    the states given pairs.
 
     Checked as a loop would check it that takes the states in order, each
     state's pairs as given and each pair's rows in order: gamma in [0, 1),
@@ -127,17 +124,16 @@ def _model(
         raise CarlabError(f"states {list(states)} list a state twice")
     if set(sources) != index.keys():
         raise CarlabError(f"transition sources {sorted(sources)} are not the states {sorted(index)}")
-    position, sizes = np.array([index[s] for s in pair_state], np.intp), np.array(sizes, np.intp)
-    pair, ids = np.repeat(np.arange(len(sizes)), sizes), np.array(states, np.int64)
-    dst, p, r = np.array(dst, np.int64), np.array(p, float), np.array(r, float)
+    position, ids = np.array([index[s] for s in pair_state], np.intp), np.array(states, np.int64)
+    pair, dst, p, r = np.array(pair, np.intp), np.array(dst, np.int64), np.array(p, float), np.array(r, float)
     sorter = np.argsort(ids)
     at = sorter[np.searchsorted(ids, dst, sorter=sorter).clip(max=len(ids) - 1)]  # each destination's state, if known
-    known, total = ids[at] == dst, np.bincount(pair, p, minlength=len(sizes))
+    known, total = ids[at] == dst, np.bincount(pair, p, minlength=len(position))
     if not (
         known.all() and ((0.0 <= p) & (p <= 1.0)).all() and np.isfinite(r).all()
         and (np.abs(total - 1.0) <= ROW_SUM_TOL).all() and len(set(position.tolist())) == len(states)
     ):
-        rows = np.split(np.arange(len(p)), np.cumsum(sizes)[:-1])
+        rows = np.split(np.argsort(pair, kind="stable"), np.cumsum(np.bincount(pair, minlength=len(position)))[:-1])
         for j, s in enumerate(states):
             mine = np.flatnonzero(position == j).tolist()
             if not mine:
@@ -159,7 +155,7 @@ def _model(
         (STAY_ACTION, [NORMAL_CLASS], [1.0], [0.0])
     ]:
         raise CarlabError("the normal class must be absorbing")
-    canon = sorted(range(len(sizes)), key=lambda k: (position[k], pair_action[k]))
+    canon = sorted(range(len(position)), key=lambda k: (position[k], pair_action[k]))
     rank = np.empty(len(canon), np.intp)
     rank[canon] = np.arange(len(canon))
     rows = np.argsort(rank[pair], kind="stable")
@@ -168,40 +164,6 @@ def _model(
         array.flags.writeable = False
     vars(model).update(states=tuple(states), gamma=gamma, pair_action=tuple(pair_action[k] for k in canon), **arrays)
     return model
-
-
-class _Backup:
-    """A model's Bellman backup over its outcome rows: each state owns a
-    run of pairs starting at ``first_pair``."""
-
-    def __init__(self, mdp: MDPModel) -> None:
-        self.gamma, self.pair, self.dst, self.p, self.r, self.pair_state = (
-            mdp.gamma, mdp.pair, mdp.dst, mdp.p, mdp.r, mdp.pair_state
-        )
-        self.pairs = [(mdp.states[k], a) for k, a in zip(mdp.pair_state.tolist(), mdp.pair_action)]
-        self.first_pair = np.searchsorted(self.pair_state, np.arange(len(mdp.states)))
-        self.src = self.pair_state[self.pair]
-        self.reward = float(np.max(np.abs(self.r)))  # the largest |reward|
-
-    def sweep(self, weights: Optional[np.ndarray] = None) -> Callable[[np.ndarray], np.ndarray]:
-        """The backup V -> Q per pair; given per-pair policy weights, V -> V
-        per state with terms ``(w * p) * (r + gamma * V)``, ``w * p`` folded
-        once and ``gamma * V`` taken per state.  Each call writes its row
-        terms into one scratch buffer that belongs to the returned function,
-        and ``np.bincount`` sums them in row order."""
-        if weights is None:
-            scale, index, size = self.p, self.pair, len(self.pairs)
-        else:
-            scale, index, size = weights[self.pair] * self.p, self.src, len(self.first_pair)
-        terms, gamma, dst, r = np.empty(len(self.p)), self.gamma, self.dst, self.r
-
-        def backup(values: np.ndarray) -> np.ndarray:
-            (gamma * values).take(dst, out=terms, mode="wrap")  # every dst is a state index
-            np.add(r, terms, out=terms)
-            np.multiply(scale, terms, out=terms)
-            return np.bincount(index, terms, minlength=size)
-
-        return backup
 
 
 @dataclass(frozen=True)
@@ -308,24 +270,45 @@ def estimate_mdp(
     return _model(
         object.__new__(MDPModel), ordered, gamma, ordered,
         [NORMAL_CLASS, *(s for s, _ in pairs)], [STAY_ACTION, *(a for _, a in pairs)],
-        [1, *np.bincount(k, minlength=len(pairs)).tolist()], np.append(NORMAL_CLASS, np.array(ordered)[d]),
+        np.append(0, k + 1), np.append(NORMAL_CLASS, np.array(ordered)[d]),
         np.append(1.0, p[k, d]), np.append(0.0, reward),
     )
 
 
-def _fixed_point(step, backup: "_Backup", tol: float) -> tuple[np.ndarray, int]:
+def _sweep(mdp: MDPModel, weights: Optional[np.ndarray] = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The Bellman backup of ``mdp``, V -> Q per pair; given per-pair
+    policy weights, V -> V per state with terms ``(w * p) * (r + gamma *
+    V)``, ``w * p`` folded once and ``gamma * V`` taken per state.  Each
+    call writes its row terms into one scratch buffer that belongs to the
+    returned function, and ``np.bincount`` sums them in row order."""
+    if weights is None:
+        scale, index, size = mdp.p, mdp.pair, len(mdp.pair_action)
+    else:
+        scale, index, size = weights[mdp.pair] * mdp.p, mdp.pair_state[mdp.pair], len(mdp.states)
+    terms, gamma, dst, r = np.empty(len(mdp.p)), mdp.gamma, mdp.dst, mdp.r
+
+    def backup(values: np.ndarray) -> np.ndarray:
+        (gamma * values).take(dst, out=terms, mode="wrap")  # every dst is a state index
+        np.add(r, terms, out=terms)
+        np.multiply(scale, terms, out=terms)
+        return np.bincount(index, terms, minlength=size)
+
+    return backup
+
+
+def _fixed_point(step, mdp: MDPModel, tol: float) -> tuple[np.ndarray, int]:
     """Sweep ``step`` from zero until no value moves by more than ``tol``.
 
-    ``step`` is a Bellman backup of ``backup``'s model, with discount
-    gamma and rewards of at most ``backup.reward`` in size: the first
-    sweep moves a value by at most that reward and each later one by at
-    most gamma times the last (Puterman 1994, section 6.3), so sweep k
-    moves none by more than gamma^(k-1) * reward.  CarlabError is raised
-    past twice the sweeps that bound allows, or when a value overflows.
+    ``step`` is a Bellman backup of ``mdp``, with discount gamma and
+    rewards of at most max|r| in size: the first sweep moves a value by
+    at most that reward and each later one by at most gamma times the
+    last (Puterman 1994, section 6.3), so sweep k moves none by more
+    than gamma^(k-1) * reward.  CarlabError is raised past twice the
+    sweeps that bound allows, or when a value overflows.
     """
     if not tol > 0:
         raise CarlabError(f"tolerance {tol!r} is not positive")
-    gamma, reward = backup.gamma, backup.reward
+    gamma, reward = mdp.gamma, float(np.max(np.abs(mdp.r)))
     if reward <= tol:
         bound = 1
     elif gamma == 0:
@@ -335,7 +318,7 @@ def _fixed_point(step, backup: "_Backup", tol: float) -> tuple[np.ndarray, int]:
     # The factor 2 is slack for rounding: float sweeps can run past the
     # exact bound while the last ulps settle (a rewarding self-loop at
     # gamma = 0.99999 takes 2,072,637 sweeps against a bound of 2,072,318).
-    values, iterations, delta = np.zeros(len(backup.first_pair)), 0, np.inf
+    values, iterations, delta = np.zeros(len(mdp.states)), 0, np.inf
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises CarlabError instead
         while delta > tol:
             if iterations == 2 * bound:
@@ -355,16 +338,14 @@ def value_iteration(mdp: MDPModel, tol: float = 1e-9) -> VIResult:
     values then satisfy the Bellman residual bound gamma * tol <= tol.
     The greedy policy breaks ties toward the lowest action id.
     """
-    backup = mdp._backup
-    q_of = backup.sweep()
-    best_q = lambda v: np.maximum.reduceat(q_of(v), backup.first_pair)
-    values, iterations = _fixed_point(best_q, backup, tol)
+    q_of, first_pair = _sweep(mdp), np.searchsorted(mdp.pair_state, np.arange(len(mdp.states)))
+    values, iterations = _fixed_point(lambda v: np.maximum.reduceat(q_of(v), first_pair), mdp, tol)
     q = q_of(values)
     # Sort by state, descending q, then pair: ties go to the lowest action id.
-    best = np.lexsort((np.arange(len(q)), -q, backup.pair_state))[backup.first_pair]
+    best = np.lexsort((np.arange(len(q)), -q, mdp.pair_state))[first_pair]
     return VIResult(
         values=dict(zip(mdp.states, values.tolist())),
-        policy=Policy.deterministic(dict(backup.pairs[k] for k in best)),
+        policy=Policy.deterministic({s: mdp.pair_action[k] for s, k in zip(mdp.states, best.tolist())}),
         iterations=iterations,
         residual=float(np.max(np.abs(q[best] - values))),
     )
@@ -375,8 +356,8 @@ def policy_evaluation(
 ) -> ValueFunction:
     """Iterative fixed-point evaluation of a (possibly stochastic) policy
     that decides at exactly the model's states."""
-    backup = mdp._backup
-    available = set(backup.pairs)
+    pairs = [(mdp.states[k], a) for k, a in zip(mdp.pair_state.tolist(), mdp.pair_action)]
+    available = set(pairs)
     for s in mdp.states:
         if s not in policy.decision:
             raise CarlabError(f"policy does not cover state {s}")
@@ -391,8 +372,8 @@ def policy_evaluation(
     extra = set(policy.decision).difference(mdp.states)
     if extra:
         raise CarlabError(f"policy decides at state {min(extra)}, which the model does not have")
-    weights = np.array([policy.decision[s].get(a, 0.0) for s, a in backup.pairs])
-    values, _ = _fixed_point(backup.sweep(weights), backup, tol)
+    weights = np.array([policy.decision[s].get(a, 0.0) for s, a in pairs])
+    values, _ = _fixed_point(_sweep(mdp, weights), mdp, tol)
     return dict(zip(mdp.states, values.tolist()))
 
 
@@ -418,14 +399,13 @@ def compare_policies(
     """
     vi = value_iteration(mdp, tol=tol)
     v_obs = policy_evaluation(mdp, observed, tol=tol)
-    backup = mdp._backup
-    q = backup.sweep()(np.array([vi.values[s] for s in mdp.states]))
-    best = np.maximum.reduceat(q, backup.first_pair)
-    near_best = q >= (best - OPTIMAL_ATOL)[backup.pair_state]
+    q = _sweep(mdp)(np.array([vi.values[s] for s in mdp.states]))
+    best = np.maximum.reduceat(q, np.searchsorted(mdp.pair_state, np.arange(len(mdp.states))))
+    near_best = q >= (best - OPTIMAL_ATOL)[mdp.pair_state]
     optimal_actions: dict[int, tuple[str, ...]] = {}
-    for (s, a), near in zip(backup.pairs, near_best):
-        if near:
-            optimal_actions[s] = optimal_actions.get(s, ()) + (a,)
+    pairs = [(mdp.states[k], a) for k, a in zip(mdp.pair_state.tolist(), mdp.pair_action)]
+    for s, a in compress(pairs, near_best):
+        optimal_actions[s] = optimal_actions.get(s, ()) + (a,)
     return ComparisonReport(
         v_optimal=vi.values,
         v_observed=v_obs,
@@ -478,8 +458,8 @@ def mdp_from_json(data: dict) -> MDPModel:
     column, each column checked once; when a check fails, the rows are
     read one at a time, to raise at the first row and field (in the
     order p, r, s, a, s') that fails or, when none does (a value of a
-    subclass of float or int, say), to give the columns.  A pair's rows are its rows in
-    document order, wherever they stand."""
+    subclass of float or int, say), to give the columns.  A pair's rows
+    are its rows in document order, wherever they stand."""
     rows = data["transitions"]
     columns = _transition_columns(rows)
     if columns is None:
@@ -492,11 +472,9 @@ def mdp_from_json(data: dict) -> MDPModel:
     heads = [*compress(range(len(keys)), chain([True], map(ne, keys[1:], keys)))]  # runs of rows of one pair
     pairs: dict[tuple[int, str], int] = {}
     runs = [pairs.setdefault(keys[k], len(pairs)) for k in heads]
-    pair = np.repeat(np.array(runs, np.intp), np.diff([*heads, len(keys)]))
-    order = np.argsort(pair, kind="stable")  # a pair's later runs join its first
     return _model(
         object.__new__(MDPModel), states, gamma, {s for s, _ in pairs}, [s for s, _ in pairs], [a for _, a in pairs],
-        np.bincount(pair, minlength=len(pairs)), *(np.array(columns[key])[order] for key in ("s'", "p", "r")),
+        np.repeat(np.array(runs, np.intp), np.diff([*heads, len(keys)])), columns["s'"], columns["p"], columns["r"],
     )
 
 

@@ -362,6 +362,8 @@ def quote_free_datasets(draw):
 @example(text="id,f1,class\na\x00,1.5,0\nb,2.5,1\n", labelled=True)  # a NUL that an S field would drop
 @example(text="id,f1,é\na,1.5,0\n", labelled=False)  # a non-ASCII header
 @example(text="id,f1,class\nobject-7,1,0\n", labelled=True)  # the widest field is an id
+@example(text="id,f1,f2\no1,-inf,1e400\no1,0.0,0.0,1\n", labelled=False)  # -inf beside inf
+@example(text="id,f1,f2\na,1e308,1e308\n", labelled=False)  # finite fields whose sum overflows
 def test_quote_free_dataset_matches_the_row_oracle(tmp_path_factory, text, labelled):
     path = _write(tmp_path_factory, text)
     columns = lambda ids, X, labels: zip(ids, X, [None] * len(ids) if labels is None else labels.tolist())

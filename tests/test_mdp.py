@@ -412,7 +412,7 @@ class TestSweepBound:
             return values + 1.0
 
         with pytest.raises(CarlabError, match="still move by 1.0 after 62 sweeps"):
-            _fixed_point(step, self_loop_mdp(0.5, 1.0)._backup, 1e-9)
+            _fixed_point(step, self_loop_mdp(0.5, 1.0), 1e-9)
 
     def test_a_tolerance_far_below_the_reward_bounds_the_sweeps(self):
         """tol / max|r| underflows to 0.0 here, and the bound is still
