@@ -823,11 +823,28 @@ def _raise_first(checks: Sequence[Optional[_Check]]) -> None:
         raise DataFormatError(next(message(k) for mask, message in checks if mask[k]))
 
 
-def _write_csv(dest: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+_WRITE_ROWS = 1 << 14  # rows per write of a CSV file: bounds the text held at once
+
+
+def _csv_texts(texts: Sequence[str]) -> Sequence[str]:
+    """Texts as ``csv.writer`` writes them as fields: in quotes, each quote
+    doubled, when they hold a comma, a quote, CR or LF; else as they are."""
+    joined = "".join(texts)
+    if not any(c in joined for c in ',"\r\n'):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(c in t for c in ',"\r\n') else t for t in texts]
+
+
+def _write_csv(dest: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a CSV file as ``csv.writer`` writes rows of two or more fields,
+    ``_WRITE_ROWS`` rows per write; fields come as written (``_csv_texts``)."""
+    rows = iter(rows)
     with Path(dest).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_csv_texts(header)))
+        while block := list(islice(rows, _WRITE_ROWS)):
+            fh.write("\r\n")
+            fh.write("\r\n".join(map(",".join, block)))
+        fh.write("\r\n")
 
 
 def _read_dataset(source: Union[str, Path], labelled: bool) -> tuple[tuple[str, ...], np.ndarray, Optional[np.ndarray]]:
@@ -881,7 +898,7 @@ def save_dataset(ids: Sequence[str], x: np.ndarray, labels: np.ndarray, dest: Un
     _write_csv(
         dest,
         ["id"] + [f"f{j}" for j in range(1, x.shape[1] + 1)] + ["class"],
-        zip(ids, *map(_reprs, x.T), _reprs(labels)),
+        zip(_csv_texts(ids), *map(_reprs, x.T), _reprs(labels)),
     )
 
 
@@ -978,13 +995,13 @@ def save_trace_log(traces: Traces, dest: Union[str, Path]) -> None:
     table = TraceTable.from_events(traces)
     if not table.state.shape[1]:
         raise DataFormatError("cannot save a trace log with no feature columns")
-    order, names = table.id_order(), table.actions + ("",)
+    order, ids, names = table.id_order(), _csv_texts(table.object_ids), _csv_texts(table.actions + ("",))
     numbers = (table.step[order], table.timestamp[order], *table.state[order].T, table.label[order])
     _write_csv(
         dest,
         ["id", "step", "timestamp"] + [f"f{j}" for j in range(1, table.state.shape[1] + 1)] + ["class", "action"],
         zip(
-            [table.object_ids[o] for o in table.obj[order].tolist()],
+            [ids[o] for o in table.obj[order].tolist()],
             *map(_reprs, numbers),
             [names[a] for a in table.action[order].tolist()],
         ),

@@ -21,10 +21,10 @@ grouped by class; mined boxes go straight into them, ordered by one sort.
 
 Classification scores an object per class as the fraction of that class's
 LDs covering it, then takes the argmax; ties and all-zero score vectors
-are reported as indeterminate rather than broken silently.  Voting reads
-the bound matrices with no compile step: rows are tested against every
-box in chunks of bounded size, and the argmax and ties compare integer
-cover counts, never float scores.
+are reported as indeterminate rather than broken silently.  Voting
+compiles the bound matrices, in blocks of boxes, into packed box sets per
+rank of a value among a side's distinct bounds: a row's covering boxes are
+the AND of one set per side.  Argmax and ties compare integer counts.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Un
 import numpy as np
 
 from .core import (
-    CarlabError, LearningSample, LearningSet, _parse_index, _parse_key, _parse_number, load_json,
+    CarlabError, LearningSample, LearningSet, _decimal, _parse_index, _parse_key, _parse_number, load_json,
     save_json,
 )
 
@@ -90,18 +90,20 @@ def _check_box(lower: dict[int, float], upper: dict[int, float], n: Optional[int
             raise CarlabError(f"empty box on feature {j}: [{lo}, {hi}]")
 
 
-def _matrices(boxes: Sequence[tuple[dict[int, float], dict[int, float]]]) -> np.ndarray:
-    """The lower and upper bound matrices of (lower, upper) bound dicts, one
-    row per box, as wide as the largest feature index named."""
-    width = max((j for box in boxes for side in box for j in side), default=0)
+def _matrices(sides: Sequence[Sequence[Mapping]], features: Optional[Mapping] = None) -> np.ndarray:
+    """The lower and upper bound matrices of boxes given, per side, as
+    {feature: bound} mappings in box order, as wide as the largest feature
+    index named; ``features`` maps each key to its index when given."""
+    columns = [list(map(features.__getitem__, keys) if features else keys) for keys in map(chain.from_iterable, sides)]
+    width = max(max(keys, default=0) for keys in columns)
     try:
-        matrices = np.full((2, len(boxes), width), np.inf)
+        matrices = np.full((2, len(sides[0]), width), np.inf)
     except (MemoryError, ValueError):  # ValueError: a size numpy cannot address
         raise CarlabError(f"feature index {width} out of range: no memory for bound matrices that wide") from None
     matrices[0] = -np.inf
-    for matrix, sides in zip(matrices, zip(*boxes)):
-        rows = [k for k, side in enumerate(sides) for _ in side]
-        matrix[rows, [j - 1 for side in sides for j in side]] = [v for side in sides for v in side.values()]
+    for matrix, side, keys in zip(matrices, sides, columns):
+        rows = np.repeat(np.arange(len(side)), list(map(len, side)))
+        matrix[rows, np.array(keys, np.intp) - 1] = list(chain.from_iterable(box.values() for box in side))
     return matrices
 
 
@@ -123,8 +125,8 @@ class LDSet:
     def __new__(cls, by_class: Mapping[int, Iterable[LogicalDependency]], warnings: Iterable[str] = ()) -> LDSet:
         members = {i: tuple(by_class[i]) for i in sorted(by_class)}
         codes = np.repeat(np.arange(len(members)), [len(m) for m in members.values()])
-        boxes = [(ld.lower, ld.upper) for m in members.values() for ld in m]
-        return _ldset(tuple(members), codes, *_matrices(boxes), warnings)
+        lds = list(chain.from_iterable(members.values()))
+        return _ldset(tuple(members), codes, *_matrices(([ld.lower for ld in lds], [ld.upper for ld in lds])), warnings)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LDSet):
@@ -229,8 +231,8 @@ def is_admissible(
     return Admissibility(admissible=own >= 1 and counter <= budget, own_covered=own, counter_covered=counter)
 
 
-# Cells per kernel chunk, row-by-LD when voting and seed-by-candidate when
-# mining: bounds the kernels' scratch memory.
+# Cells per kernel chunk, row-by-word when voting and seed-by-candidate
+# when mining: bounds the kernels' scratch memory.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -460,7 +462,6 @@ def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -
     ``count_c * size_b > count_b * size_c``: integers, no rounding.  The
     first class no other scores above wins, unless one scores level with
     it (tied) or its count is 0 (all-zero)."""
-    rows = np.arange(len(counts))
     best = np.zeros(len(counts), dtype=np.intp)
     if not classes:
         reason = np.full(len(counts), _ALL_ZERO)
@@ -469,30 +470,56 @@ def vote(classes: tuple[int, ...], sizes: tuple[int, ...], counts: np.ndarray) -
         # keeps its cross-multiplied comparisons exact.
         size = np.maximum(np.array(sizes, dtype=np.int64), 1)
         above = lambda count_a, size_a, count_b, size_b: count_a * size_b > count_b * size_a
+        top, top_size = counts[:, 0], size[0]  # the best class's count and size
         for c in range(1, len(classes)):
-            best[above(counts[:, c], size[c], counts[rows, best], size[best])] = c
-        top = counts[rows, best]
-        tied = np.count_nonzero(~above(top[:, None], size[best, None], counts, size), axis=1) > 1
+            wins = above(counts[:, c], size[c], top, top_size)
+            best, top_size = np.where(wins, c, best), np.where(wins, size[c], top_size)
+            top = np.where(wins, counts[:, c], top)
+        tied = sum(~above(top, top_size, counts[:, c], size[c]) for c in range(len(classes))) > 1
         reason = np.where(top == 0, _ALL_ZERO, np.where(tied, _TIED, 0))
     # Index -1 of the class ids with -1 appended is the abstention code.
     labels = np.array((*classes, -1), dtype=np.int64)[np.where(reason, -1, best)]
     return VoteBatch(classes, sizes, counts, labels, reason.astype(np.int8))
 
 
-def _cover_counts(lds: LDSet, X: np.ndarray) -> np.ndarray:
-    """Per-class cover counts of each row of X, shape (rows, classes): one
-    comparison per bounded feature side, then one sum per class."""
-    inside = np.ones((len(X), len(lds.lower)), dtype=bool)
-    scratch = np.empty_like(inside)
-    for bounds, compare, open_side in ((lds.lower, np.greater_equal, -np.inf), (lds.upper, np.less_equal, np.inf)):
-        for j in np.flatnonzero((bounds != open_side).any(axis=0)).tolist():
-            compare(X[:, j, None], bounds[:, j], out=scratch)
-            inside &= scratch
-    counts = np.zeros((len(X), len(lds.sizes)), dtype=np.int64)
-    filled = np.flatnonzero(lds.sizes)  # reduceat would give an empty class the column at its start
-    if len(filled):
-        counts[:, filled] = np.add.reduceat(inside, (np.cumsum(lds.sizes) - lds.sizes)[filled], axis=1)
-    return counts
+_BLOCK_BOXES = 1 << 10  # boxes per block of vote tables: a side's take about 128 bytes a box
+# Every other bit, bit pair and nibble of a word, and its byte-sum multiplier.
+_M1, _M2, _M4, _BYTES = map(np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _bit_counts(x: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word of x, as int64, counted in parallel
+    by bit pairs, nibbles and bytes; x is overwritten."""
+    x -= (x >> 1) & _M1
+    x = (x & _M2) + ((x >> 2) & _M2)
+    x = (x + (x >> 4)) & _M4
+    return (x * _BYTES >> 56).view(np.int64)
+
+
+def _compile(lds: LDSet) -> list[tuple]:
+    """Per block of ``_BLOCK_BOXES`` boxes: the set of its boxes, its bounded
+    sides, the classes owning its boxes and the first word of each.  A set
+    is a column of uint64 words, a bit per box, each class from a new word.
+    Side k tests ``z = (x, -x)[k] >= bound``: its table's column
+    ``searchsorted(values, z, "right")`` is the set of boxes it holds for."""
+    codes, blocks = np.repeat(np.arange(len(lds.sizes)), lds.sizes), []
+    bounds = np.column_stack((lds.lower, -lds.upper))
+    for a in range(0, len(codes), _BLOCK_BOXES):
+        classes, first, size = np.unique(codes[a : a + _BLOCK_BOXES], return_index=True, return_counts=True)
+        words = -(-size // 64)
+        starts = np.cumsum(words) - words
+        place = np.repeat(64 * starts - first, size) + np.arange(size.sum())  # each box's bit
+        word, bit = place >> 6, np.left_shift(1, place & 63).astype(np.uint64)
+        everything = np.zeros(words.sum(), np.uint64)
+        np.bitwise_or.at(everything, word, bit)
+        sides, block = [], bounds[a : a + _BLOCK_BOXES]
+        for k in np.flatnonzero((block != -np.inf).any(axis=0)).tolist():
+            values, rank = np.unique(block[:, k], return_inverse=True)
+            table = np.zeros((len(everything), len(values) + 1), np.uint64)
+            np.bitwise_or.at(table, (word, rank + 1), bit)
+            sides.append((k, values, np.bitwise_or.accumulate(table, axis=1, out=table)))
+        blocks.append((everything, sides, classes, starts))
+    return blocks
 
 
 def classify_batch(X, lds: LDSet) -> VoteBatch:
@@ -503,20 +530,7 @@ def classify_batch(X, lds: LDSet) -> VoteBatch:
     bounded whatever the number of rows.  Raises CarlabError on a
     non-finite row or an LD bounding a feature beyond n.
     """
-    total, width = len(X), lds.lower.shape[1]
-    step = max(1, _CHUNK_CELLS // max(1, len(lds.lower)))
-    counts = np.zeros((total, len(lds.class_ids)), dtype=np.int64)
-    for a in range(0, total, step):
-        block = np.asarray(X[a : a + step], dtype=float)
-        if block.ndim != 2:
-            raise CarlabError("rows to classify must form a 2-D array")
-        if block.shape[1] < width:
-            raise CarlabError(f"feature index {width} out of range for n={block.shape[1]}")
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise CarlabError(f"non-finite feature value in row {a + int(np.argmin(finite))}")
-        counts[a : a + len(block)] = _cover_counts(lds, block)
-    return vote(lds.class_ids, lds.sizes, counts)
+    return _LDClassifier(lds).batch(X)
 
 
 def classify(x: Sequence[float], lds: LDSet) -> ClassifyOutcome:
@@ -528,11 +542,33 @@ def classify(x: Sequence[float], lds: LDSet) -> ClassifyOutcome:
 class _LDClassifier:
     lds: LDSet
 
+    @cached_property
+    def _blocks(self) -> list[tuple]:
+        return _compile(self.lds)
+
     def __call__(self, x: Sequence[float]) -> ClassifyOutcome:
-        return classify(x, self.lds)
+        return self.batch((x,)).outcome(0)
 
     def batch(self, rows) -> VoteBatch:
-        return classify_batch(rows, self.lds)
+        total, width, blocks = len(rows), self.lds.lower.shape[1], self._blocks
+        step = max(1, _CHUNK_CELLS // max(1, sum(len(block[0]) for block in blocks)))
+        counts = np.zeros((len(self.lds.class_ids), total), dtype=np.int64)  # a row per class
+        for a in range(0, total, step):
+            chunk = np.asarray(rows[a : a + step], dtype=float)
+            if chunk.ndim != 2:
+                raise CarlabError("rows to classify must form a 2-D array")
+            if chunk.shape[1] < width:
+                raise CarlabError(f"feature index {width} out of range for n={chunk.shape[1]}")
+            finite = np.isfinite(chunk).all(axis=1)
+            if not finite.all():
+                raise CarlabError(f"non-finite feature value in row {a + int(np.argmin(finite))}")
+            z = np.concatenate((chunk[:, :width], -chunk[:, :width]), axis=1).T.copy()  # a row per side
+            for everything, sides, owners, starts in blocks:  # the AND of each side's set at the row's rank
+                inside = np.repeat(everything[:, None], len(chunk), axis=1)
+                for k, values, table in sides:
+                    inside &= table.take(np.searchsorted(values, z[k], "right"), axis=1)
+                counts[owners, a : a + len(chunk)] += np.add.reduceat(_bit_counts(inside), starts, axis=0)
+        return vote(self.lds.class_ids, self.lds.sizes, counts.T)
 
 
 def ld_classifier(lds: LDSet) -> Callable[[Sequence[float]], ClassifyOutcome]:
@@ -586,18 +622,33 @@ def ldset_to_json(lds: LDSet) -> list[dict]:
 def ldset_from_json(data: list[dict], n: Optional[int] = None) -> LDSet:
     """The first bad entry raises: lower, upper, class, then the box
     checks, which refuse a feature past ``n`` when n is given, before any
-    matrix is built; a negative class raises once every entry is read."""
-    labels, boxes = [], []
-    for entry in data:
-        box = tuple(
-            {_parse_key(j, side): _parse_number(v, side) for j, v in entry.get(side, {}).items()}
-            for side in ("lower", "upper")
-        )
-        labels.append(_parse_index(entry["class"], "class"))
-        _check_box(*box, n)
-        boxes.append(box)
-    class_ids, codes = np.unique(np.array(labels, object), return_inverse=True)
-    return _ldset(class_ids, *_by_key(codes, *_matrices(boxes)))
+    matrix is built; a negative class raises once every entry is read.
+    Entries are read a side at a time, and one at a time only to raise."""
+    numbers = lambda values, kind: all(issubclass(t, kind) and not issubclass(t, bool) for t in set(map(type, values)))
+    try:
+        classes = [entry["class"] for entry in data]
+        sides = [[entry.get(side, {}) for entry in data] for side in ("lower", "upper")]
+        features = {key: _decimal(key) for key in set(chain.from_iterable(chain(*sides)))}
+        labels = np.array(classes, np.int64)
+        if not (
+            numbers(classes, int) and numbers(chain.from_iterable(box.values() for box in chain(*sides)), (int, float))
+            and all(1 <= j <= (math.inf if n is None else n) for j in features.values())  # None: TypeError
+        ):
+            raise ValueError("a bad entry")
+        lower, upper = _matrices(sides, features)
+        if np.isnan(lower).any() or np.isnan(upper).any() or (lower > upper).any():
+            raise ValueError("a bad box")
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, CarlabError):
+        for entry in data:  # one at a time: the first bad entry raises
+            box = tuple(
+                {_parse_key(j, side): _parse_number(v, side) for j, v in entry.get(side, {}).items()}
+                for side in ("lower", "upper")
+            )
+            _parse_index(entry["class"], "class")
+            _check_box(*box, n)
+        raise  # no bad entry: no memory for the matrices
+    class_ids, codes = np.unique(labels, return_inverse=True)
+    return _ldset(class_ids.tolist(), *_by_key(codes, lower, upper))
 
 
 def save_ldset(lds: LDSet, dest: Union[str, Path]) -> None:

@@ -29,6 +29,7 @@ from .core import (
     Traces,
     TraceTable,
     _count_rows,
+    _csv_texts,
     _parse_index,
     _parse_indices,
     _parse_key,
@@ -230,7 +231,8 @@ def load_transition_records(source: Union[str, Path]) -> ClassTransitionGraph:
 
 def save_transition_records(g: ClassTransitionGraph, dest: Union[str, Path]) -> None:
     edges = sorted(g.edges, key=lambda e: (e.src, e.action, e.dst))
-    _write_csv(dest, _TRANSITION_HEADER, ([e.src, e.action, e.dst, e.count] for e in edges))
+    actions = _csv_texts([e.action for e in edges])
+    _write_csv(dest, _TRANSITION_HEADER, ([str(e.src), a, str(e.dst), str(e.count)] for e, a in zip(edges, actions)))
 
 
 def _components(succ: dict[int, tuple[int, ...]]) -> list[list[int]]:
