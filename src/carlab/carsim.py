@@ -306,8 +306,6 @@ def run_car(
 
 
 def _percentile(sorted_values: list, q: float) -> float:
-    if not sorted_values:
-        raise CarlabError("no values")
     pos = q * (len(sorted_values) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(sorted_values) - 1)

@@ -330,7 +330,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CarlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

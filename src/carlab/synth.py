@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boolcube import BooleanAction
+from .boolcube import BooleanAction, PartialBooleanFunction
 from .carsim import ActionSpec
 from .core import CarlabError, LearningSet, TraceEvent, TraceMap
 from .mdp import STAY_ACTION, MDPModel
@@ -82,8 +82,6 @@ def random_partial_boolean_function(
     rng: random.Random, n: int, positives: int, negatives: int
 ):
     """Disjoint random positive/negative vertex sets as binary words."""
-    from .boolcube import PartialBooleanFunction
-
     universe = list(range(2 ** n))
     rng.shuffle(universe)
     pos = universe[:positives]
